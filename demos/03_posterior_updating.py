@@ -43,7 +43,7 @@ def main():
         surv = model.survival(searched)
         cond = model.conditional(searched)
         post = posterior(prior, surv)
-        weights = ", ".join(f"{o}: {float(p):.3f}" for o, p in cond.items())
+        weights = ", ".join(f"{o}: {float(p):.3f}" for o, p in cond)
         print(f"  searched {searched:4d}  posterior {float(post):.6f}  "
               f"open-count belief {{{weights}}}")
     print("  (deeper survival favors the sparse-countermodel hypothesis)\n")

@@ -26,19 +26,24 @@ Everything here is exact when fed exact numbers: integer inputs produce
 from __future__ import annotations
 
 import warnings
-from bisect import bisect_right, insort
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Union
 
 __all__ = [
     "FLOAT_TOL",
     "Probability",
+    "OpenDist",
     "DegenerateEvidenceError",
     "ModelError",
     "ContextTag",
     "ContextMismatchWarning",
+    "context_to_json",
+    "context_from_json",
+    "rational_to_json",
+    "rational_from_json",
     "context_mismatches",
     "warn_on_mismatch",
     "SurvivalCurve",
@@ -50,8 +55,6 @@ __all__ = [
     "first_open_pmf",
     "first_open_cdf",
     "first_open_mean_within",
-    "halting_prob",
-    "survival_lookup",
 ]
 
 # Agreement tolerance for float-valued probability checks throughout the
@@ -86,6 +89,40 @@ class ContextTag:
     count: int | None = None
     heuristic: str = "none"
     source: str = field(default="", compare=False)
+
+
+_CONTEXT_KEYS = (
+    "n_clauses", "lits_per_clause", "alphabet_size", "seed", "count", "heuristic"
+)
+
+
+def context_to_json(tag: ContextTag) -> dict:
+    """The tag as a JSON object, ``source`` left out."""
+    return {key: getattr(tag, key) for key in _CONTEXT_KEYS}
+
+
+def context_from_json(node: object) -> ContextTag:
+    """Inverse of :func:`context_to_json`; absent keys take their defaults."""
+    if not isinstance(node, dict):
+        raise ValueError("missing context object")
+    return ContextTag(**{key: node[key] for key in _CONTEXT_KEYS if key in node})
+
+
+def rational_to_json(value: Probability) -> dict:
+    """An exact rational as ``{"num": .., "den": ..}`` in lowest terms."""
+    value = Fraction(value)
+    return {"num": value.numerator, "den": value.denominator}
+
+
+def rational_from_json(node: object, what: str) -> Fraction:
+    """Inverse of :func:`rational_to_json`: integer (not bool) num/den, den > 0."""
+    node = node if isinstance(node, dict) else {}
+    num, den = node.get("num"), node.get("den")
+    if type(num) is not int or type(den) is not int:
+        raise ValueError(f"{what} must be an object with integer num/den")
+    if den <= 0:
+        raise ValueError(f"{what} denominator must be positive")
+    return Fraction(num, den)
 
 
 class ContextMismatchWarning(UserWarning):
@@ -200,15 +237,6 @@ class SurvivalCurve:
     def sample_count(self) -> int:
         return self._n if self._samples is not None else 0
 
-    def points(self) -> list[tuple[Fraction, Fraction]]:
-        """Breakpoint view (for display/export; evaluation uses value())."""
-        if self._points is not None:
-            return list(self._points)
-        pts: list[tuple[Fraction, Fraction]] = [(Fraction(0), Fraction(1))]
-        for s in sorted(set(self._samples)):
-            pts.append((s, self.value(s if s > 0 else Fraction(1, 10**9))))
-        return pts
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SurvivalCurve):
             return NotImplemented
@@ -264,12 +292,14 @@ def survival_analytic(total: int, open_count: int, searched: int) -> Fraction:
     return Fraction(num, den)
 
 
-def _normalized_dist(
-    open_dist: Mapping[int, Probability], total: int
-) -> list[tuple[int, Probability]]:
+# An open-path distribution: (open count, weight) pairs in increasing count order.
+OpenDist = tuple[tuple[int, Probability], ...]
+
+
+def _normalized_dist(open_dist: Mapping[int, Probability], total: int) -> OpenDist:
     if not open_dist:
         raise ModelError("open-path distribution is empty")
-    items = sorted(open_dist.items())
+    items = tuple(sorted(open_dist.items()))
     weight = 0
     for o, p in items:
         if not isinstance(o, int) or o < 1:
@@ -292,13 +322,16 @@ def survival_mixture(
     total: int, open_dist: Mapping[int, Probability], searched: int
 ) -> Probability:
     """Survival probability under a distribution over the open-path count."""
-    items = _normalized_dist(open_dist, total)
-    return sum(p * survival_analytic(total, o, searched) for o, p in items)
+    return AnalyticModel(total, open_dist).survival(searched)
 
 
 @dataclass(frozen=True)
 class AnalyticModel:
-    """Urn model of one search: ``total`` paths, open count fixed or distributed."""
+    """Urn model of one search: ``total`` paths, open count fixed or distributed.
+
+    ``open_paths`` is given as a count or a mapping count -> probability,
+    and is stored validated as an :data:`OpenDist`.
+    """
 
     total: int
     open_paths: int | Mapping[int, Probability]
@@ -306,39 +339,34 @@ class AnalyticModel:
     def __post_init__(self) -> None:
         if self.total < 0:
             raise ModelError("total must be >= 0")
-        if isinstance(self.open_paths, int):
-            if not 1 <= self.open_paths <= self.total:
-                raise ModelError(
-                    f"open_paths {self.open_paths} invalid for {self.total} paths"
-                )
-        else:
-            _normalized_dist(self.open_paths, self.total)
-
-    def distribution(self) -> dict[int, Probability]:
-        if isinstance(self.open_paths, int):
-            return {self.open_paths: Fraction(1)}
-        return dict(sorted(self.open_paths.items()))
+        dist = self.open_paths
+        if isinstance(dist, int):
+            dist = {dist: Fraction(1)}
+        object.__setattr__(self, "open_paths", _normalized_dist(dist, self.total))
 
     def survival(self, searched: int) -> Probability:
-        if isinstance(self.open_paths, int):
-            return survival_analytic(self.total, self.open_paths, searched)
-        return survival_mixture(self.total, self.open_paths, searched)
+        return sum(
+            p * survival_analytic(self.total, o, searched) for o, p in self.open_paths
+        )
 
-    def conditional(self, searched: int) -> dict[int, Probability]:
-        """Distribution of the open count given survival to ``searched``."""
-        dist = self.distribution()
+    def conditional(self, searched: int) -> OpenDist:
+        """Distribution of the open count given survival to ``searched``.
+
+        Counts that the survival rules out are dropped: they carry no weight,
+        and more open paths than remain could not be priced.
+        """
+        dist = self.open_paths
         if len(dist) == 1:
-            (o, _), = dist.items()
-            return {o: Fraction(1)}
-        weighted = {
-            o: p * survival_analytic(self.total, o, searched) for o, p in dist.items()
-        }
-        norm = sum(weighted.values())
+            return ((dist[0][0], Fraction(1)),)
+        weighted = [
+            (o, p * survival_analytic(self.total, o, searched)) for o, p in dist
+        ]
+        norm = sum(w for _, w in weighted)
         if norm == 0:
             # Survival impossible under every admitted count; the posterior on
             # the claim is 1 and this distribution is never consulted again.
             return dist
-        return {o: w / norm for o, w in weighted.items()}
+        return tuple((o, w / norm) for o, w in weighted if w)
 
 
 def first_open_pmf(remaining: int, open_count: int, j: int) -> Fraction:
@@ -394,16 +422,3 @@ def first_open_mean_within(remaining: int, open_count: int, within: int) -> Frac
     head = Fraction(comb(l + 1, o + 1) - comb(l - x + 1, o + 1), comb(l, o))
     return head - x * survival_analytic(l, o, x)
 
-
-def halting_prob(
-    posterior_not_w: Probability, remaining: int, open_count: int, j: int
-) -> Probability:
-    """p(search halts with a disproof exactly at the j-th further path)."""
-    if not 0 <= posterior_not_w <= 1:
-        raise ValueError(f"posterior_not_w {posterior_not_w} outside [0, 1]")
-    return posterior_not_w * first_open_pmf(remaining, open_count, j)
-
-
-def survival_lookup(curve: SurvivalCurve, s: Probability) -> Fraction:
-    """Evaluate a survival curve at explored fraction ``s`` (right-continuous)."""
-    return curve.value(s)

@@ -94,6 +94,19 @@ def _instance_context(meta: dict, heuristic: Heuristic) -> belief.ContextTag:
     )
 
 
+def _generator_context(
+    config: generator.GeneratorConfig, count: int, heuristic: Heuristic
+) -> belief.ContextTag:
+    return belief.ContextTag(
+        config.n_clauses,
+        config.lits_per_clause,
+        config.alphabet_size,
+        config.seed,
+        count,
+        heuristic.value,
+    )
+
+
 def _gen(args) -> int:
     config = generator.GeneratorConfig(
         args.clauses, args.lits, args.alphabet, args.seed
@@ -141,18 +154,10 @@ def _profile(args) -> int:
     )
     corpus = generator.generate_corpus(config, args.count)
     heuristic = Heuristic.PRESORT if args.presort else Heuristic.NONE
-    context = belief.ContextTag(
-        n_clauses=config.n_clauses,
-        lits_per_clause=config.lits_per_clause,
-        alphabet_size=config.alphabet_size,
-        seed=config.seed,
-        count=args.count,
-        heuristic=heuristic.value,
-    )
     profile = profiles.collect(
         corpus,
         heuristic,
-        context=context,
+        context=_generator_context(config, args.count, heuristic),
         step_cap=args.step_cap,
         jobs=args.jobs,
     )
@@ -263,14 +268,7 @@ def _compare(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     built = {}
     for heuristic in (Heuristic.NONE, Heuristic.PRESORT):
-        context = belief.ContextTag(
-            n_clauses=config.n_clauses,
-            lits_per_clause=config.lits_per_clause,
-            alphabet_size=config.alphabet_size,
-            seed=config.seed,
-            count=args.count,
-            heuristic=heuristic.value,
-        )
+        context = _generator_context(config, args.count, heuristic)
         profile = profiles.collect(
             corpus, heuristic, context=context, step_cap=args.step_cap, jobs=args.jobs
         )
@@ -278,16 +276,12 @@ def _compare(args) -> int:
         built[heuristic.value] = profile
 
     plain, sorted_ = built["none"], built["presort"]
+    # Same s column in both tables: keep plain's, then presort's other two.
+    rows = zip(
+        *(profiles.export_curve_csv(p).splitlines()[1:] for p in (plain, sorted_))
+    )
     lines = ["s,survival_none,posterior_none,survival_presort,posterior_presort"]
-    for i in range(101):
-        s = Fraction(i, 100)
-        row = [f"{float(s):.6f}"]
-        for profile in (plain, sorted_):
-            surv = profile.curve.value(s)
-            post = profile.posterior_at(s)
-            row.append(f"{float(surv):.6f}")
-            row.append(f"{float(post):.6f}")
-        lines.append(",".join(row))
+    lines += [f"{a},{b.partition(',')[2]}" for a, b in rows]
     (out_dir / "curves.csv").write_bytes(("\n".join(lines) + "\n").encode("ascii"))
     print(
         f"priors: none {float(plain.prior):.4f}, presort {float(sorted_.prior):.4f}; "

@@ -35,7 +35,14 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Any, Mapping
 
-from .belief import AnalyticModel, Probability, posterior
+from .belief import (
+    AnalyticModel,
+    Probability,
+    context_to_json,
+    posterior,
+    rational_from_json,
+    rational_to_json,
+)
 from .decision import (
     CostKind,
     SearchBeliefs,
@@ -180,57 +187,45 @@ def _nevc_candidates(
     t_now: float,
 ) -> tuple[float, ...]:
     remaining = total - closed
+    xs = [
+        remaining if cand == FULL_LOOKAHEAD else min(cand, remaining)
+        for cand in config.candidates()
+    ]
+    utilities, timecost = config.utilities, config.timecost
+    if isinstance(source, AnalyticSource):
+        assert model is not None
+        beliefs = SearchBeliefs(post, remaining, model.conditional(closed))
+        return tuple(nevc_multi(beliefs, utilities, timecost, x, t_now) for x in xs)
+    curve = source.profile.curve
+    now = curve.value(Fraction(closed, total))
     values = []
-    for cand in config.candidates():
-        x = remaining if cand == FULL_LOOKAHEAD else min(cand, remaining)
-        if isinstance(source, AnalyticSource):
-            assert model is not None
-            beliefs = SearchBeliefs(post, remaining, model.conditional(closed))
-            values.append(
-                nevc_multi(beliefs, config.utilities, config.timecost, x, t_now)
-            )
-        else:
-            curve = source.profile.curve
-            now = curve.value(Fraction(closed, total))
-            nxt = curve.value(Fraction(closed + x, total))
-            ratio = nxt / now if now > 0 else Fraction(1)
-            values.append(
-                nevc_two_outcome(
-                    post, ratio, config.utilities, config.timecost, x, t_now
-                )
-            )
+    for x in xs:
+        nxt = curve.value(Fraction(closed + x, total))
+        ratio = nxt / now if now > 0 else Fraction(1)
+        values.append(nevc_two_outcome(post, ratio, utilities, timecost, x, t_now))
     return tuple(values)
 
 
 def _describe_source(source: AnalyticSource | ProfileSource) -> dict:
     if isinstance(source, AnalyticSource):
-        prior = Fraction(source.prior)
         open_paths = source.open_paths
         if isinstance(open_paths, int):
             open_desc: Any = open_paths
         else:
             open_desc = [
-                {"open": o, "num": Fraction(p).numerator, "den": Fraction(p).denominator}
+                {"open": o, **rational_to_json(p)}
                 for o, p in sorted(open_paths.items())
             ]
         return {
             "kind": "analytic",
-            "prior": {"num": prior.numerator, "den": prior.denominator},
+            "prior": rational_to_json(source.prior),
             "open_paths": open_desc,
         }
     profile = source.profile
-    ctx = profile.context
     return {
         "kind": "profile",
-        "prior": {"num": profile.prior.numerator, "den": profile.prior.denominator},
-        "context": {
-            "n_clauses": ctx.n_clauses,
-            "lits_per_clause": ctx.lits_per_clause,
-            "alphabet_size": ctx.alphabet_size,
-            "seed": ctx.seed,
-            "count": ctx.count,
-            "heuristic": ctx.heuristic,
-        },
+        "prior": rational_to_json(profile.prior),
+        "context": context_to_json(profile.context),
     }
 
 
@@ -323,10 +318,7 @@ def save_trace(trace: DecisionTrace, path: str | Path) -> None:
                 {
                     "kind": "step",
                     "step": s.step,
-                    "fraction": {
-                        "num": s.fraction.numerator,
-                        "den": s.fraction.denominator,
-                    },
+                    "fraction": rational_to_json(s.fraction),
                     "posterior": s.posterior,
                     "nevc": list(s.nevc),
                     "t": s.elapsed,
@@ -372,17 +364,16 @@ def load_trace(path: str | Path) -> DecisionTrace:
         if row.get("kind") != "step":
             raise MalformedTraceError(f"unexpected record kind {row.get('kind')!r}")
         try:
-            frac = Fraction(row["fraction"]["num"], row["fraction"]["den"])
             steps.append(
                 TraceStep(
                     row["step"],
-                    frac,
+                    rational_from_json(row["fraction"], "fraction"),
                     float(row["posterior"]),
                     tuple(float(v) for v in row["nevc"]),
                     float(row["t"]),
                 )
             )
-        except (KeyError, TypeError, ZeroDivisionError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise MalformedTraceError(f"bad step record: {exc}") from exc
     try:
         lookaheads = tuple(

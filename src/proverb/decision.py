@@ -1,15 +1,15 @@
 """Acting under uncertainty about the claim, and pricing further search.
 
-The first half is classical: expected utilities over a belief about which
-formula holds, the best action under a binary belief, and the indifference
-threshold p* between two actions.  Time enters through a ``TimeCost``:
-utilities are additive-separable, ``u(A, outcome, t) = base - cost(t)`` for
-the zero/linear kinds, while the deadline kind collapses every utility to a
-flat penalty once ``t`` passes the deadline.  Model time is proportional to
+The first half is classical: the best action under a binary belief about
+the claim, and the indifference threshold p* between two actions.  Time
+enters through a ``TimeCost``: utilities are additive-separable,
+``u(A, outcome, t) = base - cost(t)`` for the zero/linear kinds, while the
+deadline kind collapses every utility to a flat penalty once ``t`` passes
+the deadline.  Model time is proportional to
 paths examined: ``t(j) = t0 + j * tau``.
 
-The second half prices continued search.  ``nevc_one`` / ``nevc_multi``
-compute the net expected value of examining 1 / x more paths before acting:
+The second half prices continued search.  ``nevc_multi`` computes the net
+expected value of examining x more paths before acting:
 with probability ``(1-p) * first_open_pmf(j)`` the search halts at path j
 with a disproof (act under certainty, at time t(j)); otherwise the posterior
 drifts up by the survival ratio and the best action is taken at t(x).  The
@@ -31,14 +31,9 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping
 
-from .belief import (
-    Probability,
-    first_open_cdf,
-    first_open_mean_within,
-    survival_analytic,
-)
+from .belief import OpenDist, Probability, first_open_cdf, first_open_mean_within
 
 __all__ = [
     "DominanceError",
@@ -48,13 +43,10 @@ __all__ = [
     "CostKind",
     "TimeCost",
     "UtilityModel",
-    "HypothesisBelief",
     "SearchBeliefs",
-    "expected_utility",
     "best_action",
     "threshold",
     "u_best",
-    "nevc_one",
     "nevc_multi",
     "nevc_two_outcome",
     "parse_utility_spec",
@@ -179,56 +171,6 @@ class UtilityModel:
         except ValueError:
             raise MissingUtilityError(f"unknown action {action!r}") from None
 
-    def as_table(self) -> dict[str, dict[str, float]]:
-        return {
-            a: {"w": self.when_true[i], "~w": self.when_false[i]}
-            for i, a in enumerate(self.actions)
-        }
-
-
-@dataclass(frozen=True)
-class HypothesisBelief:
-    """Probabilities over any finite set of candidate formulae."""
-
-    labels: tuple[str, ...]
-    probabilities: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.labels) != len(self.probabilities) or not self.labels:
-            raise ValueError("labels and probabilities must align and be nonempty")
-        for p in self.probabilities:
-            if not 0 <= p <= 1:
-                raise ValueError(f"probability {p} outside [0, 1]")
-        total = sum(self.probabilities)
-        if abs(total - 1) > 1e-9:
-            raise ValueError(f"probabilities sum to {total!r}, not 1")
-
-    @classmethod
-    def binary(cls, p_w: float) -> "HypothesisBelief":
-        return cls(("w", "~w"), (p_w, 1 - p_w))
-
-
-def expected_utility(
-    action: str,
-    beliefs: HypothesisBelief,
-    utilities: Mapping[str, Mapping[str, float]] | UtilityModel,
-    timecost: TimeCost = ZERO_COST,
-    t: float = 0.0,
-) -> float:
-    """sum_j p_j * u(action, formula_j, t) over the believed formulae."""
-    table = utilities.as_table() if isinstance(utilities, UtilityModel) else utilities
-    if action not in table:
-        raise MissingUtilityError(f"no utilities for action {action!r}")
-    row = table[action]
-    total = 0.0
-    for label, p in zip(beliefs.labels, beliefs.probabilities):
-        if label not in row:
-            raise MissingUtilityError(
-                f"action {action!r} has no utility for formula {label!r}"
-            )
-        total += p * timecost.utility_at(row[label], t)
-    return total
-
 
 def best_action(
     p_w: Probability,
@@ -285,25 +227,20 @@ def u_best(
 class SearchBeliefs:
     """Belief state mid-search: posterior on the claim, and the urn ahead.
 
-    ``remaining`` counts unexplored complete paths; ``open_paths`` is the
-    modelled count (or distribution over counts) of open paths among them
-    under not-w, already conditioned on the progress so far.
+    ``remaining`` counts unexplored complete paths; ``open_dist`` is the
+    distribution of the open-path count among them under not-w, already
+    conditioned on the progress so far (``AnalyticModel.conditional``).
     """
 
     posterior: Probability
     remaining: int
-    open_paths: int | Mapping[int, Probability]
+    open_dist: OpenDist
 
     def __post_init__(self) -> None:
         if not 0 <= self.posterior <= 1:
             raise ValueError(f"posterior {self.posterior} outside [0, 1]")
         if self.remaining < 0:
             raise ValueError("remaining must be >= 0")
-
-    def open_dist(self) -> dict[int, Probability]:
-        if isinstance(self.open_paths, int):
-            return {self.open_paths: Fraction(1)}
-        return dict(sorted(self.open_paths.items()))
 
 
 def _certainty_value(
@@ -317,10 +254,6 @@ def _certainty_value(
     # remainder); its net value is pure delay: U(S, x) - U(S, 0), which is
     # -cost(t(x)) for the additive kinds.
     return u_best(p, utilities, timecost, paths, t0) - u_best(p, utilities, timecost, 0, t0)
-
-
-def _max_false_utility(utilities: UtilityModel) -> float:
-    return max(utilities.when_false)
 
 
 def _paths_before(timecost: TimeCost, t0: float, limit: int) -> int:
@@ -338,7 +271,7 @@ def _paths_before(timecost: TimeCost, t0: float, limit: int) -> int:
 
 
 def _halt_branch_value(
-    dist: Mapping[int, Probability],
+    dist: OpenDist,
     remaining: int,
     x: int,
     utilities: UtilityModel,
@@ -349,10 +282,10 @@ def _halt_branch_value(
 
     Exact closed forms per open count; mixture-averaged over ``dist``.
     """
-    max_false = _max_false_utility(utilities)
+    max_false = max(utilities.when_false)
     halt_mass: Probability = 0
     value: Probability = 0
-    for o, weight in dist.items():
+    for o, weight in dist:
         mass = first_open_cdf(remaining, o, x)
         halt_mass += weight * mass
         if timecost.kind is CostKind.ZERO:
@@ -393,9 +326,8 @@ def nevc_multi(
         return _certainty_value(p, utilities, timecost, lookahead, t0)
     if lookahead > l:
         raise LookaheadError(f"lookahead {lookahead} exceeds remaining paths {l}")
-    dist = beliefs.open_dist()
     halt_value, halt_mass = _halt_branch_value(
-        dist, l, lookahead, utilities, timecost, t0
+        beliefs.open_dist, l, lookahead, utilities, timecost, t0
     )
     survival = 1 - halt_mass
     p_halt = (1 - p) * halt_mass
@@ -403,30 +335,6 @@ def nevc_multi(
     act_after = u_best(drifted, utilities, timecost, lookahead, t0)
     act_now = u_best(p, utilities, timecost, 0, t0)
     return float((1 - p) * halt_value + (1 - p_halt) * act_after - act_now)
-
-
-def nevc_one(
-    beliefs: SearchBeliefs,
-    utilities: UtilityModel,
-    timecost: TimeCost = ZERO_COST,
-    t0: float = 0.0,
-) -> float:
-    """Net expected value of examining exactly one more path before acting."""
-    p = beliefs.posterior
-    l = beliefs.remaining
-    if p <= 0 or p >= 1 or l == 0:
-        return _certainty_value(p, utilities, timecost, 1, t0)
-    dist = beliefs.open_dist()
-    pmf1 = sum(weight * Fraction(o, l) for o, weight in dist.items())
-    p_halt = (1 - p) * pmf1
-    survival = 1 - pmf1
-    drifted = p / (p + survival * (1 - p))
-    u_halt = timecost.utility_at(_max_false_utility(utilities), timecost.time_for(1, t0))
-    return float(
-        p_halt * u_halt
-        + (1 - p_halt) * u_best(drifted, utilities, timecost, 1, t0)
-        - u_best(p, utilities, timecost, 0, t0)
-    )
 
 
 def nevc_two_outcome(
@@ -457,7 +365,7 @@ def nevc_two_outcome(
     p_halt = (1 - p) * (1 - survival_ratio)
     drifted = p / (p + survival_ratio * (1 - p))
     u_halt = timecost.utility_at(
-        _max_false_utility(utilities), timecost.time_for(paths, t0)
+        max(utilities.when_false), timecost.time_for(paths, t0)
     )
     return float(
         p_halt * u_halt

@@ -28,7 +28,6 @@ __all__ = [
     "instance_seed",
     "generate",
     "generate_corpus",
-    "corpus_filename",
     "write_corpus",
 ]
 
@@ -132,10 +131,6 @@ def generate_corpus(config: GeneratorConfig, count: int) -> list[Matrix]:
     ]
 
 
-def corpus_filename(prefix: str, index: int) -> str:
-    return f"{prefix}_{index}.cnf"
-
-
 def write_corpus(
     config: GeneratorConfig,
     count: int,
@@ -155,7 +150,7 @@ def write_corpus(
             "index": i,
             "instance_seed": instance_seed(config.seed, i),
         }
-        path = directory / corpus_filename(prefix, i)
+        path = directory / f"{prefix}_{i}.cnf"
         path.write_bytes(format_dimacs(m, meta).encode("ascii"))
         paths.append(path)
     return paths

@@ -16,8 +16,9 @@ path space is therefore an exact rational at every moment, and the walk can
 be paused on a path budget and resumed later without losing a single count.
 
 ``brute_force_sat`` answers the same satisfiability question by sweeping all
-``2**k`` truth assignments with numpy.  It shares no code or traversal logic
-with the path search and serves as an independent verification oracle.
+``2**k`` truth assignments at once, one bit per assignment in a big integer.
+It shares no code or traversal logic with the path search and serves as an
+independent verification oracle.
 """
 
 from __future__ import annotations
@@ -26,9 +27,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Sequence
-
-import numpy as np
 
 __all__ = [
     "Literal",
@@ -195,16 +193,6 @@ class SearchState:
         else:
             self.status = SearchStatus.RUNNING
 
-    @property
-    def subpath(self) -> tuple[tuple[int, int], ...]:
-        """Current open subpath as (1-based clause index, literal index) pairs."""
-        return tuple((d + 1, li) for d, li in enumerate(self._stack))
-
-    @property
-    def polarity_counts(self) -> tuple[tuple[int, int], ...]:
-        """Per-symbol (positive, negated) occurrence counts on the subpath."""
-        return tuple(zip(self._pos, self._neg))
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"SearchState(status={self.status.value}, closed={self.closed}, "
@@ -344,28 +332,32 @@ def brute_force_sat(matrix: Matrix, limit: int = 20) -> bool:
     """Truth-table satisfiability sweep over all ``2**alphabet_size`` rows.
 
     Independent oracle for the path search: a matrix is satisfiable iff the
-    search finds an open path.  Refuses alphabets beyond ``limit`` symbols.
+    search finds an open path.  Row ``r`` assigns symbol ``i`` the value of
+    bit ``i`` of ``r``; bit ``r`` of ``columns[i]`` holds that value, so each
+    clause is the OR of its literals' columns, complemented for a negated
+    literal.  Refuses alphabets beyond ``limit`` symbols.
     """
     k = matrix.alphabet_size
     if k > limit:
         raise OracleLimitError(f"alphabet of {k} symbols exceeds oracle limit {limit}")
-    assignments = np.arange(1 << k, dtype=np.uint32)
-    alive = np.ones(1 << k, dtype=bool)
+    full = (1 << (1 << k)) - 1
+    columns = [0] * k
+    column = full
+    for i in reversed(range(k)):
+        # Bit i of r is bit i+1 of r xor bit i+1 of r + 2**i, rows past the
+        # last reading 0; the all-ones start stands for a bit above the top.
+        column ^= column >> (1 << i)
+        columns[i] = column
+    alive = full
     for cl in matrix.clauses:
-        pos_mask = 0
-        neg_mask = 0
+        sat = 0
         for lit in cl:
-            if lit.negated:
-                neg_mask |= 1 << lit.symbol_id
-            else:
-                pos_mask |= 1 << lit.symbol_id
-        sat = ((assignments & np.uint32(pos_mask)) != 0) | (
-            (~assignments & np.uint32(neg_mask)) != 0
-        )
+            column = columns[lit.symbol_id]
+            sat |= full ^ column if lit.negated else column
         alive &= sat
-        if not alive.any():
+        if not alive:
             return False
-    return bool(alive.any())
+    return alive != 0
 
 
 def literals(*specs: int | tuple[int, bool]) -> Clause:

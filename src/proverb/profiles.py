@@ -30,7 +30,15 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
 
-from .belief import ContextTag, SurvivalCurve, posterior
+from .belief import (
+    ContextTag,
+    SurvivalCurve,
+    context_from_json,
+    context_to_json,
+    posterior,
+    rational_from_json,
+    rational_to_json,
+)
 from .heuristics import Heuristic
 from .matrix import Matrix, SearchStatus, fraction_explored, solve
 
@@ -110,18 +118,26 @@ class Profile:
 
     def posterior_at(self, s) -> Fraction:
         """Posterior of the claim after surviving to explored fraction ``s``."""
-        return posterior(self.prior, self.curve.value(s))
+        return _posterior(self.prior, self.curve.value(s))
 
 
-def _run_one(args: tuple[int, Matrix, str, int | None]) -> InstanceRecord:
+def _posterior(prior: Fraction, survival: Fraction) -> Fraction:
+    if prior == 0:
+        # The claim is impossible a priori; no amount of survival revives it,
+        # not even survival past the last discovery the profile saw.
+        return Fraction(0)
+    return posterior(prior, survival)
+
+
+def _run_one(args: tuple[int, Matrix, str, int | None]) -> InstanceRecord | None:
+    """The instance's record, or None when it hit the closure cap."""
     instance_id, matrix, heuristic_value, cap = args
     prepared = Heuristic(heuristic_value).apply(matrix)
     started = time.perf_counter()
     state = solve(prepared, max_closures=cap)
     elapsed = time.perf_counter() - started
     if state.status is SearchStatus.RUNNING:
-        # Cap hit: signalled with a negative id so collect() can count it.
-        return InstanceRecord(-instance_id - 1, False, Fraction(1), state.closure_count)
+        return None
     sat = state.status is SearchStatus.OPEN_FOUND
     frac = fraction_explored(state) if sat else Fraction(1)
     return InstanceRecord(instance_id, sat, frac, state.closure_count, elapsed)
@@ -150,7 +166,7 @@ def collect(
             outcomes = list(pool.map(_run_one, work, chunksize=8))
     else:
         outcomes = [_run_one(w) for w in work]
-    records = [r for r in outcomes if r.instance_id >= 0]
+    records = [r for r in outcomes if r is not None]
     excluded = len(outcomes) - len(records)
     if not records:
         raise ValueError("every instance exceeded the step cap; no data to profile")
@@ -160,31 +176,17 @@ def collect(
     return Profile(context, Fraction(unsat, len(records)), tuple(records), excluded)
 
 
-def _context_to_json(tag: ContextTag) -> dict:
-    return {
-        "n_clauses": tag.n_clauses,
-        "lits_per_clause": tag.lits_per_clause,
-        "alphabet_size": tag.alphabet_size,
-        "seed": tag.seed,
-        "count": tag.count,
-        "heuristic": tag.heuristic,
-    }
-
-
 def save(profile: Profile, path: str | Path) -> None:
     doc = {
         "format_version": FORMAT_VERSION,
-        "context": _context_to_json(profile.context),
-        "prior": {"num": profile.prior.numerator, "den": profile.prior.denominator},
+        "context": context_to_json(profile.context),
+        "prior": rational_to_json(profile.prior),
         "excluded": profile.excluded,
         "records": [
             {
                 "id": r.instance_id,
                 "sat": r.satisfiable,
-                "frac": {
-                    "num": r.discovery_fraction.numerator,
-                    "den": r.discovery_fraction.denominator,
-                },
+                "frac": rational_to_json(r.discovery_fraction),
                 "closures": r.closure_count,
             }
             for r in profile.records
@@ -209,33 +211,11 @@ def load(path: str | Path) -> Profile:
         raise VersionMismatchError(
             f"profile format_version {version!r} unsupported (expected {FORMAT_VERSION})"
         )
-    ctx = doc.get("context")
-    _require(isinstance(ctx, dict), "missing context object")
     try:
-        context = ContextTag(
-            n_clauses=ctx.get("n_clauses"),
-            lits_per_clause=ctx.get("lits_per_clause"),
-            alphabet_size=ctx.get("alphabet_size"),
-            seed=ctx.get("seed"),
-            count=ctx.get("count"),
-            heuristic=ctx.get("heuristic", "none"),
-        )
-    except TypeError as exc:
-        raise MalformedProfileError(f"bad context: {exc}") from exc
-
-    def _fraction(node, what: str) -> Fraction:
-        _require(
-            isinstance(node, dict)
-            and isinstance(node.get("num"), int)
-            and isinstance(node.get("den"), int)
-            and not isinstance(node.get("num"), bool)
-            and not isinstance(node.get("den"), bool),
-            f"{what} must be an object with integer num/den",
-        )
-        _require(node["den"] > 0, f"{what} denominator must be positive")
-        return Fraction(node["num"], node["den"])
-
-    prior = _fraction(doc.get("prior"), "prior")
+        context = context_from_json(doc.get("context"))
+        prior = rational_from_json(doc.get("prior"), "prior")
+    except ValueError as exc:
+        raise MalformedProfileError(str(exc)) from exc
     _require(0 <= prior <= 1, f"prior {prior} outside [0, 1]")
     excluded = doc.get("excluded", 0)
     _require(isinstance(excluded, int) and excluded >= 0, "bad excluded count")
@@ -244,17 +224,14 @@ def load(path: str | Path) -> Profile:
     records = []
     for i, row in enumerate(raw_records):
         _require(isinstance(row, dict), f"record {i} must be an object")
-        _require(
-            isinstance(row.get("id"), int) and not isinstance(row.get("id"), bool),
-            f"record {i}: bad id",
-        )
+        _require(type(row.get("id")) is int, f"record {i}: bad id")
         _require(isinstance(row.get("sat"), bool), f"record {i}: bad sat flag")
         _require(
             isinstance(row.get("closures"), int) and row["closures"] >= 0,
             f"record {i}: bad closure count",
         )
-        frac = _fraction(row.get("frac"), f"record {i} frac")
         try:
+            frac = rational_from_json(row.get("frac"), "frac")
             records.append(InstanceRecord(row["id"], row["sat"], frac, row["closures"]))
         except ValueError as exc:
             raise MalformedProfileError(f"record {i}: {exc}") from exc
@@ -273,11 +250,7 @@ def export_curve_csv(profile: Profile, prior_override: Fraction | None = None) -
     for i in range(101):
         s = Fraction(i, 100)
         survival = profile.curve.value(s)
-        if prior == 0:
-            # The claim is impossible a priori; no amount of survival revives it.
-            post = Fraction(0)
-        else:
-            post = posterior(prior, survival)
+        post = _posterior(prior, survival)
         lines.append(f"{float(s):.6f},{float(survival):.6f},{float(post):.6f}")
     return "\n".join(lines) + "\n"
 

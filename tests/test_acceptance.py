@@ -14,6 +14,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import criterion
+from oracles import nevc_one
 from proverb.belief import first_open_pmf, posterior, survival_analytic
 from proverb.controller import (
     AnalyticSource,
@@ -32,7 +33,6 @@ from proverb.decision import (
     ZERO_COST,
     best_action,
     nevc_multi,
-    nevc_one,
     threshold,
 )
 from proverb.generator import GeneratorConfig, generate, generate_corpus
@@ -211,16 +211,16 @@ def test_criterion_07_lookahead_value():
             remaining = rng.randint(1, 40)
             open_count = rng.randint(1, remaining)
             p = rng.uniform(0.01, 0.99)
-            assert nevc_one(SearchBeliefs(p, remaining, open_count), ACT) >= -1e-12
+            beliefs = SearchBeliefs(p, remaining, ((open_count, 1),))
+            assert nevc_one(beliefs, ACT) >= -1e-12
         costs = [ZERO_COST, TimeCost.linear(0.04), TimeCost.deadline(3.0, -1.0)]
         for remaining in range(1, 6):
             for open_count in range(1, remaining + 1):
                 for x in range(1, remaining + 1):
                     for timecost in costs:
                         p = Fraction(rng.randint(1, 19), 20)
-                        got = nevc_multi(
-                            SearchBeliefs(p, remaining, open_count), ACT, timecost, x
-                        )
+                        beliefs = SearchBeliefs(p, remaining, ((open_count, 1),))
+                        got = nevc_multi(beliefs, ACT, timecost, x)
                         want = oracle_lookahead_value(
                             p, remaining, open_count, ACT, timecost, x
                         )

@@ -19,11 +19,9 @@ from proverb.belief import (
     first_open_cdf,
     first_open_mean_within,
     first_open_pmf,
-    halting_prob,
     posterior,
     posterior_general,
     survival_analytic,
-    survival_lookup,
     survival_mixture,
     warn_on_mismatch,
 )
@@ -159,14 +157,28 @@ def test_analytic_model_point_and_mixture_agree():
 def test_analytic_model_conditional_shifts_toward_fewer_open():
     model = AnalyticModel(4, {1: Fraction(1, 2), 2: Fraction(1, 2)})
     cond = model.conditional(2)
-    assert cond == {1: Fraction(3, 4), 2: Fraction(1, 4)}
-    assert sum(cond.values()) == 1
+    assert cond == ((1, Fraction(3, 4)), (2, Fraction(1, 4)))
+    assert sum(w for _, w in cond) == 1
+
+
+def test_analytic_model_conditional_drops_ruled_out_counts():
+    model = AnalyticModel(6, {1: Fraction(1, 2), 5: Fraction(1, 2)})
+    # After 2 closed paths, 5 open of 6 is impossible: only the count 1 is left.
+    assert model.conditional(2) == ((1, Fraction(1)),)
+    assert model.conditional(1) == ((1, Fraction(5, 6)), (5, Fraction(1, 6)))
 
 
 def test_analytic_model_conditional_after_impossible_survival():
     model = AnalyticModel(4, {3: Fraction(1, 2), 4: Fraction(1, 2)})
     # Surviving 2 paths with >= 3 of 4 open is impossible; the prior returns.
-    assert model.conditional(2) == model.distribution()
+    assert model.conditional(2) == model.open_paths
+
+
+def test_analytic_model_stores_one_sorted_distribution():
+    assert AnalyticModel(6, 2).open_paths == ((2, Fraction(1)),)
+    model = AnalyticModel(6, {5: Fraction(1, 3), 1: Fraction(2, 3)})
+    assert model.open_paths == ((1, Fraction(2, 3)), (5, Fraction(1, 3)))
+    assert AnalyticModel(6, 2).conditional(3) == ((2, Fraction(1)),)
 
 
 def test_analytic_model_validation():
@@ -240,12 +252,6 @@ def test_first_open_mean_full_support_is_expectation():
         assert first_open_mean_within(l, o, l) == Fraction(l + 1, o + 1)
 
 
-def test_halting_prob_scales_pmf():
-    assert halting_prob(Fraction(1, 2), 4, 1, 2) == Fraction(1, 8)
-    with pytest.raises(ValueError):
-        halting_prob(1.5, 4, 1, 2)
-
-
 # --- survival curves ---------------------------------------------------------
 
 
@@ -303,7 +309,6 @@ def test_curve_from_points():
     assert curve.value(Fraction(1, 4)) == 1
     assert curve.value(Fraction(1, 2)) == Fraction(1, 4)
     assert curve.value(Fraction(3, 4)) == Fraction(1, 4)
-    assert survival_lookup(curve, Fraction(3, 4)) == Fraction(1, 4)
 
 
 def test_curve_from_points_validation():

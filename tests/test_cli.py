@@ -1,6 +1,10 @@
 """End-to-end command-line behavior, including exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -350,6 +354,46 @@ def test_compare_heuristic_outputs(tmp_path, capsys):
         "s,survival_none,posterior_none,survival_presort,posterior_presort"
     )
     assert len(lines) == 102
+
+
+# A family whose 20 instances are all satisfiable: prior 0, and every
+# discovery lies before 0.99 of the path space.
+PRIOR_ZERO_FAMILY = (
+    "--clauses", "3", "--lits", "3", "--alphabet", "10", "--seed", "1", "--count", "20",
+)
+
+
+def test_decide_prior_zero_past_last_discovery(tmp_path, capsys):
+    prof_path = tmp_path / "p.json"
+    assert run_cli("profile", *PRIOR_ZERO_FAMILY, "--out", str(prof_path)) == 0
+    capsys.readouterr()
+    assert load(prof_path).prior == 0
+    code = run_cli(
+        "decide", "--utilities", UTIL, "--profile", str(prof_path),
+        "--fraction", "0.99",
+    )
+    assert code == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "posterior: 0.000000"
+    assert "action: act_not_w" in out
+
+
+def test_compare_heuristic_prior_zero(tmp_path, capsys):
+    out_dir = tmp_path / "cmp"
+    assert run_cli("compare-heuristic", *PRIOR_ZERO_FAMILY, "--out", str(out_dir)) == 0
+    assert "priors: none 0.0000, presort 0.0000" in capsys.readouterr().out
+    lines = (out_dir / "curves.csv").read_text().splitlines()
+    assert len(lines) == 102
+    assert all(line.split(",")[2::2] == ["0.000000", "0.000000"] for line in lines[1:])
+
+
+def test_import_leaves_numpy_out():
+    import proverb
+
+    src = str(Path(proverb.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import proverb.cli, sys; assert 'numpy' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 def test_malformed_profile_is_usage_error(tmp_path, capsys):

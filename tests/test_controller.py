@@ -308,3 +308,28 @@ def test_mixture_source_round_trip(tmp_path):
         load_trace(path), utilities=ACT, timecost=TimeCost.linear(0.002), analytic=source
     )
     assert report.ok, report.message
+
+
+@pytest.mark.parametrize(
+    "family, index, dist, reason",
+    [
+        # Each run deliberates after its largest open count is ruled out.
+        ((8, 3, 3), 4, {1: Fraction(1, 2), 6556: Fraction(1, 2)}, "proof_of_not_w"),
+        ((8, 2, 3), 1, {1: Fraction(1, 2), 250: Fraction(1, 2)}, "proof_of_w"),
+    ],
+)
+def test_mixture_runs_past_its_largest_open_count(
+    tmp_path, family, index, dist, reason
+):
+    matrix = generate_corpus(GeneratorConfig(*family, seed=5), 40)[index]
+    source = AnalyticSource(Fraction(1, 2), dist)
+    trace = run(matrix, analytic_config(source=source))
+    assert trace.stop_reason.value == reason
+    total = total_paths(matrix)
+    assert any(s.fraction * total > total - max(dist) for s in trace.steps)
+    path = tmp_path / "trace.jsonl"
+    save_trace(trace, path)
+    report = replay(
+        load_trace(path), utilities=ACT, timecost=ZERO_COST, analytic=source
+    )
+    assert report.ok and report.steps_checked == len(trace.steps), report.message

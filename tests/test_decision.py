@@ -7,11 +7,11 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import nevc_one
 from proverb.belief import first_open_pmf, survival_analytic
 from proverb.decision import (
     CostKind,
     DominanceError,
-    HypothesisBelief,
     LookaheadError,
     MissingUtilityError,
     SearchBeliefs,
@@ -20,10 +20,8 @@ from proverb.decision import (
     UtilitySpecError,
     ZERO_COST,
     best_action,
-    expected_utility,
     format_utility_spec,
     nevc_multi,
-    nevc_one,
     nevc_two_outcome,
     parse_utility_spec,
     threshold,
@@ -77,34 +75,7 @@ def oracle_nevc(p, remaining, open_dist, utilities, timecost, x, t0=0.0):
     return float(value - act_value(p, t0))
 
 
-# --- expected utility and action choice --------------------------------------
-
-
-def test_expected_utility_basic():
-    beliefs = HypothesisBelief.binary(0.68)
-    assert expected_utility("act_w", beliefs, ACT) == pytest.approx(0.68)
-    assert expected_utility("act_not_w", beliefs, ACT) == pytest.approx(0.32)
-
-
-def test_expected_utility_accepts_plain_tables():
-    table = {"go": {"w": 2.0, "~w": -1.0}, "stay": {"w": 0.0, "~w": 0.0}}
-    beliefs = HypothesisBelief.binary(0.5)
-    assert expected_utility("go", beliefs, table) == pytest.approx(0.5)
-    with pytest.raises(MissingUtilityError):
-        expected_utility("fly", beliefs, table)
-
-
-def test_expected_utility_with_linear_cost():
-    beliefs = HypothesisBelief.binary(0.5)
-    cost = TimeCost.linear(0.1)
-    assert expected_utility("act_w", beliefs, ACT, cost, t=2.0) == pytest.approx(0.3)
-
-
-def test_hypothesis_belief_validation():
-    with pytest.raises(ValueError):
-        HypothesisBelief(("w", "~w"), (0.7, 0.7))
-    with pytest.raises(ValueError):
-        HypothesisBelief(("w",), (0.5,))
+# --- action choice --------------------------------------------------------------
 
 
 def test_best_action_worked_values():
@@ -112,6 +83,11 @@ def test_best_action_worked_values():
     assert best_action(0.32, ACT) == ("act_not_w", pytest.approx(0.68))
     with pytest.raises(ValueError):
         best_action(1.2, ACT)
+
+
+def test_best_action_with_linear_cost():
+    cost = TimeCost.linear(0.1)
+    assert best_action(0.6, ACT, cost, t=2.0) == ("act_w", pytest.approx(0.4))
 
 
 def test_best_action_tie_takes_lowest_index():
@@ -188,10 +164,6 @@ def test_utility_model_lookups():
     assert ACT.index("act_not_w") == 1
     with pytest.raises(MissingUtilityError):
         ACT.index("nope")
-    assert ACT.as_table() == {
-        "act_w": {"w": 1.0, "~w": 0.0},
-        "act_not_w": {"w": 0.0, "~w": 1.0},
-    }
 
 
 # --- u_best ---------------------------------------------------------------------
@@ -208,7 +180,7 @@ def test_u_best_values():
 
 
 def test_nevc_one_worked_value():
-    beliefs = SearchBeliefs(0.5, 2, 1)
+    beliefs = SearchBeliefs(0.5, 2, ((1, 1),))
     assert nevc_one(beliefs, ACT) == pytest.approx(0.25)
 
 
@@ -218,16 +190,16 @@ def test_nevc_one_nonnegative_under_zero_cost():
         remaining = rng.randint(1, 50)
         open_count = rng.randint(1, remaining)
         p = rng.random()
-        beliefs = SearchBeliefs(p, remaining, open_count)
+        beliefs = SearchBeliefs(p, remaining, ((open_count, 1),))
         assert nevc_one(beliefs, ACT) >= -1e-12
 
 
 def test_nevc_one_certainty_is_pure_delay():
-    assert nevc_one(SearchBeliefs(0.0, 5, 1), ACT) == 0.0
-    assert nevc_one(SearchBeliefs(1.0, 5, 1), ACT) == 0.0
-    assert nevc_one(SearchBeliefs(0.5, 0, 1), ACT) == 0.0
+    assert nevc_one(SearchBeliefs(0.0, 5, ((1, 1),)), ACT) == 0.0
+    assert nevc_one(SearchBeliefs(1.0, 5, ((1, 1),)), ACT) == 0.0
+    assert nevc_one(SearchBeliefs(0.5, 0, ((1, 1),)), ACT) == 0.0
     cost = TimeCost.linear(0.25)
-    assert nevc_one(SearchBeliefs(1.0, 5, 1), ACT, cost) == pytest.approx(-0.25)
+    assert nevc_one(SearchBeliefs(1.0, 5, ((1, 1),)), ACT, cost) == pytest.approx(-0.25)
 
 
 def test_nevc_one_matches_enumeration_oracle():
@@ -237,7 +209,7 @@ def test_nevc_one_matches_enumeration_oracle():
         open_count = rng.randint(1, remaining)
         p = Fraction(rng.randint(1, 9), 10)
         cost = rng.choice([ZERO_COST, TimeCost.linear(0.05), TimeCost.deadline(3.0, -2.0)])
-        got = nevc_one(SearchBeliefs(p, remaining, open_count), ACT, cost)
+        got = nevc_one(SearchBeliefs(p, remaining, ((open_count, 1),)), ACT, cost)
         want = oracle_nevc(p, remaining, {open_count: 1}, ACT, cost, 1)
         assert got == pytest.approx(want, abs=1e-12)
 
@@ -254,14 +226,14 @@ def test_nevc_multi_x1_equals_nevc_one():
         cost = rng.choice(
             [ZERO_COST, TimeCost.linear(0.1), TimeCost.deadline(10.0, -1.0)]
         )
-        beliefs = SearchBeliefs(p, remaining, open_count)
+        beliefs = SearchBeliefs(p, remaining, ((open_count, 1),))
         assert nevc_multi(beliefs, ACT, cost, 1) == pytest.approx(
             nevc_one(beliefs, ACT, cost), abs=1e-12
         )
 
 
 def test_nevc_multi_full_lookahead_is_value_of_perfect_information():
-    beliefs = SearchBeliefs(0.5, 2, 1)
+    beliefs = SearchBeliefs(0.5, 2, ((1, 1),))
     assert nevc_multi(beliefs, ACT, lookahead=2) == pytest.approx(0.5)
 
 
@@ -274,7 +246,7 @@ def test_nevc_multi_matches_enumeration_oracle():
                 p = Fraction(rng.randint(1, 9), 10)
                 cost = costs[(remaining + open_count + x) % 3]
                 got = nevc_multi(
-                    SearchBeliefs(p, remaining, open_count), ACT, cost, x
+                    SearchBeliefs(p, remaining, ((open_count, 1),)), ACT, cost, x
                 )
                 want = oracle_nevc(p, remaining, {open_count: 1}, ACT, cost, x)
                 assert got == pytest.approx(want, abs=1e-12)
@@ -283,7 +255,8 @@ def test_nevc_multi_matches_enumeration_oracle():
 def test_nevc_multi_mixture_matches_enumeration_oracle():
     dist = {1: Fraction(1, 2), 3: Fraction(1, 2)}
     for x in range(1, 5):
-        got = nevc_multi(SearchBeliefs(Fraction(2, 5), 5, dist), ACT, ZERO_COST, x)
+        beliefs = SearchBeliefs(Fraction(2, 5), 5, tuple(dist.items()))
+        got = nevc_multi(beliefs, ACT, ZERO_COST, x)
         want = oracle_nevc(Fraction(2, 5), 5, dist, ACT, ZERO_COST, x)
         assert got == pytest.approx(want, abs=1e-12)
 
@@ -293,7 +266,7 @@ def test_nevc_multi_against_pmf_literal_sum():
     p, remaining, open_count, x = Fraction(1, 3), 40, 3, 17
     rate = 0.01
     cost = TimeCost.linear(rate)
-    got = nevc_multi(SearchBeliefs(p, remaining, open_count), ACT, cost, x)
+    got = nevc_multi(SearchBeliefs(p, remaining, ((open_count, 1),)), ACT, cost, x)
     halt = sum(
         first_open_pmf(remaining, open_count, j) * Fraction(1 - rate * j)
         for j in range(1, x + 1)
@@ -314,30 +287,29 @@ def test_nevc_multi_nonnegative_under_zero_cost_grid():
                 continue
             for x in (1, remaining // 2 or 1, remaining):
                 for p in (0.01, 0.3, 0.5, 0.97):
-                    value = nevc_multi(
-                        SearchBeliefs(p, remaining, open_count), ACT, ZERO_COST, x
-                    )
+                    beliefs = SearchBeliefs(p, remaining, ((open_count, 1),))
+                    value = nevc_multi(beliefs, ACT, ZERO_COST, x)
                     assert value >= -1e-12
 
 
 def test_nevc_multi_lookahead_validation():
-    beliefs = SearchBeliefs(0.5, 3, 1)
+    beliefs = SearchBeliefs(0.5, 3, ((1, 1),))
     with pytest.raises(LookaheadError):
         nevc_multi(beliefs, ACT, lookahead=0)
     with pytest.raises(LookaheadError):
         nevc_multi(beliefs, ACT, lookahead=4)
     # At certainty the remaining-paths cap does not apply: pure delay value.
-    assert nevc_multi(SearchBeliefs(1.0, 3, 1), ACT, lookahead=9) == 0.0
+    assert nevc_multi(SearchBeliefs(1.0, 3, ((1, 1),)), ACT, lookahead=9) == 0.0
 
 
 def test_nevc_multi_deadline_forces_negative_value():
     cost = TimeCost.deadline(at=0.5, penalty=0.0)
-    value = nevc_multi(SearchBeliefs(0.5, 2, 1), ACT, cost, 1)
+    value = nevc_multi(SearchBeliefs(0.5, 2, ((1, 1),)), ACT, cost, 1)
     assert value == pytest.approx(-0.5)
 
 
 def test_nevc_grows_with_lookahead_under_zero_cost():
-    beliefs = SearchBeliefs(0.4, 20, 2)
+    beliefs = SearchBeliefs(0.4, 20, ((2, 1),))
     values = [nevc_multi(beliefs, ACT, ZERO_COST, x) for x in range(1, 21)]
     for earlier, later in zip(values, values[1:]):
         assert later >= earlier - 1e-12
@@ -353,7 +325,8 @@ def test_nevc_two_outcome_matches_analytic_single_chunk():
     p, remaining, open_count, x = 0.5, 8, 2, 3
     ratio = survival_analytic(remaining, open_count, x)
     got = nevc_two_outcome(p, ratio, ACT, ZERO_COST, paths=x)
-    want = nevc_multi(SearchBeliefs(p, remaining, open_count), ACT, ZERO_COST, x)
+    beliefs = SearchBeliefs(p, remaining, ((open_count, 1),))
+    want = nevc_multi(beliefs, ACT, ZERO_COST, x)
     assert got == pytest.approx(want, abs=1e-12)
 
 
@@ -382,9 +355,10 @@ def test_nevc_two_outcome_validation():
 
 def test_certainty_value_is_negative_cost_of_waiting():
     cost = TimeCost.linear(0.2)
-    assert nevc_multi(SearchBeliefs(0.0, 4, 1), ACT, cost, 3) == pytest.approx(-0.6)
+    value = nevc_multi(SearchBeliefs(0.0, 4, ((1, 1),)), ACT, cost, 3)
+    assert value == pytest.approx(-0.6)
     late = TimeCost.deadline(at=1.0, penalty=-3.0)
-    value = nevc_multi(SearchBeliefs(1.0, 4, 1), ACT, late, 3)
+    value = nevc_multi(SearchBeliefs(1.0, 4, ((1, 1),)), ACT, late, 3)
     assert value == pytest.approx(-3.0 - 1.0)  # collapse replaces the win
 
 

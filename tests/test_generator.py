@@ -7,7 +7,6 @@ from proverb.generator import (
     ConfigError,
     GeneratorConfig,
     SplitMix64,
-    corpus_filename,
     generate,
     generate_corpus,
     instance_seed,
@@ -95,9 +94,10 @@ def test_corpus_instances_differ_and_are_stable():
     assert generate_corpus(config, 12)[:10] == corpus
 
 
-def test_corpus_filenames():
-    assert corpus_filename("matrix", 0) == "matrix_0.cnf"
-    assert corpus_filename("run", 17) == "run_17.cnf"
+def test_corpus_filenames(tmp_path):
+    config = GeneratorConfig(3, 1, 2, seed=5)
+    paths = write_corpus(config, 2, tmp_path, prefix="run")
+    assert [p.name for p in paths] == ["run_0.cnf", "run_1.cnf"]
 
 
 def test_write_corpus_round_trips_with_provenance(tmp_path):

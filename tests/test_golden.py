@@ -1,0 +1,138 @@
+"""Byte-identity pins for every file the package writes.
+
+Each test writes a file through the public API and compares its sha256
+digest with a recorded constant.  A refactor that keeps these digests keeps
+the profile, curve, compare and trace formats byte for byte; a deliberate
+format change must update the constant alongside the code.  Trace files are
+compared with the advisory ``wall_time`` removed, because it is the only
+value that differs between two runs.
+"""
+
+import hashlib
+import re
+from fractions import Fraction
+
+import pytest
+
+from proverb.belief import ContextTag
+from proverb.cli import main
+from proverb.controller import (
+    AnalyticSource,
+    ControllerConfig,
+    ProfileSource,
+    run,
+    save_trace,
+)
+from proverb.decision import TimeCost, UtilityModel
+from proverb.generator import GeneratorConfig, generate_corpus
+from proverb.heuristics import Heuristic
+from proverb.profiles import collect, export_curve_csv, save
+
+# Profiles are pinned on a family whose corpus is all satisfiable (prior 0);
+# the compare table and the traces on one with both verdicts.
+FAMILY = (12, 3, 4)
+SEED = 7
+COUNT = 30
+MIXED = (16, 3, 4)
+MIXED_SEED = 11
+
+PROFILE_NONE = "a789e4f4b1ed2446a7e88c8e5069b7b8f90665d8c36900c1635971cf14de5bf8"
+PROFILE_PRESORT = "204c283ce0da962533cef70fc93d11726b0f866698e0e5c0a08a1e4cceb2d025"
+CURVE = "119f69797d4c94d04c0ea9d70472d80eea48a81670fc7b13a33c41d55b5c0813"
+CURVE_PRIOR_OVERRIDE = "319928a559d028385d91f5239f9676fe5164a073f92df2038a6492b656ad252b"
+COMPARE_CSV = "f25e808fd76d50660affd43113c1ca179c50bc2f9ffb8f59b25cfee0f2223881"
+TRACE_ANALYTIC = "98ed41cbbcd198047d593dcdbb9d4228369e160bb05ff6c691ed3df92690afa1"
+TRACE_MIXTURE = "a1a63ea2befd73d541df1d82754a1f9eaafb7a48a34aca5dccf1b4bb108b872c"
+TRACE_PROFILE = "441405c6bfaa870a34039386279384c76c4cf49e1b896bb3d1ef7cd16424284b"
+
+ACT = UtilityModel.from_pairs({"act_w": (1.0, 0.0), "act_not_w": (0.0, 1.0)})
+COST = TimeCost.linear(1e-9)
+
+
+def digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def corpus():
+    return generate_corpus(GeneratorConfig(*FAMILY, SEED), COUNT)
+
+
+@pytest.fixture(scope="module")
+def plain_profile(corpus):
+    context = ContextTag(*FAMILY, SEED, COUNT, Heuristic.NONE.value)
+    return collect(corpus, Heuristic.NONE, context=context)
+
+
+@pytest.fixture(scope="module")
+def mixed_corpus():
+    return generate_corpus(GeneratorConfig(*MIXED, MIXED_SEED), COUNT)
+
+
+@pytest.fixture(scope="module")
+def mixed_profile(mixed_corpus):
+    context = ContextTag(*MIXED, MIXED_SEED, COUNT, Heuristic.NONE.value)
+    return collect(mixed_corpus, Heuristic.NONE, context=context)
+
+
+@pytest.mark.parametrize(
+    "heuristic, expected",
+    [(Heuristic.NONE, PROFILE_NONE), (Heuristic.PRESORT, PROFILE_PRESORT)],
+)
+def test_profile_bytes(corpus, tmp_path, heuristic, expected):
+    context = ContextTag(*FAMILY, SEED, COUNT, heuristic.value)
+    path = tmp_path / "profile.json"
+    save(collect(corpus, heuristic, context=context), path)
+    assert digest(path.read_bytes()) == expected
+
+
+def test_curve_bytes(plain_profile):
+    assert plain_profile.prior == 0
+    assert digest(export_curve_csv(plain_profile).encode("ascii")) == CURVE
+    override = export_curve_csv(plain_profile, Fraction(1, 3)).encode("ascii")
+    assert digest(override) == CURVE_PRIOR_OVERRIDE
+
+
+def test_compare_csv_bytes(tmp_path, capsys):
+    code = main([
+        "compare-heuristic", "--clauses", str(MIXED[0]), "--lits", str(MIXED[1]),
+        "--alphabet", str(MIXED[2]), "--seed", str(MIXED_SEED), "--count", str(COUNT),
+        "--out", str(tmp_path),
+    ])
+    capsys.readouterr()
+    assert code == 0
+    assert digest((tmp_path / "curves.csv").read_bytes()) == COMPARE_CSV
+
+
+def trace_digest(corpus, source, path) -> str:
+    # The first unsatisfiable instance runs the most deliberation steps.
+    matrix = next(m for m in corpus if collect([m]).prior == 1)
+    chunk = 3 ** MIXED[0] // 40
+    config = ControllerConfig(
+        chunk=chunk,
+        utilities=ACT,
+        timecost=COST,
+        source=source,
+        lookaheads=(chunk, 10 * chunk, "full"),
+    )
+    save_trace(run(matrix, config), path)
+    text = re.sub(r', "wall_time": [^,}]+', "", path.read_text())
+    return digest(text.encode("ascii"))
+
+
+@pytest.mark.parametrize(
+    "open_paths, expected",
+    [
+        (3, TRACE_ANALYTIC),
+        ({1: Fraction(1, 4), 8: Fraction(1, 4), 64: Fraction(1, 2)}, TRACE_MIXTURE),
+    ],
+)
+def test_analytic_trace_bytes(mixed_corpus, tmp_path, open_paths, expected):
+    source = AnalyticSource(Fraction(1, 2), open_paths)
+    assert trace_digest(mixed_corpus, source, tmp_path / "trace.jsonl") == expected
+
+
+def test_profile_trace_bytes(mixed_corpus, mixed_profile, tmp_path):
+    assert 0 < mixed_profile.prior < 1
+    source = ProfileSource(mixed_profile)
+    assert trace_digest(mixed_corpus, source, tmp_path / "trace.jsonl") == TRACE_PROFILE

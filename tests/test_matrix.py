@@ -205,19 +205,6 @@ def test_closure_events_are_frozen_records():
         event.pruned = 5
 
 
-def test_subpath_and_polarity_counts_shape():
-    m = Matrix((literals(0, 1), literals((0, True), 1)), 2)
-    state = init_search(m)
-    step_search(state, 1)
-    if state.status is SearchStatus.RUNNING:
-        for clause_idx, lit_idx in state.subpath:
-            assert 1 <= clause_idx <= m.n_clauses
-            assert lit_idx >= 0
-    counts = state.polarity_counts
-    assert len(counts) == m.alphabet_size
-    assert all(len(c) == 2 for c in counts)
-
-
 # --- conservation and oracle equivalence ------------------------------------
 
 
