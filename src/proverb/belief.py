@@ -16,8 +16,11 @@ replacement, the chance that the first ``searched`` are all closed is
     prod_{i=0..searched-1} (1 - O / (M - i))  ==  C(M-searched, O) / C(M, O)
 
 The same urn yields the distribution of *when* the first open path appears
-among the remaining paths (``first_open_pmf``), which prices the chance that
-more search halts early with a disproof.
+among the remaining paths: it is the j-th with probability
+``p(j) = C(l-j, O-1) / C(l, O)`` for ``l`` remaining paths.  Its cumulative
+sum (``first_open_cdf``) and truncated mean (``first_open_mean_within``)
+price the chance that more search halts early with a disproof; ``p(j)``
+itself, position by position, is a test oracle in ``tests/oracles.py``.
 
 Everything here is exact when fed exact numbers: integer inputs produce
 `fractions.Fraction` outputs, and floats are only introduced by the caller.
@@ -48,11 +51,8 @@ __all__ = [
     "warn_on_mismatch",
     "SurvivalCurve",
     "AnalyticModel",
-    "posterior_general",
     "posterior",
     "survival_analytic",
-    "survival_mixture",
-    "first_open_pmf",
     "first_open_cdf",
     "first_open_mean_within",
 ]
@@ -161,31 +161,18 @@ def warn_on_mismatch(expected: ContextTag, actual: ContextTag) -> bool:
 class SurvivalCurve:
     """Nonincreasing step function s -> p(search passes fraction s unfound | not-w).
 
-    Two constructions:
-
-    * ``from_samples(fractions)`` -- empirical: discovery fractions of the
-      satisfiable instances of a corpus; the value at ``s > 0`` is the strict
-      count ``#{fraction > s} / n``.  The value at exactly 0 is pinned to 1
-      (every search trivially begins unfound), which only matters when some
-      instance was discovered after zero closures.  Zero samples give the
-      constant-1 (uninformative) curve.
-    * ``from_points(pairs)`` -- an explicit right-continuous step function,
-      e.g. a hand-made reference curve.  Must start at (0, 1), have strictly
-      increasing abscissae and nonincreasing values inside [0, 1].
+    Built by ``from_samples(fractions)`` from the discovery fractions of the
+    satisfiable instances of a corpus; the value at ``s > 0`` is the strict
+    count ``#{fraction > s} / n``.  The value at exactly 0 is pinned to 1
+    (every search trivially begins unfound), which only matters when some
+    instance was discovered after zero closures.  Zero samples give the
+    constant-1 (uninformative) curve.
     """
 
-    __slots__ = ("_samples", "_points", "_n")
+    __slots__ = ("_samples",)
 
     def __init__(self) -> None:
-        raise TypeError("use SurvivalCurve.from_samples or SurvivalCurve.from_points")
-
-    @classmethod
-    def _blank(cls) -> "SurvivalCurve":
-        obj = object.__new__(cls)
-        obj._samples = None
-        obj._points = None
-        obj._n = 0
-        return obj
+        raise TypeError("use SurvivalCurve.from_samples")
 
     @classmethod
     def from_samples(cls, fractions: Iterable[Probability]) -> "SurvivalCurve":
@@ -193,31 +180,8 @@ class SurvivalCurve:
         for f in samples:
             if not 0 <= f < 1:
                 raise ValueError(f"discovery fraction {f} outside [0, 1)")
-        obj = cls._blank()
+        obj = object.__new__(cls)
         obj._samples = samples
-        obj._n = len(samples)
-        return obj
-
-    @classmethod
-    def from_points(
-        cls, pairs: Iterable[tuple[Probability, Probability]]
-    ) -> "SurvivalCurve":
-        points = [(Fraction(s), Fraction(v)) for s, v in pairs]
-        if not points or points[0] != (0, 1):
-            raise ValueError("curve must start at the point (0, 1)")
-        last_s, last_v = points[0]
-        for s, v in points[1:]:
-            if s <= last_s:
-                raise ValueError("curve abscissae must strictly increase")
-            if s > 1:
-                raise ValueError("curve abscissae must lie in [0, 1]")
-            if v > last_v:
-                raise ValueError("survival curve must be nonincreasing")
-            if v < 0:
-                raise ValueError("survival values must lie in [0, 1]")
-            last_s, last_v = s, v
-        obj = cls._blank()
-        obj._points = points
         return obj
 
     def value(self, s: Probability) -> Fraction:
@@ -225,47 +189,31 @@ class SurvivalCurve:
         s = Fraction(s)
         if not 0 <= s <= 1:
             raise ValueError(f"fraction {s} outside [0, 1]")
-        if self._points is not None:
-            idx = bisect_right([p[0] for p in self._points], s) - 1
-            return self._points[idx][1]
-        if s == 0 or self._n == 0:
+        n = len(self._samples)
+        if s == 0 or n == 0:
             return Fraction(1)
-        above = self._n - bisect_right(self._samples, s)
-        return Fraction(above, self._n)
-
-    @property
-    def sample_count(self) -> int:
-        return self._n if self._samples is not None else 0
+        return Fraction(n - bisect_right(self._samples, s), n)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SurvivalCurve):
             return NotImplemented
-        return (self._samples, self._points) == (other._samples, other._points)
+        return self._samples == other._samples
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        if self._samples is not None:
-            return f"SurvivalCurve.from_samples(<{self._n} fractions>)"
-        return f"SurvivalCurve.from_points({self._points!r})"
-
-
-def posterior_general(
-    prior: Probability, lik_true: Probability, lik_false: Probability
-) -> Probability:
-    """Two-hypothesis Bayes: p(w | E) from p(E | w) and p(E | not-w)."""
-    for name, v in (("prior", prior), ("lik_true", lik_true), ("lik_false", lik_false)):
-        if not 0 <= v <= 1:
-            raise ValueError(f"{name} {v} outside [0, 1]")
-    denominator = prior * lik_true + (1 - prior) * lik_false
-    if denominator == 0:
-        raise DegenerateEvidenceError(
-            "evidence impossible under both hypotheses (zero marginal likelihood)"
-        )
-    return prior * lik_true / denominator
+        return f"SurvivalCurve.from_samples(<{len(self._samples)} fractions>)"
 
 
 def posterior(prior: Probability, survival: Probability) -> Probability:
     """Posterior of the claim after surviving search: likelihood 1 under w."""
-    return posterior_general(prior, 1 if isinstance(prior, Fraction) else 1.0, survival)
+    for name, v in (("prior", prior), ("survival", survival)):
+        if not 0 <= v <= 1:
+            raise ValueError(f"{name} {v} outside [0, 1]")
+    denominator = prior + (1 - prior) * survival
+    if denominator == 0:
+        raise DegenerateEvidenceError(
+            "evidence impossible under both hypotheses (zero marginal likelihood)"
+        )
+    return prior / denominator
 
 
 def survival_analytic(total: int, open_count: int, searched: int) -> Fraction:
@@ -318,13 +266,6 @@ def _normalized_dist(open_dist: Mapping[int, Probability], total: int) -> OpenDi
     return items
 
 
-def survival_mixture(
-    total: int, open_dist: Mapping[int, Probability], searched: int
-) -> Probability:
-    """Survival probability under a distribution over the open-path count."""
-    return AnalyticModel(total, open_dist).survival(searched)
-
-
 @dataclass(frozen=True)
 class AnalyticModel:
     """Urn model of one search: ``total`` paths, open count fixed or distributed.
@@ -369,32 +310,6 @@ class AnalyticModel:
         return tuple((o, w / norm) for o, w in weighted if w)
 
 
-def first_open_pmf(remaining: int, open_count: int, j: int) -> Fraction:
-    """p(first open path is the j-th examined | ``open_count`` of ``remaining`` open).
-
-    First-success-without-replacement:
-    ``prod_{i=0}^{j-2} (1 - O/(l-i)) * O/(l-(j-1))``.  Positions past the
-    support (j > l - O + 1) are impossible: flagged with a warning, value 0.
-    """
-    if open_count < 1 or open_count > remaining:
-        raise ModelError(
-            f"open_count {open_count} invalid for {remaining} remaining paths"
-        )
-    if j < 1:
-        raise ValueError("j must be >= 1")
-    if j > remaining - open_count + 1:
-        warnings.warn(
-            f"first-open position {j} beyond support (remaining={remaining}, "
-            f"open={open_count}); probability 0",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return Fraction(0)
-    return survival_analytic(remaining, open_count, j - 1) * Fraction(
-        open_count, remaining - (j - 1)
-    )
-
-
 def first_open_cdf(remaining: int, open_count: int, within: int) -> Fraction:
     """p(first open path appears within the next ``within`` examinations)."""
     if within < 0:
@@ -405,7 +320,7 @@ def first_open_cdf(remaining: int, open_count: int, within: int) -> Fraction:
 
 
 def first_open_mean_within(remaining: int, open_count: int, within: int) -> Fraction:
-    """Truncated mean  sum_{j<=within} j * first_open_pmf(j), in closed form.
+    """Truncated mean  sum_{j<=within} j * p(j)  of the first-open position.
 
     Uses sum_{j<=x} j*p(j) = sum_{t=1..x} p(J >= t) - x*p(J > x) and the
     hockey-stick identity sum_{u<x} C(l-u, O) = C(l+1, O+1) - C(l-x+1, O+1),

@@ -41,7 +41,10 @@ def _fail(message: str) -> int:
 
 
 def _parse_fraction(text: str) -> Fraction:
-    value = Fraction(text)
+    try:
+        value = Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"{text!r} has a zero denominator") from None
     if not 0 <= value <= 1:
         raise ValueError(f"{text!r} outside [0, 1]")
     return value
@@ -56,7 +59,7 @@ def _parse_open_paths(text: str):
         count, _, weight = part.partition(":")
         if not weight:
             raise ValueError(f"bad open-path entry {part!r} (want COUNT:PROB)")
-        dist[int(count)] = Fraction(weight)
+        dist[int(count)] = _parse_fraction(weight)
     return dist
 
 

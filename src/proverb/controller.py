@@ -13,10 +13,19 @@ buys one more chunk of search.  Termination:
 
 Belief sources: ``AnalyticSource`` (prior + open-path urn model, exact
 per-path pricing) or ``ProfileSource`` (empirical prior + survival curve,
-chunk-granularity pricing; see ``nevc_two_outcome``).  A misspecified
-analytic model can drive the posterior to 1 while the search still runs; the
-controller then stops and acts on that certainty, which is the honest
-reading of the model it was given.
+chunk-granularity pricing; see ``nevc_two_outcome``).  Both offer the same
+three methods, and ``run`` and ``replay`` use only these, never asking which
+source they hold:
+
+* ``posterior_at(total, closed)`` -- the posterior on the claim once
+  ``closed`` of ``total`` paths are closed without an open one;
+* ``nevc_at(config, total, closed, post, t_now)`` -- the net expected value
+  of each candidate lookahead at that point;
+* ``describe()`` -- the JSON object the trace header records for the source.
+
+A misspecified analytic model can drive the posterior to 1 while the search
+still runs; the controller then stops and acts on that certainty, which is
+the honest reading of the model it was given.
 
 Every run yields a ``DecisionTrace``; ``save_trace``/``load_trace`` move it
 through JSON lines and ``replay`` re-derives every recorded quantity from
@@ -90,7 +99,12 @@ class MalformedTraceError(ValueError):
 
 @dataclass(frozen=True)
 class AnalyticSource:
-    """Prior plus an open-path urn model (count or distribution over counts)."""
+    """Prior plus an open-path urn model (count or distribution over counts).
+
+    Halts are priced per path (``nevc_multi``).  The :class:`AnalyticModel`
+    is built on first use for a path-space size and kept for the next call,
+    so a run or replay builds it once, and never for an empty space.
+    """
 
     prior: Probability
     open_paths: int | Mapping[int, Probability]
@@ -99,12 +113,86 @@ class AnalyticSource:
         if not 0 <= self.prior <= 1:
             raise ValueError(f"prior {self.prior} outside [0, 1]")
 
+    def _model(self, total: int) -> AnalyticModel:
+        model = self.__dict__.get("_built")
+        if model is None or model.total != total:
+            model = AnalyticModel(total, self.open_paths)
+            object.__setattr__(self, "_built", model)
+        return model
+
+    def posterior_at(self, total: int, closed: int) -> Probability:
+        return posterior(self.prior, self._model(total).survival(closed))
+
+    def nevc_at(
+        self,
+        config: ControllerConfig,
+        total: int,
+        closed: int,
+        post: Probability,
+        t_now: float,
+    ) -> tuple[float, ...]:
+        remaining = total - closed
+        beliefs = SearchBeliefs(post, remaining, self._model(total).conditional(closed))
+        return tuple(
+            nevc_multi(beliefs, config.utilities, config.timecost, x, t_now)
+            for x in config.lookahead_paths(remaining)
+        )
+
+    def describe(self) -> dict:
+        open_paths = self.open_paths
+        if isinstance(open_paths, int):
+            open_desc: Any = open_paths
+        else:
+            open_desc = [
+                {"open": o, **rational_to_json(p)}
+                for o, p in sorted(open_paths.items())
+            ]
+        return {
+            "kind": "analytic",
+            "prior": rational_to_json(self.prior),
+            "open_paths": open_desc,
+        }
+
 
 @dataclass(frozen=True)
 class ProfileSource:
-    """Empirical prior and survival curve from a collected profile."""
+    """Empirical prior and survival curve from a collected profile.
+
+    Halts are priced at the chunk end (``nevc_two_outcome``).
+    """
 
     profile: Profile
+
+    def posterior_at(self, total: int, closed: int) -> Probability:
+        return self.profile.posterior_at(Fraction(closed, total))
+
+    def nevc_at(
+        self,
+        config: ControllerConfig,
+        total: int,
+        closed: int,
+        post: Probability,
+        t_now: float,
+    ) -> tuple[float, ...]:
+        curve = self.profile.curve
+        now = curve.value(Fraction(closed, total))
+        values = []
+        for x in config.lookahead_paths(total - closed):
+            nxt = curve.value(Fraction(closed + x, total))
+            ratio = nxt / now if now > 0 else Fraction(1)
+            values.append(
+                nevc_two_outcome(
+                    post, ratio, config.utilities, config.timecost, x, t_now
+                )
+            )
+        return tuple(values)
+
+    def describe(self) -> dict:
+        return {
+            "kind": "profile",
+            "prior": rational_to_json(self.profile.prior),
+            "context": context_to_json(self.profile.context),
+        }
 
 
 @dataclass(frozen=True)
@@ -136,6 +224,13 @@ class ControllerConfig:
     def candidates(self) -> tuple[int | str, ...]:
         return self.lookaheads if self.lookaheads else (self.chunk,)
 
+    def lookahead_paths(self, remaining: int) -> list[int]:
+        """The candidates in paths, each truncated to ``remaining``."""
+        return [
+            remaining if cand == FULL_LOOKAHEAD else min(cand, remaining)
+            for cand in self.candidates()
+        ]
+
 
 @dataclass(frozen=True)
 class TraceStep:
@@ -164,71 +259,6 @@ class DecisionTrace:
     wall_time: float = field(default=0.0, compare=False)
 
 
-def _source_posterior(
-    source: AnalyticSource | ProfileSource,
-    model: AnalyticModel | None,
-    total: int,
-    closed: int,
-) -> Probability:
-    if isinstance(source, AnalyticSource):
-        assert model is not None
-        return posterior(source.prior, model.survival(closed))
-    profile = source.profile
-    return posterior(profile.prior, profile.curve.value(Fraction(closed, total)))
-
-
-def _nevc_candidates(
-    source: AnalyticSource | ProfileSource,
-    model: AnalyticModel | None,
-    total: int,
-    closed: int,
-    post: Probability,
-    config: ControllerConfig,
-    t_now: float,
-) -> tuple[float, ...]:
-    remaining = total - closed
-    xs = [
-        remaining if cand == FULL_LOOKAHEAD else min(cand, remaining)
-        for cand in config.candidates()
-    ]
-    utilities, timecost = config.utilities, config.timecost
-    if isinstance(source, AnalyticSource):
-        assert model is not None
-        beliefs = SearchBeliefs(post, remaining, model.conditional(closed))
-        return tuple(nevc_multi(beliefs, utilities, timecost, x, t_now) for x in xs)
-    curve = source.profile.curve
-    now = curve.value(Fraction(closed, total))
-    values = []
-    for x in xs:
-        nxt = curve.value(Fraction(closed + x, total))
-        ratio = nxt / now if now > 0 else Fraction(1)
-        values.append(nevc_two_outcome(post, ratio, utilities, timecost, x, t_now))
-    return tuple(values)
-
-
-def _describe_source(source: AnalyticSource | ProfileSource) -> dict:
-    if isinstance(source, AnalyticSource):
-        open_paths = source.open_paths
-        if isinstance(open_paths, int):
-            open_desc: Any = open_paths
-        else:
-            open_desc = [
-                {"open": o, **rational_to_json(p)}
-                for o, p in sorted(open_paths.items())
-            ]
-        return {
-            "kind": "analytic",
-            "prior": rational_to_json(source.prior),
-            "open_paths": open_desc,
-        }
-    profile = source.profile
-    return {
-        "kind": "profile",
-        "prior": rational_to_json(profile.prior),
-        "context": context_to_json(profile.context),
-    }
-
-
 def run(matrix: Matrix, config: ControllerConfig) -> DecisionTrace:
     """Deliberate over one matrix until proof, worthlessness, or deadline."""
     wall_started = time.perf_counter()
@@ -236,9 +266,7 @@ def run(matrix: Matrix, config: ControllerConfig) -> DecisionTrace:
     total = state.total
     timecost = config.timecost
     utilities = config.utilities
-    model: AnalyticModel | None = None
-    if isinstance(config.source, AnalyticSource) and total > 0:
-        model = AnalyticModel(total, config.source.open_paths)
+    source = config.source
 
     steps: list[TraceStep] = []
     step_idx = 0
@@ -249,7 +277,7 @@ def run(matrix: Matrix, config: ControllerConfig) -> DecisionTrace:
             total=total,
             chunk=config.chunk,
             lookaheads=config.candidates(),
-            source_desc=_describe_source(config.source),
+            source_desc=source.describe(),
             utility_spec=format_utility_spec(utilities, timecost),
             steps=steps,
             stop_reason=reason,
@@ -268,7 +296,7 @@ def run(matrix: Matrix, config: ControllerConfig) -> DecisionTrace:
             return finish(StopReason.PROOF_OF_W, 1.0, t_now)
 
         closed = state.closed
-        post = _source_posterior(config.source, model, total, closed)
+        post = source.posterior_at(total, closed)
         remaining = total - closed
         chunk = min(config.chunk, remaining)
 
@@ -281,9 +309,7 @@ def run(matrix: Matrix, config: ControllerConfig) -> DecisionTrace:
             )
             return finish(StopReason.DEADLINE_FORCED, float(post), t_now)
 
-        nevcs = _nevc_candidates(
-            config.source, model, total, closed, post, config, t_now
-        )
+        nevcs = source.nevc_at(config, total, closed, post, t_now)
         steps.append(
             TraceStep(step_idx, Fraction(closed, total), float(post), nevcs, t_now)
         )
@@ -452,20 +478,19 @@ def replay(
             f"vs {spec!r}"
         )
     desc = trace.source_desc
-    if desc.get("kind") == "profile":
+    kind = desc.get("kind")
+    if kind == "profile":
         if profile is None:
             return _mismatch("trace was run with a profile source; pass profile=")
         source: AnalyticSource | ProfileSource = ProfileSource(profile)
-        if _describe_source(source) != desc:
-            return _mismatch("profile prior/context differ from the run's")
-    elif desc.get("kind") == "analytic":
+    elif kind == "analytic":
         if analytic is None:
             return _mismatch("trace was run with an analytic source; pass analytic=")
         source = analytic
-        if _describe_source(source) != desc:
-            return _mismatch("analytic prior/open-path model differ from the run's")
     else:
-        raise MalformedTraceError(f"unknown source kind {desc.get('kind')!r}")
+        raise MalformedTraceError(f"unknown source kind {kind!r}")
+    if source.describe() != desc:
+        return _mismatch(f"the {kind} source's parameters differ from the run's")
 
     total = trace.total
     config = ControllerConfig(
@@ -475,9 +500,6 @@ def replay(
         source=source,
         lookaheads=trace.lookaheads,
     )
-    model: AnalyticModel | None = None
-    if isinstance(source, AnalyticSource) and total > 0:
-        model = AnalyticModel(total, source.open_paths)
 
     checked = 0
     last_fraction = None
@@ -498,13 +520,11 @@ def replay(
         t_expect = closed * timecost.tau
         if abs(t_expect - s.elapsed) > tol:
             return _diverged(s.step, "t", t_expect, s.elapsed, checked)
-        post = _source_posterior(source, model, total, closed)
+        post = source.posterior_at(total, closed)
         if abs(float(post) - s.posterior) > tol:
             return _diverged(s.step, "posterior", float(post), s.posterior, checked)
         if s.nevc:
-            nevcs = _nevc_candidates(
-                source, model, total, closed, post, config, t_expect
-            )
+            nevcs = source.nevc_at(config, total, closed, post, t_expect)
             if len(nevcs) != len(s.nevc):
                 return _diverged(s.step, "nevc", nevcs, s.nevc, checked)
             for k, (a, b) in enumerate(zip(nevcs, s.nevc)):

@@ -10,8 +10,10 @@ paths examined: ``t(j) = t0 + j * tau``.
 
 The second half prices continued search.  ``nevc_multi`` computes the net
 expected value of examining x more paths before acting:
-with probability ``(1-p) * first_open_pmf(j)`` the search halts at path j
-with a disproof (act under certainty, at time t(j)); otherwise the posterior
+with probability ``(1-p) * p(j)`` the search halts at path j with a disproof
+(act under certainty, at time t(j)), where ``p(j)`` is the urn's first-open
+probability (its closed form is in :mod:`proverb.belief`, its per-position
+oracle ``first_open_pmf`` in ``tests/oracles.py``); otherwise the posterior
 drifts up by the survival ratio and the best action is taken at t(x).  The
 net value subtracts the utility of acting immediately.  Per-path sums are
 evaluated through exact closed forms (survival ratios and a truncated
@@ -92,6 +94,9 @@ class TimeCost:
     tau: float = 1.0
 
     def __post_init__(self) -> None:
+        for name in ("rate", "deadline_at", "penalty", "tau"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.tau <= 0:
             raise ValueError("tau must be > 0")
         if self.kind is CostKind.LINEAR and self.rate < 0:
@@ -454,7 +459,7 @@ def parse_utility_spec(text: str) -> tuple[UtilityModel, TimeCost]:
                 f"cost must be zero | linear:RATE | deadline:AT:PENALTY, got {cost_spec!r}"
             )
     except ValueError as exc:
-        raise UtilitySpecError(f"bad cost spec {cost_spec!r}") from exc
+        raise UtilitySpecError(f"bad cost spec {cost_spec!r}: {exc}") from exc
     return model, cost
 
 

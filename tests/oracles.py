@@ -1,8 +1,38 @@
 """Independent reference computations that the tests check the package against."""
 
+import warnings
 from fractions import Fraction
 
+from proverb.belief import ModelError, survival_analytic
 from proverb.decision import ZERO_COST, SearchBeliefs, TimeCost, UtilityModel, u_best
+
+
+def first_open_pmf(remaining: int, open_count: int, j: int) -> Fraction:
+    """p(first open path is the j-th examined | ``open_count`` of ``remaining`` open).
+
+    First-success-without-replacement:
+    ``prod_{i=0}^{j-2} (1 - O/(l-i)) * O/(l-(j-1))``.  Positions past the
+    support (j > l - O + 1) are impossible: flagged with a warning, value 0.
+    The oracle for the closed forms ``first_open_cdf`` and
+    ``first_open_mean_within`` that price halts in ``nevc_multi``.
+    """
+    if open_count < 1 or open_count > remaining:
+        raise ModelError(
+            f"open_count {open_count} invalid for {remaining} remaining paths"
+        )
+    if j < 1:
+        raise ValueError("j must be >= 1")
+    if j > remaining - open_count + 1:
+        warnings.warn(
+            f"first-open position {j} beyond support (remaining={remaining}, "
+            f"open={open_count}); probability 0",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+        return Fraction(0)
+    return survival_analytic(remaining, open_count, j - 1) * Fraction(
+        open_count, remaining - (j - 1)
+    )
 
 
 def nevc_one(

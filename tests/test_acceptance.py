@@ -14,8 +14,8 @@ from fractions import Fraction
 import pytest
 
 from conftest import criterion
-from oracles import nevc_one
-from proverb.belief import first_open_pmf, posterior, survival_analytic
+from oracles import first_open_pmf, nevc_one
+from proverb.belief import posterior, survival_analytic
 from proverb.controller import (
     AnalyticSource,
     ControllerConfig,

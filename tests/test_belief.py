@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import first_open_pmf
 from proverb.belief import (
     AnalyticModel,
     ContextMismatchWarning,
@@ -18,11 +19,8 @@ from proverb.belief import (
     context_mismatches,
     first_open_cdf,
     first_open_mean_within,
-    first_open_pmf,
     posterior,
-    posterior_general,
     survival_analytic,
-    survival_mixture,
     warn_on_mismatch,
 )
 
@@ -71,11 +69,13 @@ def test_posterior_extremes_are_absorbing():
     assert posterior(Fraction(1), Fraction(1, 2)) == 1
 
 
-def test_posterior_general_range_checks():
+def test_posterior_range_checks():
     with pytest.raises(ValueError):
-        posterior_general(1.5, 1, 1)
+        posterior(1.5, 1)
     with pytest.raises(ValueError):
-        posterior_general(0.5, -0.1, 1)
+        posterior(0.5, -0.1)
+    with pytest.raises(ValueError):
+        posterior(0.5, 1.5)
 
 
 def test_degenerate_evidence_raises():
@@ -132,19 +132,19 @@ def test_survival_handles_huge_path_spaces():
 
 def test_survival_mixture_worked_value():
     dist = {1: Fraction(1, 2), 2: Fraction(1, 2)}
-    assert survival_mixture(4, dist, 2) == Fraction(1, 3)
+    assert AnalyticModel(4, dist).survival(2) == Fraction(1, 3)
 
 
 def test_mixture_validation():
     with pytest.raises(ModelError):
-        survival_mixture(4, {}, 1)
+        AnalyticModel(4, {}).survival(1)
     with pytest.raises(ModelError):
-        survival_mixture(4, {0: Fraction(1)}, 1)
+        AnalyticModel(4, {0: Fraction(1)}).survival(1)
     with pytest.raises(ModelError):
-        survival_mixture(4, {5: Fraction(1)}, 1)
+        AnalyticModel(4, {5: Fraction(1)}).survival(1)
     with pytest.raises(ModelError):
-        survival_mixture(4, {1: Fraction(1, 2)}, 1)  # sums to 1/2
-    assert survival_mixture(4, {1: 0.5, 2: 0.5}, 2) == pytest.approx(1 / 3)
+        AnalyticModel(4, {1: Fraction(1, 2)}).survival(1)  # sums to 1/2
+    assert AnalyticModel(4, {1: 0.5, 2: 0.5}).survival(2) == pytest.approx(1 / 3)
 
 
 def test_analytic_model_point_and_mixture_agree():
@@ -265,7 +265,13 @@ def test_curve_from_samples_counts_strictly_later_discoveries():
     assert curve.value(Fraction(3, 10)) == Fraction(1, 4)
     assert curve.value(Fraction(1, 2)) == 0
     assert curve.value(1) == 0
-    assert curve.sample_count == 4
+    # All four samples are kept, the tied pair included, in any input order.
+    assert curve == SurvivalCurve.from_samples(
+        [Fraction(2, 5), Fraction(1, 5), Fraction(1, 10), Fraction(1, 5)]
+    )
+    assert curve != SurvivalCurve.from_samples(
+        [Fraction(1, 10), Fraction(1, 5), Fraction(2, 5)]
+    )
 
 
 def test_curve_value_zero_is_pinned_to_one():
@@ -279,7 +285,7 @@ def test_empty_curve_is_uninformative():
     curve = SurvivalCurve.from_samples([])
     for s in (Fraction(0), Fraction(1, 2), Fraction(1)):
         assert curve.value(s) == 1
-    assert curve.sample_count == 0
+    assert curve != SurvivalCurve.from_samples([Fraction(1, 2)])
 
 
 def test_curve_is_nonincreasing_and_right_continuous():
@@ -300,34 +306,6 @@ def test_curve_sample_validation():
         SurvivalCurve.from_samples([Fraction(1)])  # discovery at 1 impossible
     with pytest.raises(ValueError):
         SurvivalCurve.from_samples([Fraction(-1, 2)])
-
-
-def test_curve_from_points():
-    curve = SurvivalCurve.from_points(
-        [(Fraction(0), Fraction(1)), (Fraction(1, 2), Fraction(1, 4))]
-    )
-    assert curve.value(Fraction(1, 4)) == 1
-    assert curve.value(Fraction(1, 2)) == Fraction(1, 4)
-    assert curve.value(Fraction(3, 4)) == Fraction(1, 4)
-
-
-def test_curve_from_points_validation():
-    with pytest.raises(ValueError):
-        SurvivalCurve.from_points([])
-    with pytest.raises(ValueError):
-        SurvivalCurve.from_points([(Fraction(1, 2), Fraction(1))])  # must start at 0
-    with pytest.raises(ValueError):
-        SurvivalCurve.from_points(
-            [(Fraction(0), Fraction(1)), (Fraction(0), Fraction(1, 2))]
-        )
-    with pytest.raises(ValueError):
-        SurvivalCurve.from_points(
-            [(Fraction(0), Fraction(1)), (Fraction(1, 2), Fraction(2))]
-        )
-    with pytest.raises(ValueError):
-        SurvivalCurve.from_points(
-            [(Fraction(0), Fraction(1, 2)), (Fraction(1, 2), Fraction(1))]
-        )
 
 
 def test_curve_value_range_check():

@@ -387,6 +387,80 @@ def test_compare_heuristic_prior_zero(tmp_path, capsys):
     assert all(line.split(",")[2::2] == ["0.000000", "0.000000"] for line in lines[1:])
 
 
+@pytest.fixture(scope="module")
+def prior_zero_files(tmp_path_factory):
+    """The prior-0 profile and a 3-clause file its search outlives."""
+    out = tmp_path_factory.mktemp("prior_zero")
+    profile = out / "p.json"
+    assert run_cli("profile", *PRIOR_ZERO_FAMILY, "--out", str(profile)) == 0
+    cnf = out / "f.cnf"
+    cnf.write_text("p cnf 3 3\n1 2 3 0\n-1 -2 -3 0\n1 -2 3 0\n")
+    return profile, cnf
+
+
+def test_run_prior_zero_profile_past_last_discovery(prior_zero_files, tmp_path, capsys):
+    # A deadline penalty above every utility keeps the search going past the
+    # profile's last discovery; the posterior must stay 0 there.
+    profile_path, cnf = prior_zero_files
+    spec = "actions=a,b; u(a,w)=1; u(a,~w)=0; u(b,w)=0; u(b,~w)=1; cost=deadline:20:5"
+    trace_path = tmp_path / "t.jsonl"
+    code = run_cli(
+        "run", str(cnf), "--profile", str(profile_path), "--chunk", "1",
+        "--lookahead", "full", "--utilities", spec, "--out", str(trace_path),
+    )
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    assert captured.out.startswith("stop: proof_of_not_w")
+    assert "posterior 0.000000" in captured.out
+    profile = load(profile_path)
+    trace = load_trace(trace_path)
+    last_discovery = max(r.discovery_fraction for r in profile.records)
+    assert trace.steps[-1].fraction > last_discovery
+    assert all(step.posterior == 0 for step in trace.steps)
+    utilities, timecost = parse_utility_spec(spec)
+    report = replay(trace, utilities=utilities, timecost=timecost, profile=profile)
+    assert report.ok, report.message
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (("decide", "--utilities", UTIL, "--posterior", "1/0"), "zero denominator"),
+        (
+            ("decide", "--utilities", UTIL, "--prior", "1/0", "--survival", "1/2"),
+            "zero denominator",
+        ),
+        (
+            ("decide", "--utilities", UTIL, "--profile", "{profile}", "--fraction", "1/0"),
+            "zero denominator",
+        ),
+        (
+            ("curve", "--profile", "{profile}", "--out", "{out}", "--prior", "1/0"),
+            "zero denominator",
+        ),
+        (
+            ("run", "{cnf}", "--utilities", UTIL, "--analytic", "1", "--prior", "1/0"),
+            "zero denominator",
+        ),
+        (
+            ("run", "{cnf}", "--utilities", UTIL, "--analytic", "1:1/0", "--prior", "1/2"),
+            "zero denominator",
+        ),
+        (
+            ("decide", "--utilities", UTIL + "; cost=linear:nan", "--posterior", "1/2"),
+            "rate must be finite",
+        ),
+    ],
+)
+def test_bad_number_is_usage_error(argv, error, prior_zero_files, tmp_path, capsys):
+    profile, cnf = prior_zero_files
+    names = {"profile": profile, "cnf": cnf, "out": tmp_path / "c.csv"}
+    assert run_cli(*(arg.format(**names) for arg in argv)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert error in captured.err
+
+
 def test_import_leaves_numpy_out():
     import proverb
 

@@ -7,8 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import nevc_one
-from proverb.belief import first_open_pmf, survival_analytic
+from oracles import first_open_pmf, nevc_one
+from proverb.belief import survival_analytic
 from proverb.decision import (
     CostKind,
     DominanceError,
@@ -406,6 +406,14 @@ def test_utility_spec_defaults_to_zero_cost():
         "actions=a,b; u(a,w)=1; u(a,~w)=0; u(b,w)=0; u(b,~w)=1; tau=0",  # tau
         "actions=a,a; u(a,w)=1; u(a,~w)=0",  # duplicate names
         "actions=a,b; u(a,w)=1; u(a,~w)=0; u(b,w)=0; u(b,~w)=1; hue=3",  # unknown key
+        # Costs and tau that are not finite.
+        "actions=a,b; u(a,w)=1; u(a,~w)=0; u(b,w)=0; u(b,~w)=1; cost=linear:nan",
+        "actions=a,b; u(a,w)=1; u(a,~w)=0; u(b,w)=0; u(b,~w)=1; cost=linear:inf",
+        "actions=a,b; u(a,w)=1; u(a,~w)=0; u(b,w)=0; u(b,~w)=1; cost=deadline:nan:1",
+        "actions=a,b; u(a,w)=1; u(a,~w)=0; u(b,w)=0; u(b,~w)=1; cost=deadline:inf:0",
+        "actions=a,b; u(a,w)=1; u(a,~w)=0; u(b,w)=0; u(b,~w)=1; cost=deadline:1:-inf",
+        "actions=a,b; u(a,w)=1; u(a,~w)=0; u(b,w)=0; u(b,~w)=1; tau=inf",
+        "actions=a,b; u(a,w)=1; u(a,~w)=0; u(b,w)=0; u(b,~w)=1; tau=nan",
     ],
 )
 def test_utility_spec_rejects_malformed(text):
@@ -423,6 +431,18 @@ def test_timecost_validation():
         TimeCost.linear(-0.1)
     with pytest.raises(ValueError):
         TimeCost.deadline(-1.0, 0.0)
+    for name, value in [
+        ("rate", math.nan),
+        ("rate", math.inf),
+        ("deadline_at", math.nan),
+        ("deadline_at", math.inf),
+        ("penalty", -math.inf),
+        ("tau", math.inf),
+        ("tau", math.nan),
+    ]:
+        for kind in CostKind:
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                TimeCost(kind, **{name: value})
     with pytest.raises(ValueError):
         ZERO_COST.time_for(-1)
     with pytest.raises(ValueError):

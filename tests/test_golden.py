@@ -1,16 +1,21 @@
-"""Byte-identity pins for every file the package writes.
+"""Byte-identity pins for every file the package writes, and for the demos.
 
 Each test writes a file through the public API and compares its sha256
 digest with a recorded constant.  A refactor that keeps these digests keeps
 the profile, curve, compare and trace formats byte for byte; a deliberate
 format change must update the constant alongside the code.  Trace files are
 compared with the advisory ``wall_time`` removed, because it is the only
-value that differs between two runs.
+value that differs between two runs.  The five scripts under ``demos/`` are
+deterministic, so their stdout is pinned the same way.
 """
 
 import hashlib
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -44,6 +49,15 @@ COMPARE_CSV = "f25e808fd76d50660affd43113c1ca179c50bc2f9ffb8f59b25cfee0f2223881"
 TRACE_ANALYTIC = "98ed41cbbcd198047d593dcdbb9d4228369e160bb05ff6c691ed3df92690afa1"
 TRACE_MIXTURE = "a1a63ea2befd73d541df1d82754a1f9eaafb7a48a34aca5dccf1b4bb108b872c"
 TRACE_PROFILE = "441405c6bfaa870a34039386279384c76c4cf49e1b896bb3d1ef7cd16424284b"
+
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = {
+    "01_path_search.py": "2c5b074eb029791f4e5babd181d47b9c379685c5866592effe4afbd87e024d21",
+    "02_survival_profiles.py": "06c504adf59e97366fbf30afb9d85056ec580a55abb4cbe5601210cdb9587760",
+    "03_posterior_updating.py": "15c244a009b7ca1e5ae8d89e93b7f5a01f4609461d093ad0b6a0b12add199217",
+    "04_stopping_controller.py": "7ff24fd3c555cf3aeae3daf2dc423afb50ce87c691cd171c3f20400cf2fea1ba",
+    "05_presort_comparison.py": "3fc87c23495d7fe5cdba14e99fa6cfb1bd1e50e1a22960382fb91d62f2a49380",
+}
 
 ACT = UtilityModel.from_pairs({"act_w": (1.0, 0.0), "act_not_w": (0.0, 1.0)})
 COST = TimeCost.linear(1e-9)
@@ -136,3 +150,13 @@ def test_profile_trace_bytes(mixed_corpus, mixed_profile, tmp_path):
     assert 0 < mixed_profile.prior < 1
     source = ProfileSource(mixed_profile)
     assert trace_digest(mixed_corpus, source, tmp_path / "trace.jsonl") == TRACE_PROFILE
+
+
+@pytest.mark.parametrize("script", sorted(DEMOS))
+def test_demo_stdout(script):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / script)],
+        env=env, capture_output=True, check=True,
+    )
+    assert digest(result.stdout) == DEMOS[script]

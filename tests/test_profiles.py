@@ -77,7 +77,7 @@ def test_hand_profile_statistics():
 def test_all_unsat_profile_has_constant_curve():
     records = tuple(InstanceRecord(i, False, Fraction(1), 2) for i in range(5))
     profile = Profile(ContextTag(), Fraction(1), records)
-    assert profile.curve.sample_count == 0
+    assert profile.curve == SurvivalCurve.from_samples([])
     assert profile.curve.value(Fraction(1, 2)) == 1
     assert profile.posterior_at(Fraction(9, 10)) == 1
 
