@@ -12,6 +12,7 @@ from proverb import (
     fraction_explored,
     init_search,
     literals,
+    solve,
     step_search,
     total_paths,
 )
@@ -36,15 +37,21 @@ def main():
     show(matrix)
     print(f"path space: {total_paths(matrix)} complete paths\n")
 
+    # A closure at clause c prunes the paths through the later clauses, all
+    # two wide here: tails[c] of them, so the pruned count names the clause.
+    n = matrix.n_clauses
+    tails = [2 ** (n - c) for c in range(n + 1)]
     state = init_search(matrix)
     while state.status is SearchStatus.RUNNING:
-        for event in step_search(state, 1):
-            explored = fraction_explored(state)
+        before = state.closed
+        step_search(state, 1)  # a budget of one path stops after one closure
+        pruned = state.closed - before
+        if pruned:
             print(
-                f"closed branch at clause {event.clause_index}: "
-                f"pruned {event.pruned} path(s), "
-                f"{event.cumulative_closed}/{state.total} done "
-                f"(fraction {explored})"
+                f"closed branch at clause {tails.index(pruned)}: "
+                f"pruned {pruned} path(s), "
+                f"{state.closed}/{state.total} done "
+                f"(fraction {fraction_explored(state)})"
             )
 
     print(f"\nverdict: {state.status.value}")
@@ -63,13 +70,9 @@ def main():
         alphabet_size=3,
     )
     print("\nadding clause 5: ~x0 | ~x2 and starting over:")
-    state = init_search(theorem)
-    pruned = 0
-    while state.status is SearchStatus.RUNNING:
-        for event in step_search(state, state.total):
-            pruned += event.pruned
+    state = solve(theorem)
     print(f"verdict: {state.status.value}")
-    print(f"pruned path total {pruned} == path space {state.total}")
+    print(f"pruned path total {state.closed} == path space {state.total}")
 
 
 if __name__ == "__main__":

@@ -39,7 +39,6 @@ __all__ = [
     "FLOAT_TOL",
     "Probability",
     "OpenDist",
-    "DegenerateEvidenceError",
     "ModelError",
     "ContextTag",
     "ContextMismatchWarning",
@@ -62,10 +61,6 @@ __all__ = [
 FLOAT_TOL = 1e-9
 
 Probability = Union[float, Fraction]
-
-
-class DegenerateEvidenceError(ValueError):
-    """All hypotheses assign zero likelihood to the evidence."""
 
 
 class ModelError(ValueError):
@@ -208,12 +203,11 @@ def posterior(prior: Probability, survival: Probability) -> Probability:
     for name, v in (("prior", prior), ("survival", survival)):
         if not 0 <= v <= 1:
             raise ValueError(f"{name} {v} outside [0, 1]")
-    denominator = prior + (1 - prior) * survival
-    if denominator == 0:
-        raise DegenerateEvidenceError(
-            "evidence impossible under both hypotheses (zero marginal likelihood)"
-        )
-    return prior / denominator
+    if prior == 0:
+        # The claim is impossible a priori; no amount of survival revives it,
+        # not even survival the model of not-w rules out.
+        return Fraction(0)
+    return prior / (prior + (1 - prior) * survival)
 
 
 def survival_analytic(total: int, open_count: int, searched: int) -> Fraction:

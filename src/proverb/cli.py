@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import belief, controller, decision, dimacs, generator, profiles
 from .heuristics import Heuristic
-from .matrix import SearchStatus, init_search, step_search, total_paths
+from .matrix import SearchStatus, init_search, solve, step_search, total_paths
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -123,12 +123,12 @@ def _prove(args) -> int:
     matrix, _meta = dimacs.read_dimacs(args.file)
     heuristic = Heuristic.PRESORT if args.presort else Heuristic.NONE
     matrix = heuristic.apply(matrix)
-    state = init_search(matrix)
-    while state.status is SearchStatus.RUNNING:
-        if args.budget is not None:
+    if args.budget is None:
+        state = solve(matrix)
+    else:
+        state = init_search(matrix)
+        if state.status is SearchStatus.RUNNING:
             step_search(state, args.budget)
-            break
-        step_search(state, state.total)
 
     status = {
         SearchStatus.EXHAUSTED: "W_TRUE",

@@ -32,7 +32,6 @@ __all__ = [
     "Literal",
     "Clause",
     "Matrix",
-    "ClosureEvent",
     "SearchStatus",
     "SearchState",
     "OracleLimitError",
@@ -113,21 +112,6 @@ class Matrix:
         return len(self.clauses)
 
 
-@dataclass(frozen=True, slots=True)
-class ClosureEvent:
-    """One pruning step: a subpath ending at clause ``clause_index`` closed.
-
-    ``clause_index`` is 1-based (the clause whose literal completed the
-    complementary pair).  ``pruned`` is the number of complete paths removed,
-    i.e. the product of the widths of all later clauses.
-    ``cumulative_closed`` is the total closed count right after this event.
-    """
-
-    clause_index: int
-    pruned: int
-    cumulative_closed: int
-
-
 class SearchStatus(Enum):
     RUNNING = "running"
     OPEN_FOUND = "open_found"
@@ -144,7 +128,7 @@ class SearchState:
     ``total``          exact size of the complete-path space
     ``status``         RUNNING / OPEN_FOUND / EXHAUSTED
     ``witness``        the open path (tuple of literals) once OPEN_FOUND
-    ``closure_count``  number of closure events emitted so far
+    ``closure_count``  number of closures taken so far
     """
 
     __slots__ = (
@@ -212,15 +196,16 @@ def init_search(matrix: Matrix) -> SearchState:
 
 def step_search(
     state: SearchState, budget: int, *, event_cap: int | None = None
-) -> list[ClosureEvent]:
+) -> None:
     """Advance the walk until at least ``budget`` paths are pruned this call.
 
-    Returns the closure events of this call in order; ``state`` is advanced
-    in place.  The final closure may overshoot the budget (its full pruned
-    count is always applied and reported).  The call also returns early when
-    the walk terminates (open path found, or space exhausted) or when
-    ``event_cap`` closure events have been emitted.  Stepping a terminal
-    state raises :class:`InvalidStateError`.
+    Returns None; ``state`` is advanced in place, so its ``closed`` and
+    ``closure_count`` deltas are what this call pruned and how many closures
+    it took.  The final closure may overshoot the budget (its full pruned
+    count is always applied).  The call also returns early when the walk
+    terminates (open path found, or space exhausted) or when ``event_cap``
+    closures have been taken this call.  Stepping a terminal state raises
+    :class:`InvalidStateError`.
     """
     if state.status is not SearchStatus.RUNNING:
         raise InvalidStateError(f"search already terminal: {state.status.value}")
@@ -239,7 +224,7 @@ def step_search(
     cursor = state._cursor
     closed = state.closed
     spent = 0
-    events: list[ClosureEvent] = []
+    closures = 0
     status = SearchStatus.RUNNING
     witness: tuple[Literal, ...] | None = None
 
@@ -272,14 +257,14 @@ def step_search(
             pruned = tails[depth + 1]
             closed += pruned
             spent += pruned
-            events.append(ClosureEvent(depth + 1, pruned, closed))
+            closures += 1
             cursor += 1
             if closed == total:
                 status = SearchStatus.EXHAUSTED
                 break
             if spent >= budget:
                 break
-            if event_cap is not None and len(events) >= event_cap:
+            if closures == event_cap:
                 break
         else:
             stack.append(cursor)
@@ -297,27 +282,22 @@ def step_search(
 
     state._cursor = cursor
     state.closed = closed
-    state.closure_count += len(events)
+    state.closure_count += closures
     state.status = status
     if witness is not None:
         state.witness = witness
-    return events
 
 
 def solve(matrix: Matrix, *, max_closures: int | None = None) -> SearchState:
-    """Run the search to termination (or until ``max_closures`` events).
+    """Run the search to termination (or until ``max_closures`` closures).
 
     Returns the final state; ``state.status`` stays RUNNING when the closure
     cap was hit first.
     """
     state = init_search(matrix)
-    remaining_cap = max_closures
-    while state.status is SearchStatus.RUNNING:
-        if remaining_cap is not None and remaining_cap <= 0:
-            break
-        step_search(state, state.total, event_cap=remaining_cap)
-        if remaining_cap is not None:
-            remaining_cap = max_closures - state.closure_count
+    # A budget of the whole space stops only at termination or at the cap.
+    if state.status is SearchStatus.RUNNING and (max_closures is None or max_closures > 0):
+        step_search(state, state.total, event_cap=max_closures)
     return state
 
 

@@ -118,15 +118,7 @@ class Profile:
 
     def posterior_at(self, s) -> Fraction:
         """Posterior of the claim after surviving to explored fraction ``s``."""
-        return _posterior(self.prior, self.curve.value(s))
-
-
-def _posterior(prior: Fraction, survival: Fraction) -> Fraction:
-    if prior == 0:
-        # The claim is impossible a priori; no amount of survival revives it,
-        # not even survival past the last discovery the profile saw.
-        return Fraction(0)
-    return posterior(prior, survival)
+        return posterior(self.prior, self.curve.value(s))
 
 
 def _run_one(args: tuple[int, Matrix, str, int | None]) -> InstanceRecord | None:
@@ -153,7 +145,7 @@ def collect(
 ) -> Profile:
     """Run every instance to termination and distill the outcomes.
 
-    ``step_cap`` bounds the closure events spent per instance; instances that
+    ``step_cap`` bounds the closures spent per instance; instances that
     exceed it are excluded from the statistics and counted in ``excluded``.
     ``jobs`` > 1 fans instances out to worker processes; outcomes are folded
     in instance order either way, so the result is identical.
@@ -250,7 +242,7 @@ def export_curve_csv(profile: Profile, prior_override: Fraction | None = None) -
     for i in range(101):
         s = Fraction(i, 100)
         survival = profile.curve.value(s)
-        post = _posterior(prior, survival)
+        post = posterior(prior, survival)
         lines.append(f"{float(s):.6f},{float(survival):.6f},{float(post):.6f}")
     return "\n".join(lines) + "\n"
 

@@ -1,5 +1,6 @@
 """Independent reference computations that the tests check the package against."""
 
+import math
 import warnings
 from fractions import Fraction
 
@@ -62,3 +63,34 @@ def nevc_one(
         + (1 - p_halt) * u_best(drifted, utilities, timecost, 1, t0)
         - act_now
     )
+
+
+def reference_closures(matrix):
+    """The closed prefixes of a plain depth-first walk, in the search's order.
+
+    Yields ``(clause_index, pruned)`` for each prefix whose last literal, from
+    clause ``clause_index`` (1-based), meets its complement earlier on the
+    prefix; ``pruned`` is the number of complete paths through that prefix.
+    Literals are tried left to right, and the walk stops at the first open
+    complete path.  An empty clause leaves no complete path, hence nothing to
+    close.  The oracle for the closure tallies of ``step_search``: it
+    recurses over the clauses and keeps the prefix as a set of signed
+    symbols, sharing no state or code with the search.
+    """
+    clauses = matrix.clauses
+    widths = [len(clause) for clause in clauses]
+    if not all(widths):
+        return
+
+    def walk(depth, prefix):
+        # Returns True once the prefix is an open complete path.
+        if depth == len(clauses):
+            return True
+        for lit in clauses[depth]:
+            if (lit.symbol_id, not lit.negated) in prefix:
+                yield depth + 1, math.prod(widths[depth + 1:])
+            elif (yield from walk(depth + 1, prefix | {(lit.symbol_id, lit.negated)})):
+                return True
+        return False
+
+    yield from walk(0, frozenset())

@@ -13,7 +13,6 @@ from proverb.belief import (
     AnalyticModel,
     ContextMismatchWarning,
     ContextTag,
-    DegenerateEvidenceError,
     ModelError,
     SurvivalCurve,
     context_mismatches,
@@ -78,9 +77,11 @@ def test_posterior_range_checks():
         posterior(0.5, 1.5)
 
 
-def test_degenerate_evidence_raises():
-    with pytest.raises(DegenerateEvidenceError):
-        posterior(Fraction(0), Fraction(0))
+def test_prior_zero_posterior_is_zero():
+    # Even survival that not-w rules out (0) leaves an impossible claim at 0.
+    for survival in (0, Fraction(1, 10**9), Fraction(1, 2), 1):
+        assert posterior(Fraction(0), survival) == 0
+    assert posterior(0, 0) == 0
 
 
 # --- analytic survival -------------------------------------------------------

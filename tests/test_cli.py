@@ -4,12 +4,13 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from proverb.cli import main
-from proverb.controller import load_trace, replay
+from proverb.controller import AnalyticSource, load_trace, replay
 from proverb.decision import TimeCost, parse_utility_spec
 from proverb.profiles import load
 
@@ -420,6 +421,38 @@ def test_run_prior_zero_profile_past_last_discovery(prior_zero_files, tmp_path, 
     utilities, timecost = parse_utility_spec(spec)
     report = replay(trace, utilities=utilities, timecost=timecost, profile=profile)
     assert report.ok, report.message
+
+
+def test_run_prior_zero_analytic_past_declared_open_count(tmp_path, capsys):
+    # 12 declared open paths among 16 rule out surviving more than 4 closed
+    # paths; the deadline penalty keeps the search going past that point.
+    cnf = tmp_path / "f.cnf"
+    cnf.write_text("p cnf 2 4\n1 2 0\n-1 2 0\n1 -2 0\n-1 -2 0\n")
+    spec = "actions=a,b; u(a,w)=1; u(a,~w)=0; u(b,w)=0; u(b,~w)=1; cost=deadline:10:5"
+    trace_path = tmp_path / "t.jsonl"
+    code = run_cli(
+        "run", str(cnf), "--analytic", "12", "--prior", "0", "--chunk", "1",
+        "--lookahead", "full", "--utilities", spec, "--out", str(trace_path),
+    )
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    assert captured.out.startswith("stop: deadline_forced after 6 steps; action b,")
+    assert "posterior 0.000000" in captured.out
+    trace = load_trace(trace_path)
+    assert trace.steps[-1].fraction > Fraction(4, 16)
+    assert all(step.posterior == 0 for step in trace.steps)
+    utilities, timecost = parse_utility_spec(spec)
+    source = AnalyticSource(Fraction(0), 12)
+    report = replay(trace, utilities=utilities, timecost=timecost, analytic=source)
+    assert report.ok, report.message
+
+
+def test_decide_prior_zero_survival_zero(capsys):
+    code = run_cli("decide", "--utilities", UTIL, "--prior", "0", "--survival", "0")
+    assert code == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "posterior: 0.000000"
+    assert "action: act_not_w" in out
 
 
 @pytest.mark.parametrize(

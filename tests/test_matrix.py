@@ -7,9 +7,9 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import reference_closures
 from proverb.generator import GeneratorConfig, generate
 from proverb.matrix import (
-    ClosureEvent,
     InvalidStateError,
     Literal,
     Matrix,
@@ -115,10 +115,10 @@ def test_fraction_after_first_closure_of_nine_paths():
         5,
     )
     state = init_search(m)
-    events = step_search(state, 1)
+    step_search(state, 1)
     assert state.total == 9
-    assert [e.pruned for e in events] == [1]
-    assert events[0].clause_index == 2
+    assert (state.closed, state.closure_count) == (1, 1)
+    assert next(reference_closures(m)) == (2, 1)
     assert fraction_explored(state) == Fraction(1, 9)
 
 
@@ -151,7 +151,7 @@ def test_tautological_clause_keeps_paths_open():
     assert state.status is SearchStatus.OPEN_FOUND
 
 
-# --- stepping, budgets, events ---------------------------------------------
+# --- stepping, budgets, closures -------------------------------------------
 
 
 def test_step_budget_validation():
@@ -167,14 +167,13 @@ def test_stepping_terminal_state_raises():
 
 
 def test_single_closure_may_overshoot_budget():
-    # First branch closes at clause 2 and prunes a 3^5 tail in one event.
+    # First branch closes at clause 2 and prunes a 3^5 tail in one closure.
     clauses = [literals(0, 1, 2), literals((0, True), 1, 2)]
     clauses += [literals(3, 4, 5)] * 5
     m = Matrix(clauses, 6)
     state = init_search(m)
-    events = step_search(state, 5)
-    assert len(events) == 1
-    assert events[0].pruned == 3**5
+    step_search(state, 5)
+    assert state.closure_count == 1
     assert state.closed == 3**5
     assert state.status is SearchStatus.RUNNING
 
@@ -182,27 +181,22 @@ def test_single_closure_may_overshoot_budget():
 def test_event_cap_pauses_before_budget():
     m = Matrix((literals(0), literals((0, True), 1), literals((1, True), 2)), 3)
     state = init_search(m)
-    events = step_search(state, state.total, event_cap=1)
-    assert len(events) == 1
+    step_search(state, state.total, event_cap=1)
+    assert state.closure_count == 1
+    assert state.closed < state.total
     assert state.status is SearchStatus.RUNNING
 
 
 def test_cumulative_closed_matches_running_total():
     config = GeneratorConfig(8, 2, 4, seed=1905)
     m = generate(config)
+    reference = [pruned for _clause, pruned in reference_closures(m)]
+    running_total = list(itertools.accumulate(reference, initial=0))
     state = init_search(m)
-    seen = 0
     while state.status is SearchStatus.RUNNING:
-        for event in step_search(state, 3):
-            seen += event.pruned
-            assert event.cumulative_closed == seen
-    assert state.closed == seen
-
-
-def test_closure_events_are_frozen_records():
-    event = ClosureEvent(2, 3, 3)
-    with pytest.raises(AttributeError):
-        event.pruned = 5
+        step_search(state, 3)
+        assert state.closed == running_total[state.closure_count]
+    assert state.closure_count == len(reference)
 
 
 # --- conservation and oracle equivalence ------------------------------------
@@ -226,13 +220,17 @@ def test_closure_conservation_on_random_matrices():
     for _ in range(60):
         m = random_matrix(rng, rng.randint(1, 6), 3, rng.randint(1, 5))
         state = init_search(m)
-        pruned_total = 0
         while state.status is SearchStatus.RUNNING:
-            pruned_total += sum(e.pruned for e in step_search(state, 7))
+            before = state.closed
+            step_search(state, 7)
+            assert state.closed - before >= 7 or state.status is not SearchStatus.RUNNING
+        reference = [pruned for _clause, pruned in reference_closures(m)]
+        assert state.closure_count == len(reference)
+        assert state.closed == sum(reference)
         if state.status is SearchStatus.EXHAUSTED:
-            assert pruned_total == state.total
+            assert state.closed == state.total
         else:
-            assert pruned_total == state.closed < state.total
+            assert state.closed < state.total
 
 
 def test_exhaustion_agrees_with_path_enumeration():
@@ -278,17 +276,20 @@ def test_brute_force_edge_cases():
 
 def test_search_is_deterministic_under_any_budget_split():
     m = generate(GeneratorConfig(9, 2, 4, seed=77))
+    reference = [pruned for _clause, pruned in reference_closures(m)]
+    running_total = list(itertools.accumulate(reference, initial=0))
 
     def run(budget):
         state = init_search(m)
-        events = []
         while state.status is SearchStatus.RUNNING:
-            events.extend(step_search(state, budget))
-        return state.status, state.closed, events
+            step_search(state, budget)
+            assert state.closed == running_total[state.closure_count]
+        return state.status, state.closed, state.closure_count, state.witness
 
-    reference = run(m and total_paths(m))
+    whole = run(total_paths(m))
+    assert whole[2] == len(reference)
     for budget in (1, 2, 5, 13):
-        assert run(budget) == reference
+        assert run(budget) == whole
 
 
 def test_witness_signs_satisfy_every_clause():

@@ -1,4 +1,4 @@
-"""Property tests: resumable search and trace round trips on random inputs.
+"""Property tests: resumable search, its closures and trace round trips on random inputs.
 
 Hypothesis runs derandomized, with no example database and a bounded number
 of examples, so the file gives the same verdict on every run and takes a few
@@ -13,6 +13,7 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import reference_closures
 from proverb.belief import ContextTag
 from proverb.controller import (
     AnalyticSource,
@@ -29,6 +30,7 @@ from proverb.matrix import (
     Literal,
     Matrix,
     SearchStatus,
+    brute_force_sat,
     init_search,
     solve,
     step_search,
@@ -84,7 +86,29 @@ def test_any_budget_sequence_reaches_the_solve_state(matrix, budgets):
     assert state.closure_count == whole.closure_count
 
 
-PRIORS = st.sampled_from([Fraction(1, 3), Fraction(1, 2), Fraction(9, 10), Fraction(1)])
+@PROPERTY
+@given(matrices(0, 0))
+def test_unit_steps_match_the_reference_walk(matrix):
+    whole = solve(matrix)
+    assert (whole.status is SearchStatus.OPEN_FOUND) == brute_force_sat(matrix)
+    reference = [pruned for _clause, pruned in reference_closures(matrix)]
+    state = init_search(matrix)
+    deltas = []
+    while state.status is SearchStatus.RUNNING:
+        before = state.closed
+        step_search(state, 1)
+        deltas.append(state.closed - before)
+    if deltas and deltas[-1] == 0:
+        # The last call reached the open path without closing anything.
+        assert state.status is SearchStatus.OPEN_FOUND
+        deltas.pop()
+    assert deltas == reference
+    assert state.closure_count == len(reference)
+
+
+PRIORS = st.sampled_from(
+    [Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(9, 10), Fraction(1)]
+)
 
 
 def costs(total):
@@ -109,8 +133,6 @@ def sources(draw, total):
     if kind == "profile":
         profile = draw(st.sampled_from(PROFILES))
         return ProfileSource(profile), {"profile": profile}
-    # An analytic prior of 0 is left out: once the search outlives the
-    # declared open count its evidence has no posterior (CHANGES.md, FOUND).
     prior = draw(PRIORS)
     if kind == "count" or total < 2:
         open_paths = draw(st.integers(1, total))
