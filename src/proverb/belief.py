@@ -28,7 +28,6 @@ Everything here is exact when fed exact numbers: integer inputs produce
 
 from __future__ import annotations
 
-import warnings
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -41,13 +40,11 @@ __all__ = [
     "OpenDist",
     "ModelError",
     "ContextTag",
-    "ContextMismatchWarning",
     "context_to_json",
     "context_from_json",
     "rational_to_json",
     "rational_from_json",
     "context_mismatches",
-    "warn_on_mismatch",
     "SurvivalCurve",
     "AnalyticModel",
     "posterior",
@@ -120,10 +117,6 @@ def rational_from_json(node: object, what: str) -> Fraction:
     return Fraction(num, den)
 
 
-class ContextMismatchWarning(UserWarning):
-    pass
-
-
 _MATCH_FIELDS = ("n_clauses", "lits_per_clause", "alphabet_size", "heuristic")
 
 
@@ -135,22 +128,6 @@ def context_mismatches(expected: ContextTag, actual: ContextTag) -> list[str]:
         if a is not None and b is not None and a != b:
             out.append(name)
     return out
-
-
-def warn_on_mismatch(expected: ContextTag, actual: ContextTag) -> bool:
-    """Emit a ContextMismatchWarning when tags disagree; True when they match."""
-    bad = context_mismatches(expected, actual)
-    if bad:
-        detail = ", ".join(
-            f"{name}: {getattr(expected, name)!r} != {getattr(actual, name)!r}"
-            for name in bad
-        )
-        warnings.warn(
-            f"profile context does not match instance context ({detail})",
-            ContextMismatchWarning,
-            stacklevel=2,
-        )
-    return not bad
 
 
 class SurvivalCurve:

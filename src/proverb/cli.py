@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -225,14 +224,20 @@ def _run(args) -> int:
         profile = profiles.load(args.profile)
         source = controller.ProfileSource(profile)
         instance_ctx = _instance_context(meta, heuristic)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", belief.ContextMismatchWarning)
-            belief.warn_on_mismatch(profile.context, instance_ctx)
-        for w in caught:
-            print(f"warning: {w.message}", file=sys.stderr)
-        if caught and args.strict:
-            print("error: context mismatch under --strict", file=sys.stderr)
-            return EXIT_CONTEXT
+        bad = belief.context_mismatches(profile.context, instance_ctx)
+        if bad:
+            detail = ", ".join(
+                f"{name}: {getattr(profile.context, name)!r} "
+                f"!= {getattr(instance_ctx, name)!r}"
+                for name in bad
+            )
+            print(
+                f"warning: profile context does not match instance context ({detail})",
+                file=sys.stderr,
+            )
+            if args.strict:
+                print("error: context mismatch under --strict", file=sys.stderr)
+                return EXIT_CONTEXT
     else:
         if args.prior is None:
             return _fail("--analytic needs --prior")

@@ -1,9 +1,11 @@
 """The stop-or-search loop: metareasoning wrapped around the path search.
 
-Each deliberation step the controller reads off the exact explored fraction,
-turns it into a posterior on the claim through its belief source, prices the
-candidate lookaheads (net expected value of computation), and either acts or
-buys one more chunk of search.  Termination:
+One step rule, ``_deliberate``, is applied over and over: it reads off the
+exact explored fraction, turns it into a posterior on the claim through its
+belief source, prices the candidate lookaheads (net expected value of
+computation), and returns a stop verdict.  ``run`` records each step and
+either acts on the verdict or buys one more chunk of search; ``replay``
+applies the same rule at each recorded closed count.  Termination:
 
 * ``nonpositive_evc``  -- no candidate lookahead is worth its time (acting at
   equality included),
@@ -14,8 +16,8 @@ buys one more chunk of search.  Termination:
 Belief sources: ``AnalyticSource`` (prior + open-path urn model, exact
 per-path pricing) or ``ProfileSource`` (empirical prior + survival curve,
 chunk-granularity pricing; see ``nevc_two_outcome``).  Both offer the same
-three methods, and ``run`` and ``replay`` use only these, never asking which
-source they hold:
+three methods, and the step rule, ``run`` and ``replay`` use only these,
+never asking which source they hold:
 
 * ``posterior_at(total, closed)`` -- the posterior on the claim once
   ``closed`` of ``total`` paths are closed without an open one;
@@ -29,9 +31,12 @@ the honest reading of the model it was given.
 
 Every run yields a ``DecisionTrace``; ``save_trace``/``load_trace`` move it
 through JSON lines and ``replay`` re-derives every recorded quantity from
-the fractions alone, reporting the first divergence if any.  Wall-clock time
-is recorded as advisory and never checked.  Model time is ``closed * tau``,
-computed fresh each step so replay reproduces it bit for bit.
+the fractions alone, reporting the first divergence if any.  It also checks
+the numbering (0, 1, 2, ...) and each step's stop verdict: no step may follow
+a verdict, and the recorded stop reason must be the last verdict, or a proof
+when there is none.  Wall-clock time is recorded as advisory and never
+checked.  Model time is ``closed * tau``, computed fresh each step so replay
+reproduces it bit for bit.
 """
 
 from __future__ import annotations
@@ -53,8 +58,6 @@ from .belief import (
     rational_to_json,
 )
 from .decision import (
-    CostKind,
-    SearchBeliefs,
     TimeCost,
     UtilityModel,
     best_action,
@@ -132,9 +135,11 @@ class AnalyticSource:
         t_now: float,
     ) -> tuple[float, ...]:
         remaining = total - closed
-        beliefs = SearchBeliefs(post, remaining, self._model(total).conditional(closed))
+        dist = self._model(total).conditional(closed)
         return tuple(
-            nevc_multi(beliefs, config.utilities, config.timecost, x, t_now)
+            nevc_multi(
+                post, remaining, dist, config.utilities, config.timecost, x, t_now
+            )
             for x in config.lookahead_paths(remaining)
         )
 
@@ -259,65 +264,61 @@ class DecisionTrace:
     wall_time: float = field(default=0.0, compare=False)
 
 
+def _deliberate(
+    config: ControllerConfig, total: int, closed: int
+) -> tuple[Probability, tuple[float, ...], float, StopReason | None]:
+    """The stop rule at one step, ``closed`` of ``total`` paths closed.
+
+    Returns the posterior, the candidate values (empty when the deadline
+    forces the stop), the model time ``closed * tau``, and the verdict:
+    ``DEADLINE_FORCED``, ``NONPOSITIVE_EVC``, or None to search on.
+    """
+    source = config.source
+    timecost = config.timecost
+    t_now = closed * timecost.tau
+    post = source.posterior_at(total, closed)
+    chunk = min(config.chunk, total - closed)
+    if timecost.paths_in_time(t_now, chunk) < chunk:
+        return post, (), t_now, StopReason.DEADLINE_FORCED
+    nevcs = source.nevc_at(config, total, closed, post, t_now)
+    verdict = StopReason.NONPOSITIVE_EVC if max(nevcs) <= 0 else None
+    return post, nevcs, t_now, verdict
+
+
 def run(matrix: Matrix, config: ControllerConfig) -> DecisionTrace:
     """Deliberate over one matrix until proof, worthlessness, or deadline."""
     wall_started = time.perf_counter()
     state = init_search(matrix)
     total = state.total
-    timecost = config.timecost
-    utilities = config.utilities
-    source = config.source
-
     steps: list[TraceStep] = []
-    step_idx = 0
-
-    def finish(reason: StopReason, post: float, t_now: float) -> DecisionTrace:
-        action, eu = best_action(post, utilities, timecost, t_now)
-        return DecisionTrace(
-            total=total,
-            chunk=config.chunk,
-            lookaheads=config.candidates(),
-            source_desc=source.describe(),
-            utility_spec=format_utility_spec(utilities, timecost),
-            steps=steps,
-            stop_reason=reason,
-            action=action,
-            eu=eu,
-            final_posterior=float(post),
-            final_elapsed=t_now,
-            wall_time=time.perf_counter() - wall_started,
-        )
-
-    while True:
-        t_now = state.closed * timecost.tau
-        if state.status is SearchStatus.OPEN_FOUND:
-            return finish(StopReason.PROOF_OF_NOT_W, 0.0, t_now)
-        if state.status is SearchStatus.EXHAUSTED:
-            return finish(StopReason.PROOF_OF_W, 1.0, t_now)
-
+    verdict = None
+    while verdict is None and state.status is SearchStatus.RUNNING:
         closed = state.closed
-        post = source.posterior_at(total, closed)
-        remaining = total - closed
-        chunk = min(config.chunk, remaining)
-
-        if (
-            timecost.kind is CostKind.DEADLINE
-            and t_now + chunk * timecost.tau > timecost.deadline_at
-        ):
-            steps.append(
-                TraceStep(step_idx, Fraction(closed, total), float(post), (), t_now)
-            )
-            return finish(StopReason.DEADLINE_FORCED, float(post), t_now)
-
-        nevcs = source.nevc_at(config, total, closed, post, t_now)
+        post, nevcs, t_now, verdict = _deliberate(config, total, closed)
         steps.append(
-            TraceStep(step_idx, Fraction(closed, total), float(post), nevcs, t_now)
+            TraceStep(len(steps), Fraction(closed, total), float(post), nevcs, t_now)
         )
-        if max(nevcs) <= 0:
-            return finish(StopReason.NONPOSITIVE_EVC, float(post), t_now)
-
-        step_search(state, chunk)
-        step_idx += 1
+        if verdict is None:
+            step_search(state, min(config.chunk, total - closed))
+    if verdict is None:  # the search ended in a proof
+        proved = state.status is SearchStatus.EXHAUSTED
+        verdict = StopReason.PROOF_OF_W if proved else StopReason.PROOF_OF_NOT_W
+        post, t_now = float(proved), state.closed * config.timecost.tau
+    action, eu = best_action(float(post), config.utilities, config.timecost, t_now)
+    return DecisionTrace(
+        total=total,
+        chunk=config.chunk,
+        lookaheads=config.candidates(),
+        source_desc=config.source.describe(),
+        utility_spec=format_utility_spec(config.utilities, config.timecost),
+        steps=steps,
+        stop_reason=verdict,
+        action=action,
+        eu=eu,
+        final_posterior=float(post),
+        final_elapsed=t_now,
+        wall_time=time.perf_counter() - wall_started,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -503,33 +504,38 @@ def replay(
 
     checked = 0
     last_fraction = None
+    verdict = None
     for s in trace.steps:
-        if not 0 <= s.fraction <= 1:
-            return _diverged(s.step, "fraction", "within [0, 1]", s.fraction, checked)
+        if verdict is not None:
+            return _diverged(
+                s.step, "step", f"no step after {verdict.value}", s.step, checked
+            )
+        if s.step != checked:
+            return _diverged(s.step, "step", checked, s.step, checked)
+        closed_exact = s.fraction * total
+        if not 0 <= closed_exact < total:
+            return _diverged(s.step, "fraction", "within [0, 1)", s.fraction, checked)
         if last_fraction is not None and s.fraction <= last_fraction:
             return _diverged(
                 s.step, "fraction", f"> {last_fraction}", s.fraction, checked
             )
         last_fraction = s.fraction
-        closed_exact = s.fraction * total
         if closed_exact.denominator != 1:
             return _diverged(
                 s.step, "fraction", "a multiple of 1/total", s.fraction, checked
             )
-        closed = closed_exact.numerator
-        t_expect = closed * timecost.tau
-        if abs(t_expect - s.elapsed) > tol:
-            return _diverged(s.step, "t", t_expect, s.elapsed, checked)
-        post = source.posterior_at(total, closed)
+        post, nevcs, t_now, verdict = _deliberate(
+            config, total, closed_exact.numerator
+        )
+        if abs(t_now - s.elapsed) > tol:
+            return _diverged(s.step, "t", t_now, s.elapsed, checked)
         if abs(float(post) - s.posterior) > tol:
             return _diverged(s.step, "posterior", float(post), s.posterior, checked)
-        if s.nevc:
-            nevcs = source.nevc_at(config, total, closed, post, t_expect)
-            if len(nevcs) != len(s.nevc):
-                return _diverged(s.step, "nevc", nevcs, s.nevc, checked)
-            for k, (a, b) in enumerate(zip(nevcs, s.nevc)):
-                if abs(a - b) > tol:
-                    return _diverged(s.step, f"nevc[{k}]", a, b, checked)
+        if len(nevcs) != len(s.nevc):
+            return _diverged(s.step, "nevc", nevcs, s.nevc, checked)
+        for k, (a, b) in enumerate(zip(nevcs, s.nevc)):
+            if abs(a - b) > tol:
+                return _diverged(s.step, f"nevc[{k}]", a, b, checked)
         checked += 1
 
     action, eu = best_action(
@@ -539,15 +545,9 @@ def replay(
         return _diverged(None, "action", action, trace.action, checked)
     if abs(eu - trace.eu) > tol:
         return _diverged(None, "eu", eu, trace.eu, checked)
-    if trace.stop_reason is StopReason.NONPOSITIVE_EVC:
-        if not trace.steps or not trace.steps[-1].nevc:
-            return _diverged(None, "stop_reason", "a final nevc step", "none", checked)
-        if max(trace.steps[-1].nevc) > 0:
-            return _diverged(
-                None,
-                "stop_reason",
-                "max nevc <= 0",
-                max(trace.steps[-1].nevc),
-                checked,
-            )
+    # Without a verdict the search went on, so only a proof can have ended it.
+    proofs = (StopReason.PROOF_OF_W, StopReason.PROOF_OF_NOT_W)
+    if trace.stop_reason not in ((verdict,) if verdict else proofs):
+        expected = verdict.value if verdict else "a proof"
+        return _diverged(None, "stop_reason", expected, trace.stop_reason.value, checked)
     return ReplayReport(True, "clean", steps_checked=checked)

@@ -39,16 +39,13 @@ from .belief import OpenDist, Probability, first_open_cdf, first_open_mean_withi
 
 __all__ = [
     "DominanceError",
-    "MissingUtilityError",
     "LookaheadError",
     "UtilitySpecError",
     "CostKind",
     "TimeCost",
     "UtilityModel",
-    "SearchBeliefs",
     "best_action",
     "threshold",
-    "u_best",
     "nevc_multi",
     "nevc_two_outcome",
     "parse_utility_spec",
@@ -58,10 +55,6 @@ __all__ = [
 
 class DominanceError(ValueError):
     """No indifference threshold exists for this utility table."""
-
-
-class MissingUtilityError(ValueError):
-    """A believed formula has no utility entry for some action."""
 
 
 class LookaheadError(ValueError):
@@ -116,23 +109,27 @@ class TimeCost:
     def deadline(cls, at: float, penalty: float, tau: float = 1.0) -> "TimeCost":
         return cls(CostKind.DEADLINE, deadline_at=at, penalty=penalty, tau=tau)
 
-    def time_for(self, paths: int, t0: float = 0.0) -> float:
-        if paths < 0:
-            raise ValueError("paths must be >= 0")
-        return t0 + paths * self.tau
-
-    def cost(self, t: float) -> float:
-        """Additive delay cost (the deadline collapse is not additive)."""
-        if t < 0:
-            raise ValueError("t must be >= 0")
-        if self.kind is CostKind.LINEAR:
-            return self.rate * t
-        return 0.0
-
     def utility_at(self, base: float, t: float) -> float:
         if self.kind is CostKind.DEADLINE and t > self.deadline_at:
             return self.penalty
-        return base - self.cost(t)
+        if t < 0:
+            raise ValueError("t must be >= 0")
+        if self.kind is CostKind.LINEAR:
+            return base - self.rate * t
+        return base
+
+    def paths_in_time(self, t0: float, limit: int) -> int:
+        """Largest j <= limit with t0 + j*tau within the deadline (float-robust)."""
+        if self.kind is not CostKind.DEADLINE:
+            return limit
+        if t0 > self.deadline_at:
+            return 0
+        j = int((self.deadline_at - t0) / self.tau)
+        while j > 0 and t0 + j * self.tau > self.deadline_at:
+            j -= 1
+        while j < limit and t0 + (j + 1) * self.tau <= self.deadline_at:
+            j += 1
+        return min(j, limit)
 
 
 ZERO_COST = TimeCost()
@@ -169,12 +166,6 @@ class UtilityModel:
             tuple(float(pairs[a][0]) for a in names),
             tuple(float(pairs[a][1]) for a in names),
         )
-
-    def index(self, action: str) -> int:
-        try:
-            return self.actions.index(action)
-        except ValueError:
-            raise MissingUtilityError(f"unknown action {action!r}") from None
 
 
 def best_action(
@@ -217,62 +208,15 @@ def threshold(utilities: UtilityModel) -> float:
     return gain_false / (gain_false + gain_true)
 
 
-def u_best(
-    posterior_w: Probability,
-    utilities: UtilityModel,
-    timecost: TimeCost = ZERO_COST,
-    paths: int = 0,
-    t0: float = 0.0,
-) -> float:
-    """Best attainable expected utility after ``paths`` more examinations."""
-    return best_action(posterior_w, utilities, timecost, timecost.time_for(paths, t0))[1]
-
-
-@dataclass(frozen=True)
-class SearchBeliefs:
-    """Belief state mid-search: posterior on the claim, and the urn ahead.
-
-    ``remaining`` counts unexplored complete paths; ``open_dist`` is the
-    distribution of the open-path count among them under not-w, already
-    conditioned on the progress so far (``AnalyticModel.conditional``).
-    """
-
-    posterior: Probability
-    remaining: int
-    open_dist: OpenDist
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.posterior <= 1:
-            raise ValueError(f"posterior {self.posterior} outside [0, 1]")
-        if self.remaining < 0:
-            raise ValueError("remaining must be >= 0")
-
-
-def _certainty_value(
+def _act_value(
     p: Probability,
     utilities: UtilityModel,
     timecost: TimeCost,
     paths: int,
     t0: float,
 ) -> float:
-    # Search cannot move a posterior already at a certainty (or an empty
-    # remainder); its net value is pure delay: U(S, x) - U(S, 0), which is
-    # -cost(t(x)) for the additive kinds.
-    return u_best(p, utilities, timecost, paths, t0) - u_best(p, utilities, timecost, 0, t0)
-
-
-def _paths_before(timecost: TimeCost, t0: float, limit: int) -> int:
-    """Largest j <= limit with t0 + j*tau <= deadline (float-robust)."""
-    if timecost.kind is not CostKind.DEADLINE:
-        return limit
-    if t0 > timecost.deadline_at:
-        return 0
-    j = int((timecost.deadline_at - t0) / timecost.tau)
-    while j > 0 and t0 + j * timecost.tau > timecost.deadline_at:
-        j -= 1
-    while j < limit and t0 + (j + 1) * timecost.tau <= timecost.deadline_at:
-        j += 1
-    return min(j, limit)
+    """Best expected utility of acting on ``p`` after ``paths`` more examinations."""
+    return best_action(p, utilities, timecost, t0 + paths * timecost.tau)[1]
 
 
 def _halt_branch_value(
@@ -302,20 +246,26 @@ def _halt_branch_value(
                 - timecost.rate * timecost.tau * mean_j
             )
         else:  # deadline: step split at the last in-time path index
-            j_ok = _paths_before(timecost, t0, x)
+            j_ok = timecost.paths_in_time(t0, x)
             early = first_open_cdf(remaining, o, j_ok) if j_ok > 0 else Fraction(0)
             value += weight * (max_false * early + timecost.penalty * (mass - early))
     return value, halt_mass
 
 
 def nevc_multi(
-    beliefs: SearchBeliefs,
+    posterior_w: Probability,
+    remaining: int,
+    open_dist: OpenDist,
     utilities: UtilityModel,
     timecost: TimeCost = ZERO_COST,
     lookahead: int = 1,
     t0: float = 0.0,
 ) -> float:
     """Net expected value of examining ``lookahead`` more paths before acting.
+
+    ``remaining`` counts unexplored complete paths; ``open_dist`` is the
+    distribution of the open-path count among them under not-w, already
+    conditioned on the progress so far (``AnalyticModel.conditional``).
 
     Exactly: sum over halt positions j of p(halt at j) * best-disproof
     utility at t(j), plus the no-halt mass times the best utility at the
@@ -325,20 +275,23 @@ def nevc_multi(
     """
     if lookahead < 1:
         raise LookaheadError(f"lookahead {lookahead} must be >= 1")
-    p = beliefs.posterior
-    l = beliefs.remaining
-    if p <= 0 or p >= 1 or l == 0:
-        return _certainty_value(p, utilities, timecost, lookahead, t0)
-    if lookahead > l:
-        raise LookaheadError(f"lookahead {lookahead} exceeds remaining paths {l}")
+    p = posterior_w
+    if not 0 <= p <= 1:
+        raise ValueError(f"posterior {p} outside [0, 1]")
+    act_now = _act_value(p, utilities, timecost, 0, t0)
+    if p <= 0 or p >= 1 or remaining == 0:
+        return _act_value(p, utilities, timecost, lookahead, t0) - act_now
+    if lookahead > remaining:
+        raise LookaheadError(
+            f"lookahead {lookahead} exceeds remaining paths {remaining}"
+        )
     halt_value, halt_mass = _halt_branch_value(
-        beliefs.open_dist, l, lookahead, utilities, timecost, t0
+        open_dist, remaining, lookahead, utilities, timecost, t0
     )
     survival = 1 - halt_mass
     p_halt = (1 - p) * halt_mass
     drifted = p / (p + survival * (1 - p))
-    act_after = u_best(drifted, utilities, timecost, lookahead, t0)
-    act_now = u_best(p, utilities, timecost, 0, t0)
+    act_after = _act_value(drifted, utilities, timecost, lookahead, t0)
     return float((1 - p) * halt_value + (1 - p_halt) * act_after - act_now)
 
 
@@ -365,17 +318,18 @@ def nevc_two_outcome(
         raise ValueError(f"posterior {p} outside [0, 1]")
     if not 0 <= survival_ratio <= 1:
         raise ValueError(f"survival ratio {survival_ratio} outside [0, 1]")
+    act_now = _act_value(p, utilities, timecost, 0, t0)
     if p <= 0 or p >= 1:
-        return _certainty_value(p, utilities, timecost, paths, t0)
+        return _act_value(p, utilities, timecost, paths, t0) - act_now
     p_halt = (1 - p) * (1 - survival_ratio)
     drifted = p / (p + survival_ratio * (1 - p))
     u_halt = timecost.utility_at(
-        max(utilities.when_false), timecost.time_for(paths, t0)
+        max(utilities.when_false), t0 + paths * timecost.tau
     )
     return float(
         p_halt * u_halt
-        + (1 - p_halt) * u_best(drifted, utilities, timecost, paths, t0)
-        - u_best(p, utilities, timecost, 0, t0)
+        + (1 - p_halt) * _act_value(drifted, utilities, timecost, paths, t0)
+        - act_now
     )
 
 

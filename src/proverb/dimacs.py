@@ -18,7 +18,7 @@ from typing import Mapping
 
 from .matrix import Clause, Literal, Matrix
 
-__all__ = ["DimacsError", "parse_dimacs", "read_dimacs", "format_dimacs", "write_dimacs"]
+__all__ = ["DimacsError", "parse_dimacs", "read_dimacs", "format_dimacs"]
 
 
 class DimacsError(ValueError):
@@ -100,8 +100,3 @@ def format_dimacs(matrix: Matrix, metadata: Mapping[str, object] | None = None) 
         lines.append(" ".join(str(v) for v in ints + [0]))
     return "\n".join(lines) + "\n"
 
-
-def write_dimacs(
-    matrix: Matrix, path: str | Path, metadata: Mapping[str, object] | None = None
-) -> None:
-    Path(path).write_bytes(format_dimacs(matrix, metadata).encode("ascii"))

@@ -69,9 +69,6 @@ class Literal:
         if self.symbol_id < 0:
             raise ValueError(f"symbol_id {self.symbol_id} must be >= 0")
 
-    def complement(self) -> "Literal":
-        return Literal(self.symbol_id, not self.negated)
-
     def __str__(self) -> str:
         return ("~x%d" if self.negated else "x%d") % self.symbol_id
 

@@ -5,7 +5,7 @@ import warnings
 from fractions import Fraction
 
 from proverb.belief import ModelError, survival_analytic
-from proverb.decision import ZERO_COST, SearchBeliefs, TimeCost, UtilityModel, u_best
+from proverb.decision import ZERO_COST, TimeCost, UtilityModel, best_action
 
 
 def first_open_pmf(remaining: int, open_count: int, j: int) -> Fraction:
@@ -37,7 +37,9 @@ def first_open_pmf(remaining: int, open_count: int, j: int) -> Fraction:
 
 
 def nevc_one(
-    beliefs: SearchBeliefs,
+    p,
+    remaining: int,
+    open_dist,
     utilities: UtilityModel,
     timecost: TimeCost = ZERO_COST,
     t0: float = 0.0,
@@ -46,21 +48,20 @@ def nevc_one(
 
     The one-step case written out directly (halt on the next path with
     probability O/l, else act under the drifted posterior), as the oracle for
-    ``nevc_multi`` at lookahead 1.
+    ``nevc_multi`` at lookahead 1.  Takes the same belief arguments.
     """
-    p = beliefs.posterior
-    l = beliefs.remaining
-    act_now = u_best(p, utilities, timecost, 0, t0)
-    if p <= 0 or p >= 1 or l == 0:
-        return u_best(p, utilities, timecost, 1, t0) - act_now
-    pmf1 = sum(weight * Fraction(o, l) for o, weight in beliefs.open_dist)
+    t1 = t0 + timecost.tau
+    act_now = best_action(p, utilities, timecost, t0)[1]
+    if p <= 0 or p >= 1 or remaining == 0:
+        return best_action(p, utilities, timecost, t1)[1] - act_now
+    pmf1 = sum(weight * Fraction(o, remaining) for o, weight in open_dist)
     p_halt = (1 - p) * pmf1
     survival = 1 - pmf1
     drifted = p / (p + survival * (1 - p))
-    u_halt = timecost.utility_at(max(utilities.when_false), timecost.time_for(1, t0))
+    u_halt = timecost.utility_at(max(utilities.when_false), t1)
     return float(
         p_halt * u_halt
-        + (1 - p_halt) * u_best(drifted, utilities, timecost, 1, t0)
+        + (1 - p_halt) * best_action(drifted, utilities, timecost, t1)[1]
         - act_now
     )
 

@@ -27,7 +27,6 @@ from proverb.controller import (
     save_trace,
 )
 from proverb.decision import (
-    SearchBeliefs,
     TimeCost,
     UtilityModel,
     ZERO_COST,
@@ -217,16 +216,15 @@ def test_criterion_07_lookahead_value():
             remaining = rng.randint(1, 40)
             open_count = rng.randint(1, remaining)
             p = rng.uniform(0.01, 0.99)
-            beliefs = SearchBeliefs(p, remaining, ((open_count, 1),))
-            assert nevc_one(beliefs, ACT) >= -1e-12
+            assert nevc_one(p, remaining, ((open_count, 1),), ACT) >= -1e-12
         costs = [ZERO_COST, TimeCost.linear(0.04), TimeCost.deadline(3.0, -1.0)]
         for remaining in range(1, 6):
             for open_count in range(1, remaining + 1):
                 for x in range(1, remaining + 1):
                     for timecost in costs:
                         p = Fraction(rng.randint(1, 19), 20)
-                        beliefs = SearchBeliefs(p, remaining, ((open_count, 1),))
-                        got = nevc_multi(beliefs, ACT, timecost, x)
+                        dist = ((open_count, 1),)
+                        got = nevc_multi(p, remaining, dist, ACT, timecost, x)
                         want = oracle_lookahead_value(
                             p, remaining, open_count, ACT, timecost, x
                         )

@@ -11,7 +11,6 @@ import pytest
 from oracles import first_open_pmf
 from proverb.belief import (
     AnalyticModel,
-    ContextMismatchWarning,
     ContextTag,
     ModelError,
     SurvivalCurve,
@@ -20,7 +19,6 @@ from proverb.belief import (
     first_open_mean_within,
     posterior,
     survival_analytic,
-    warn_on_mismatch,
 )
 
 
@@ -345,16 +343,6 @@ def test_context_none_fields_are_wildcards():
     a = ContextTag(n_clauses=20)
     b = ContextTag(n_clauses=20, lits_per_clause=3)
     assert context_mismatches(a, b) == []
-
-
-def test_warn_on_mismatch_emits_warning():
-    a = ContextTag(n_clauses=20, heuristic="none")
-    b = ContextTag(n_clauses=25, heuristic="presort")
-    with pytest.warns(ContextMismatchWarning):
-        assert warn_on_mismatch(a, b) is False
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert warn_on_mismatch(a, a) is True
 
 
 def test_seed_and_count_do_not_trigger_mismatch():

@@ -304,14 +304,21 @@ def test_run_strict_context_mismatch_exits_4(tmp_path, capsys):
     )
     captured = capsys.readouterr()
     assert relaxed == 0
-    assert "warning:" in captured.err
+    assert captured.err.splitlines() == [
+        "warning: profile context does not match instance context "
+        "(n_clauses: 8 != 6)"
+    ]
     strict = run_cli(
         "run", str(corpus / "matrix_0.cnf"), "--utilities", UTIL,
         "--profile", str(prof_path), "--chunk", "8", "--strict",
     )
     captured = capsys.readouterr()
     assert strict == 4
-    assert "context mismatch" in captured.err
+    assert captured.err.splitlines() == [
+        "warning: profile context does not match instance context "
+        "(n_clauses: 8 != 6)",
+        "error: context mismatch under --strict",
+    ]
 
 
 def test_run_presort_profile_context(tmp_path, capsys):
@@ -333,8 +340,12 @@ def test_run_presort_profile_context(tmp_path, capsys):
         "run", str(corpus / "matrix_0.cnf"), "--utilities", UTIL,
         "--profile", str(prof_path), "--strict", "--chunk", "8",
     )
-    capsys.readouterr()
+    captured = capsys.readouterr()
     assert mismatched == 4
+    assert captured.err.splitlines()[0] == (
+        "warning: profile context does not match instance context "
+        "(heuristic: 'presort' != 'none')"
+    )
 
 
 def test_compare_heuristic_outputs(tmp_path, capsys):

@@ -259,6 +259,97 @@ def test_replay_detects_non_advancing_fraction(tmp_path):
     assert not report.ok and report.field == "fraction"
 
 
+THREE_OPEN = AnalyticSource(Fraction(1, 2), 3)
+STOP_COST = TimeCost.linear(0.004)
+
+
+def stopped_config():
+    return analytic_config(
+        chunk=8, timecost=STOP_COST, source=THREE_OPEN, lookaheads=(8, "full")
+    )
+
+
+def step_after(trace, config):
+    """The step record ``run`` would write one chunk past the trace's last step."""
+    closed = int(trace.steps[-1].fraction * trace.total) + config.chunk
+    t_now = closed * config.timecost.tau
+    post = config.source.posterior_at(trace.total, closed)
+    nevc = config.source.nevc_at(config, trace.total, closed, post, t_now)
+    return {
+        "kind": "step",
+        "step": len(trace.steps),
+        "fraction": {"num": closed, "den": trace.total},
+        "posterior": float(post),
+        "nevc": list(nevc),
+        "t": t_now,
+    }
+
+
+def drop_middle_values(trace, rows):
+    rows[len(rows) // 2]["nevc"] = []
+
+
+def relabel_deadline(trace, rows):
+    rows[-2]["nevc"] = []
+    rows[-1]["stop_reason"] = "deadline_forced"
+
+
+def renumber_one(trace, rows):
+    rows[2]["step"] = 99
+
+
+def step_past_stop(trace, rows):
+    rows.insert(-1, step_after(trace, stopped_config()))
+
+
+def last_step_at_the_end(trace, rows):
+    # Consistent in time and posterior, but no path is left to deliberate on.
+    rows[-2].update(fraction={"num": 1, "den": 1}, t=trace.total * 1.0, posterior=1.0)
+
+
+@pytest.mark.parametrize(
+    "tamper, field",
+    [
+        (drop_middle_values, "nevc"),
+        (relabel_deadline, "nevc"),
+        (renumber_one, "step"),
+        (step_past_stop, "step"),
+        (last_step_at_the_end, "fraction"),
+    ],
+)
+def test_replay_rejects_a_trace_run_could_not_write(tmp_path, tamper, field):
+    trace = run(generate(GeneratorConfig(8, 2, 4, seed=10)), stopped_config())
+    assert trace.stop_reason is StopReason.NONPOSITIVE_EVC
+    assert len(trace.steps) >= 3
+    path = tmp_path / "trace.jsonl"
+    save_trace(trace, path)
+    rows = [json.loads(line) for line in path.read_text().splitlines()]
+    tamper(trace, rows)
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    report = replay(
+        load_trace(path), utilities=ACT, timecost=STOP_COST, analytic=THREE_OPEN
+    )
+    assert report.kind == "inconsistency", report.message
+    assert report.field == field
+
+
+def test_replay_accepts_a_deadline_stop(tmp_path):
+    cost = TimeCost.deadline(at=40.0, penalty=-1.0)
+    config = analytic_config(chunk=8, timecost=cost, lookaheads=(8, "full"))
+    trace = run(generate(GeneratorConfig(8, 2, 4, seed=6)), config)
+    assert trace.stop_reason is StopReason.DEADLINE_FORCED
+    assert trace.steps[-1].nevc == ()
+    path = tmp_path / "trace.jsonl"
+    save_trace(trace, path)
+    report = replay(load_trace(path), utilities=ACT, timecost=cost, analytic=HALF)
+    assert report.kind == "clean", report.message
+    assert report.steps_checked == len(trace.steps)
+    # The same steps cannot end in any other stop.
+    path.write_text(path.read_text().replace("deadline_forced", "nonpositive_evc"))
+    report = replay(load_trace(path), utilities=ACT, timecost=cost, analytic=HALF)
+    assert (report.kind, report.field) == ("inconsistency", "stop_reason")
+
+
 def test_load_trace_rejects_malformed(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text("not json\n")

@@ -13,8 +13,6 @@ from proverb.decision import (
     CostKind,
     DominanceError,
     LookaheadError,
-    MissingUtilityError,
-    SearchBeliefs,
     TimeCost,
     UtilityModel,
     UtilitySpecError,
@@ -25,7 +23,6 @@ from proverb.decision import (
     nevc_two_outcome,
     parse_utility_spec,
     threshold,
-    u_best,
 )
 
 ACT = UtilityModel.from_pairs({"act_w": (1.0, 0.0), "act_not_w": (0.0, 1.0)})
@@ -160,28 +157,11 @@ def test_utility_model_validation():
         UtilityModel(("a", "b"), (math.inf, 0.0), (0.0, 1.0))
 
 
-def test_utility_model_lookups():
-    assert ACT.index("act_not_w") == 1
-    with pytest.raises(MissingUtilityError):
-        ACT.index("nope")
-
-
-# --- u_best ---------------------------------------------------------------------
-
-
-def test_u_best_values():
-    assert u_best(0.68, ACT) == pytest.approx(0.68)
-    assert u_best(0.5, ACT, TimeCost.linear(0.01), paths=10) == pytest.approx(0.4)
-    late = TimeCost.deadline(at=5.0, penalty=-1.0)
-    assert u_best(0.5, ACT, late, paths=10) == pytest.approx(-1.0)
-
-
 # --- one-step lookahead ----------------------------------------------------------
 
 
 def test_nevc_one_worked_value():
-    beliefs = SearchBeliefs(0.5, 2, ((1, 1),))
-    assert nevc_one(beliefs, ACT) == pytest.approx(0.25)
+    assert nevc_one(0.5, 2, ((1, 1),), ACT) == pytest.approx(0.25)
 
 
 def test_nevc_one_nonnegative_under_zero_cost():
@@ -190,16 +170,15 @@ def test_nevc_one_nonnegative_under_zero_cost():
         remaining = rng.randint(1, 50)
         open_count = rng.randint(1, remaining)
         p = rng.random()
-        beliefs = SearchBeliefs(p, remaining, ((open_count, 1),))
-        assert nevc_one(beliefs, ACT) >= -1e-12
+        assert nevc_one(p, remaining, ((open_count, 1),), ACT) >= -1e-12
 
 
 def test_nevc_one_certainty_is_pure_delay():
-    assert nevc_one(SearchBeliefs(0.0, 5, ((1, 1),)), ACT) == 0.0
-    assert nevc_one(SearchBeliefs(1.0, 5, ((1, 1),)), ACT) == 0.0
-    assert nevc_one(SearchBeliefs(0.5, 0, ((1, 1),)), ACT) == 0.0
+    assert nevc_one(0.0, 5, ((1, 1),), ACT) == 0.0
+    assert nevc_one(1.0, 5, ((1, 1),), ACT) == 0.0
+    assert nevc_one(0.5, 0, ((1, 1),), ACT) == 0.0
     cost = TimeCost.linear(0.25)
-    assert nevc_one(SearchBeliefs(1.0, 5, ((1, 1),)), ACT, cost) == pytest.approx(-0.25)
+    assert nevc_one(1.0, 5, ((1, 1),), ACT, cost) == pytest.approx(-0.25)
 
 
 def test_nevc_one_matches_enumeration_oracle():
@@ -209,7 +188,7 @@ def test_nevc_one_matches_enumeration_oracle():
         open_count = rng.randint(1, remaining)
         p = Fraction(rng.randint(1, 9), 10)
         cost = rng.choice([ZERO_COST, TimeCost.linear(0.05), TimeCost.deadline(3.0, -2.0)])
-        got = nevc_one(SearchBeliefs(p, remaining, ((open_count, 1),)), ACT, cost)
+        got = nevc_one(p, remaining, ((open_count, 1),), ACT, cost)
         want = oracle_nevc(p, remaining, {open_count: 1}, ACT, cost, 1)
         assert got == pytest.approx(want, abs=1e-12)
 
@@ -226,15 +205,14 @@ def test_nevc_multi_x1_equals_nevc_one():
         cost = rng.choice(
             [ZERO_COST, TimeCost.linear(0.1), TimeCost.deadline(10.0, -1.0)]
         )
-        beliefs = SearchBeliefs(p, remaining, ((open_count, 1),))
-        assert nevc_multi(beliefs, ACT, cost, 1) == pytest.approx(
-            nevc_one(beliefs, ACT, cost), abs=1e-12
+        beliefs = (p, remaining, ((open_count, 1),))
+        assert nevc_multi(*beliefs, ACT, cost, 1) == pytest.approx(
+            nevc_one(*beliefs, ACT, cost), abs=1e-12
         )
 
 
 def test_nevc_multi_full_lookahead_is_value_of_perfect_information():
-    beliefs = SearchBeliefs(0.5, 2, ((1, 1),))
-    assert nevc_multi(beliefs, ACT, lookahead=2) == pytest.approx(0.5)
+    assert nevc_multi(0.5, 2, ((1, 1),), ACT, lookahead=2) == pytest.approx(0.5)
 
 
 def test_nevc_multi_matches_enumeration_oracle():
@@ -245,9 +223,7 @@ def test_nevc_multi_matches_enumeration_oracle():
             for x in range(1, remaining + 1):
                 p = Fraction(rng.randint(1, 9), 10)
                 cost = costs[(remaining + open_count + x) % 3]
-                got = nevc_multi(
-                    SearchBeliefs(p, remaining, ((open_count, 1),)), ACT, cost, x
-                )
+                got = nevc_multi(p, remaining, ((open_count, 1),), ACT, cost, x)
                 want = oracle_nevc(p, remaining, {open_count: 1}, ACT, cost, x)
                 assert got == pytest.approx(want, abs=1e-12)
 
@@ -255,8 +231,7 @@ def test_nevc_multi_matches_enumeration_oracle():
 def test_nevc_multi_mixture_matches_enumeration_oracle():
     dist = {1: Fraction(1, 2), 3: Fraction(1, 2)}
     for x in range(1, 5):
-        beliefs = SearchBeliefs(Fraction(2, 5), 5, tuple(dist.items()))
-        got = nevc_multi(beliefs, ACT, ZERO_COST, x)
+        got = nevc_multi(Fraction(2, 5), 5, tuple(dist.items()), ACT, ZERO_COST, x)
         want = oracle_nevc(Fraction(2, 5), 5, dist, ACT, ZERO_COST, x)
         assert got == pytest.approx(want, abs=1e-12)
 
@@ -266,7 +241,7 @@ def test_nevc_multi_against_pmf_literal_sum():
     p, remaining, open_count, x = Fraction(1, 3), 40, 3, 17
     rate = 0.01
     cost = TimeCost.linear(rate)
-    got = nevc_multi(SearchBeliefs(p, remaining, ((open_count, 1),)), ACT, cost, x)
+    got = nevc_multi(p, remaining, ((open_count, 1),), ACT, cost, x)
     halt = sum(
         first_open_pmf(remaining, open_count, j) * Fraction(1 - rate * j)
         for j in range(1, x + 1)
@@ -287,30 +262,32 @@ def test_nevc_multi_nonnegative_under_zero_cost_grid():
                 continue
             for x in (1, remaining // 2 or 1, remaining):
                 for p in (0.01, 0.3, 0.5, 0.97):
-                    beliefs = SearchBeliefs(p, remaining, ((open_count, 1),))
-                    value = nevc_multi(beliefs, ACT, ZERO_COST, x)
+                    dist = ((open_count, 1),)
+                    value = nevc_multi(p, remaining, dist, ACT, ZERO_COST, x)
                     assert value >= -1e-12
 
 
 def test_nevc_multi_lookahead_validation():
-    beliefs = SearchBeliefs(0.5, 3, ((1, 1),))
     with pytest.raises(LookaheadError):
-        nevc_multi(beliefs, ACT, lookahead=0)
+        nevc_multi(0.5, 3, ((1, 1),), ACT, lookahead=0)
     with pytest.raises(LookaheadError):
-        nevc_multi(beliefs, ACT, lookahead=4)
+        nevc_multi(0.5, 3, ((1, 1),), ACT, lookahead=4)
+    with pytest.raises(ValueError):
+        nevc_multi(1.5, 3, ((1, 1),), ACT)
+    with pytest.raises(ValueError):
+        nevc_multi(-0.1, 3, ((1, 1),), ACT)
     # At certainty the remaining-paths cap does not apply: pure delay value.
-    assert nevc_multi(SearchBeliefs(1.0, 3, ((1, 1),)), ACT, lookahead=9) == 0.0
+    assert nevc_multi(1.0, 3, ((1, 1),), ACT, lookahead=9) == 0.0
 
 
 def test_nevc_multi_deadline_forces_negative_value():
     cost = TimeCost.deadline(at=0.5, penalty=0.0)
-    value = nevc_multi(SearchBeliefs(0.5, 2, ((1, 1),)), ACT, cost, 1)
+    value = nevc_multi(0.5, 2, ((1, 1),), ACT, cost, 1)
     assert value == pytest.approx(-0.5)
 
 
 def test_nevc_grows_with_lookahead_under_zero_cost():
-    beliefs = SearchBeliefs(0.4, 20, ((2, 1),))
-    values = [nevc_multi(beliefs, ACT, ZERO_COST, x) for x in range(1, 21)]
+    values = [nevc_multi(0.4, 20, ((2, 1),), ACT, ZERO_COST, x) for x in range(1, 21)]
     for earlier, later in zip(values, values[1:]):
         assert later >= earlier - 1e-12
 
@@ -325,8 +302,7 @@ def test_nevc_two_outcome_matches_analytic_single_chunk():
     p, remaining, open_count, x = 0.5, 8, 2, 3
     ratio = survival_analytic(remaining, open_count, x)
     got = nevc_two_outcome(p, ratio, ACT, ZERO_COST, paths=x)
-    beliefs = SearchBeliefs(p, remaining, ((open_count, 1),))
-    want = nevc_multi(beliefs, ACT, ZERO_COST, x)
+    want = nevc_multi(p, remaining, ((open_count, 1),), ACT, ZERO_COST, x)
     assert got == pytest.approx(want, abs=1e-12)
 
 
@@ -355,10 +331,10 @@ def test_nevc_two_outcome_validation():
 
 def test_certainty_value_is_negative_cost_of_waiting():
     cost = TimeCost.linear(0.2)
-    value = nevc_multi(SearchBeliefs(0.0, 4, ((1, 1),)), ACT, cost, 3)
+    value = nevc_multi(0.0, 4, ((1, 1),), ACT, cost, 3)
     assert value == pytest.approx(-0.6)
     late = TimeCost.deadline(at=1.0, penalty=-3.0)
-    value = nevc_multi(SearchBeliefs(1.0, 4, ((1, 1),)), ACT, late, 3)
+    value = nevc_multi(1.0, 4, ((1, 1),), ACT, late, 3)
     assert value == pytest.approx(-3.0 - 1.0)  # collapse replaces the win
 
 
@@ -443,18 +419,32 @@ def test_timecost_validation():
         for kind in CostKind:
             with pytest.raises(ValueError, match=f"{name} must be finite"):
                 TimeCost(kind, **{name: value})
-    with pytest.raises(ValueError):
-        ZERO_COST.time_for(-1)
-    with pytest.raises(ValueError):
-        ZERO_COST.cost(-0.5)
+    # Model time is never negative, whether given directly or as a start.
+    for cost in (ZERO_COST, TimeCost.linear(0.1), TimeCost.deadline(1.0, -1.0)):
+        with pytest.raises(ValueError, match="t must be >= 0"):
+            cost.utility_at(1.0, -0.5)
+        with pytest.raises(ValueError, match="t must be >= 0"):
+            nevc_multi(0.5, 3, ((1, 1),), ACT, cost, 1, t0=-1.0)
+        with pytest.raises(ValueError, match="t must be >= 0"):
+            nevc_two_outcome(0.5, Fraction(1, 2), ACT, cost, 1, t0=-1.0)
 
 
 def test_timecost_schedules():
     cost = TimeCost.linear(0.5, tau=2.0)
-    assert cost.time_for(3) == 6.0
-    assert cost.time_for(3, t0=1.0) == 7.0
-    assert cost.cost(4.0) == 2.0
     assert cost.utility_at(10.0, 4.0) == 8.0
+    # At certainty search only delays: 3 paths from t0 = 1 end at t = 7,
+    # and waiting 6 time units at rate 0.5 costs 3.
+    assert nevc_multi(1.0, 5, ((1, 1),), ACT, cost, 3, t0=1.0) == -3.0
+    assert nevc_two_outcome(1.0, Fraction(1, 2), ACT, cost, 3, t0=1.0) == -3.0
+    assert ZERO_COST.utility_at(10.0, 4.0) == 10.0
     late = TimeCost.deadline(at=3.0, penalty=-7.0)
     assert late.utility_at(10.0, 3.0) == 10.0
     assert late.utility_at(10.0, 3.5) == -7.0
+    # Paths that still finish in time: t0 + j*tau <= deadline, at most limit.
+    assert late.paths_in_time(0.0, 10) == 3
+    assert late.paths_in_time(1.5, 10) == 1
+    assert late.paths_in_time(0.0, 2) == 2
+    assert late.paths_in_time(3.5, 10) == 0
+    assert cost.paths_in_time(1e9, 10) == 10
+    # Float-robust: 3 * 0.1 exceeds 0.3, so only two paths fit.
+    assert TimeCost.deadline(at=0.3, penalty=0.0, tau=0.1).paths_in_time(0.0, 5) == 2

@@ -60,8 +60,7 @@ def naive_sat(matrix):
 def test_literal_basics():
     a = Literal(0)
     assert str(a) == "x0"
-    assert str(a.complement()) == "~x0"
-    assert a.complement().complement() == a
+    assert str(Literal(0, True)) == "~x0"
     with pytest.raises(ValueError):
         Literal(-1)
 
