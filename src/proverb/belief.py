@@ -21,6 +21,10 @@ among the remaining paths: it is the j-th with probability
 sum (``first_open_cdf``) and truncated mean (``first_open_mean_within``)
 price the chance that more search halts early with a disproof; ``p(j)``
 itself, position by position, is a test oracle in ``tests/oracles.py``.
+Both sums up to ``x`` follow from the survival ``S`` of the first ``x``
+paths alone:
+
+    sum_{j<=x} p(j) = 1 - S,   sum_{j<=x} j*p(j) = ((l+1) - S*(l+1+x*O)) / (O+1)
 
 Everything here is exact when fed exact numbers: integer inputs produce
 `fractions.Fraction` outputs, and floats are only introduced by the caller.
@@ -29,9 +33,8 @@ Everything here is exact when fed exact numbers: integer inputs produce
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 from typing import Iterable, Mapping, Union
 
 __all__ = [
@@ -70,8 +73,7 @@ class ContextTag:
 
     Profiles only transfer to instances drawn from the same distribution;
     the tag records the generator configuration and heuristic so a mismatch
-    can at least be flagged.  ``source`` is a free-form advisory label and
-    never participates in comparisons or files.
+    can at least be flagged.
     """
 
     n_clauses: int | None = None
@@ -80,7 +82,6 @@ class ContextTag:
     seed: int | None = None
     count: int | None = None
     heuristic: str = "none"
-    source: str = field(default="", compare=False)
 
 
 _CONTEXT_KEYS = (
@@ -89,7 +90,7 @@ _CONTEXT_KEYS = (
 
 
 def context_to_json(tag: ContextTag) -> dict:
-    """The tag as a JSON object, ``source`` left out."""
+    """The tag as a JSON object."""
     return {key: getattr(tag, key) for key in _CONTEXT_KEYS}
 
 
@@ -293,9 +294,11 @@ def first_open_cdf(remaining: int, open_count: int, within: int) -> Fraction:
 def first_open_mean_within(remaining: int, open_count: int, within: int) -> Fraction:
     """Truncated mean  sum_{j<=within} j * p(j)  of the first-open position.
 
-    Uses sum_{j<=x} j*p(j) = sum_{t=1..x} p(J >= t) - x*p(J > x) and the
+    The closed form in the module docstring comes from
+    sum_{j<=x} j*p(j) = sum_{t=1..x} p(J >= t) - x*p(J > x) and the
     hockey-stick identity sum_{u<x} C(l-u, O) = C(l+1, O+1) - C(l-x+1, O+1),
-    so the cost is O(open_count) big-integer operations regardless of x.
+    divided by C(l, O).  It costs one survival product, O(open_count)
+    big-integer operations, regardless of x.
     """
     if within < 0:
         raise ValueError("within must be >= 0")
@@ -305,6 +308,6 @@ def first_open_mean_within(remaining: int, open_count: int, within: int) -> Frac
         return Fraction(0)
     if o < 1 or o > l:
         raise ModelError(f"open_count {o} invalid for {l} remaining paths")
-    head = Fraction(comb(l + 1, o + 1) - comb(l - x + 1, o + 1), comb(l, o))
-    return head - x * survival_analytic(l, o, x)
+    survival = survival_analytic(l, o, x)
+    return (l + 1 - survival * (l + 1 + x * o)) / (o + 1)
 

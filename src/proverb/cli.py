@@ -15,23 +15,14 @@ from pathlib import Path
 
 from . import belief, controller, decision, dimacs, generator, profiles
 from .heuristics import Heuristic
-from .matrix import SearchStatus, init_search, solve, step_search, total_paths
+from .matrix import SearchStatus, init_search, step_search, total_paths
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_RUNNING = 3
 EXIT_CONTEXT = 4
 
-_USER_ERRORS = (
-    ValueError,
-    dimacs.DimacsError,
-    generator.ConfigError,
-    profiles.MalformedProfileError,
-    decision.UtilitySpecError,
-    belief.ModelError,
-    controller.MalformedTraceError,
-    OSError,
-)
+_USER_ERRORS = (ValueError, OSError)  # every input error subclasses ValueError
 
 
 def _fail(message: str) -> int:
@@ -96,38 +87,38 @@ def _instance_context(meta: dict, heuristic: Heuristic) -> belief.ContextTag:
     )
 
 
-def _generator_context(
-    config: generator.GeneratorConfig, count: int, heuristic: Heuristic
-) -> belief.ContextTag:
-    return belief.ContextTag(
-        config.n_clauses,
-        config.lits_per_clause,
-        config.alphabet_size,
-        config.seed,
-        count,
-        heuristic.value,
+def _family(args) -> generator.GeneratorConfig:
+    return generator.GeneratorConfig(args.clauses, args.lits, args.alphabet, args.seed)
+
+
+def _collect(args, corpus, heuristic: Heuristic) -> profiles.Profile:
+    """Profile the family's corpus, tagged with the family and heuristic."""
+    context = belief.ContextTag(
+        args.clauses, args.lits, args.alphabet, args.seed, args.count, heuristic.value
     )
+    return profiles.collect(
+        corpus, heuristic, context=context, step_cap=args.step_cap, jobs=args.jobs
+    )
+
+
+def _read_instance(args):
+    """The DIMACS file's matrix (presorted under --presort), header and heuristic."""
+    matrix, meta = dimacs.read_dimacs(args.file)
+    heuristic = Heuristic.PRESORT if args.presort else Heuristic.NONE
+    return heuristic.apply(matrix), meta, heuristic
 
 
 def _gen(args) -> int:
-    config = generator.GeneratorConfig(
-        args.clauses, args.lits, args.alphabet, args.seed
-    )
-    paths = generator.write_corpus(config, args.count, args.out, args.prefix)
+    paths = generator.write_corpus(_family(args), args.count, args.out, args.prefix)
     print(f"wrote {len(paths)} instances to {args.out}")
     return EXIT_OK
 
 
 def _prove(args) -> int:
-    matrix, _meta = dimacs.read_dimacs(args.file)
-    heuristic = Heuristic.PRESORT if args.presort else Heuristic.NONE
-    matrix = heuristic.apply(matrix)
-    if args.budget is None:
-        state = solve(matrix)
-    else:
-        state = init_search(matrix)
-        if state.status is SearchStatus.RUNNING:
-            step_search(state, args.budget)
+    matrix, _meta, _heuristic = _read_instance(args)
+    state = init_search(matrix)
+    if state.status is SearchStatus.RUNNING:
+        step_search(state, state.total if args.budget is None else args.budget)
 
     status = {
         SearchStatus.EXHAUSTED: "W_TRUE",
@@ -151,18 +142,9 @@ def _prove(args) -> int:
 
 
 def _profile(args) -> int:
-    config = generator.GeneratorConfig(
-        args.clauses, args.lits, args.alphabet, args.seed
-    )
-    corpus = generator.generate_corpus(config, args.count)
+    corpus = generator.generate_corpus(_family(args), args.count)
     heuristic = Heuristic.PRESORT if args.presort else Heuristic.NONE
-    profile = profiles.collect(
-        corpus,
-        heuristic,
-        context=_generator_context(config, args.count, heuristic),
-        step_cap=args.step_cap,
-        jobs=args.jobs,
-    )
+    profile = _collect(args, corpus, heuristic)
     profiles.save(profile, args.out)
     print(
         f"profile over {len(profile.records)} instances "
@@ -213,9 +195,7 @@ def _decide(args) -> int:
 
 
 def _run(args) -> int:
-    matrix, meta = dimacs.read_dimacs(args.file)
-    heuristic = Heuristic.PRESORT if args.presort else Heuristic.NONE
-    matrix = heuristic.apply(matrix)
+    matrix, meta, heuristic = _read_instance(args)
     utilities, timecost = decision.parse_utility_spec(args.utilities)
 
     if (args.profile is None) == (args.analytic is None):
@@ -268,22 +248,14 @@ def _run(args) -> int:
 
 
 def _compare(args) -> int:
-    config = generator.GeneratorConfig(
-        args.clauses, args.lits, args.alphabet, args.seed
-    )
-    corpus = generator.generate_corpus(config, args.count)
+    corpus = generator.generate_corpus(_family(args), args.count)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    built = {}
+    built = []
     for heuristic in (Heuristic.NONE, Heuristic.PRESORT):
-        context = _generator_context(config, args.count, heuristic)
-        profile = profiles.collect(
-            corpus, heuristic, context=context, step_cap=args.step_cap, jobs=args.jobs
-        )
-        profiles.save(profile, out_dir / f"profile_{heuristic.value}.json")
-        built[heuristic.value] = profile
-
-    plain, sorted_ = built["none"], built["presort"]
+        built.append(_collect(args, corpus, heuristic))
+        profiles.save(built[-1], out_dir / f"profile_{heuristic.value}.json")
+    plain, sorted_ = built
     # Same s column in both tables: keep plain's, then presort's other two.
     rows = zip(
         *(profiles.export_curve_csv(p).splitlines()[1:] for p in (plain, sorted_))
@@ -304,14 +276,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="budgeted open-path proving with value-of-computation stopping",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # An instance family and where its output goes; then how to profile it.
+    family = argparse.ArgumentParser(add_help=False)
+    for flag in ("--clauses", "--lits", "--alphabet", "--seed", "--count"):
+        family.add_argument(flag, type=int, required=True)
+    family.add_argument("--out", required=True)
+    collecting = argparse.ArgumentParser(add_help=False, parents=[family])
+    collecting.add_argument("--jobs", type=int, default=1)
+    collecting.add_argument("--step-cap", type=int, default=None)
 
-    p = sub.add_parser("gen", help="write a random DIMACS corpus")
-    p.add_argument("--clauses", type=int, required=True)
-    p.add_argument("--lits", type=int, required=True)
-    p.add_argument("--alphabet", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--count", type=int, required=True)
-    p.add_argument("--out", required=True)
+    p = sub.add_parser("gen", parents=[family], help="write a random DIMACS corpus")
     p.add_argument("--prefix", default="matrix")
     p.set_defaults(handler=_gen)
 
@@ -321,16 +295,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--presort", action="store_true")
     p.set_defaults(handler=_prove)
 
-    p = sub.add_parser("profile", help="collect a prior + survival curve over a corpus")
-    p.add_argument("--clauses", type=int, required=True)
-    p.add_argument("--lits", type=int, required=True)
-    p.add_argument("--alphabet", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--count", type=int, required=True)
-    p.add_argument("--out", required=True)
+    p = sub.add_parser(
+        "profile",
+        parents=[collecting],
+        help="collect a prior + survival curve over a corpus",
+    )
     p.add_argument("--presort", action="store_true")
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--step-cap", type=int, default=None, dest="step_cap")
     p.set_defaults(handler=_profile)
 
     p = sub.add_parser("curve", help="export a profile's survival/posterior table")
@@ -362,16 +332,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_run)
 
     p = sub.add_parser(
-        "compare-heuristic", help="paired plain/presort profiles on one corpus"
+        "compare-heuristic",
+        parents=[collecting],
+        help="paired plain/presort profiles on one corpus",
     )
-    p.add_argument("--clauses", type=int, required=True)
-    p.add_argument("--lits", type=int, required=True)
-    p.add_argument("--alphabet", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--count", type=int, required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--step-cap", type=int, default=None, dest="step_cap")
     p.set_defaults(handler=_compare)
 
     return parser

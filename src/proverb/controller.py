@@ -32,11 +32,14 @@ the honest reading of the model it was given.
 Every run yields a ``DecisionTrace``; ``save_trace``/``load_trace`` move it
 through JSON lines and ``replay`` re-derives every recorded quantity from
 the fractions alone, reporting the first divergence if any.  It also checks
-the numbering (0, 1, 2, ...) and each step's stop verdict: no step may follow
-a verdict, and the recorded stop reason must be the last verdict, or a proof
-when there is none.  Wall-clock time is recorded as advisory and never
-checked.  Model time is ``closed * tau``, computed fresh each step so replay
-reproduces it bit for bit.
+the numbering (0, 1, 2, ...), that step 0 sits at fraction 0, and each
+step's stop verdict: no step may follow a verdict, and the recorded stop
+reason must be the last verdict, or a proof when there is none.  The final
+record's posterior and model time must be where the run stopped: the last
+step's after a verdict, 1 and ``total * tau`` after ``proof_of_w``, 0 and no
+earlier than the last step after ``proof_of_not_w``.  Wall-clock time is
+recorded as advisory and never checked.  Model time is ``closed * tau``,
+computed fresh each step so replay reproduces it bit for bit.
 """
 
 from __future__ import annotations
@@ -50,6 +53,7 @@ from pathlib import Path
 from typing import Any, Mapping
 
 from .belief import (
+    FLOAT_TOL,
     AnalyticModel,
     Probability,
     context_to_json,
@@ -463,7 +467,6 @@ def replay(
     timecost: TimeCost,
     profile: Profile | None = None,
     analytic: AnalyticSource | None = None,
-    tol: float = 1e-9,
 ) -> ReplayReport:
     """Re-derive every step of a trace and compare against what was recorded.
 
@@ -513,6 +516,8 @@ def replay(
         if s.step != checked:
             return _diverged(s.step, "step", checked, s.step, checked)
         closed_exact = s.fraction * total
+        if checked == 0 and s.fraction != 0:
+            return _diverged(s.step, "fraction", Fraction(0), s.fraction, checked)
         if not 0 <= closed_exact < total:
             return _diverged(s.step, "fraction", "within [0, 1)", s.fraction, checked)
         if last_fraction is not None and s.fraction <= last_fraction:
@@ -527,27 +532,41 @@ def replay(
         post, nevcs, t_now, verdict = _deliberate(
             config, total, closed_exact.numerator
         )
-        if abs(t_now - s.elapsed) > tol:
+        if abs(t_now - s.elapsed) > FLOAT_TOL:
             return _diverged(s.step, "t", t_now, s.elapsed, checked)
-        if abs(float(post) - s.posterior) > tol:
+        if abs(float(post) - s.posterior) > FLOAT_TOL:
             return _diverged(s.step, "posterior", float(post), s.posterior, checked)
         if len(nevcs) != len(s.nevc):
             return _diverged(s.step, "nevc", nevcs, s.nevc, checked)
         for k, (a, b) in enumerate(zip(nevcs, s.nevc)):
-            if abs(a - b) > tol:
+            if abs(a - b) > FLOAT_TOL:
                 return _diverged(s.step, f"nevc[{k}]", a, b, checked)
         checked += 1
 
-    action, eu = best_action(
-        trace.final_posterior, utilities, timecost, trace.final_elapsed
-    )
-    if action != trace.action:
-        return _diverged(None, "action", action, trace.action, checked)
-    if abs(eu - trace.eu) > tol:
-        return _diverged(None, "eu", eu, trace.eu, checked)
     # Without a verdict the search went on, so only a proof can have ended it.
     proofs = (StopReason.PROOF_OF_W, StopReason.PROOF_OF_NOT_W)
     if trace.stop_reason not in ((verdict,) if verdict else proofs):
         expected = verdict.value if verdict else "a proof"
         return _diverged(None, "stop_reason", expected, trace.stop_reason.value, checked)
+    # The run acts at the belief and time it stopped at.
+    last_t = trace.steps[-1].elapsed if trace.steps else 0.0
+    if verdict is not None:
+        final = (trace.steps[-1].posterior, last_t)
+    elif trace.stop_reason is StopReason.PROOF_OF_W:
+        final = (1.0, total * timecost.tau)
+    else:  # the open path turned up within the last chunk searched
+        final = (0.0, max(last_t, trace.final_elapsed))
+    for fld, expected, actual in (
+        ("posterior", final[0], trace.final_posterior),
+        ("t", final[1], trace.final_elapsed),
+    ):
+        if abs(expected - actual) > FLOAT_TOL:
+            return _diverged(None, fld, expected, actual, checked)
+    action, eu = best_action(
+        trace.final_posterior, utilities, timecost, trace.final_elapsed
+    )
+    if action != trace.action:
+        return _diverged(None, "action", action, trace.action, checked)
+    if abs(eu - trace.eu) > FLOAT_TOL:
+        return _diverged(None, "eu", eu, trace.eu, checked)
     return ReplayReport(True, "clean", steps_checked=checked)

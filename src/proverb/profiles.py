@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -154,6 +153,9 @@ def collect(
         raise ValueError("corpus is empty")
     work = [(i, m, heuristic.value, step_cap) for i, m in enumerate(corpus)]
     if jobs > 1:
+        # Imported here: only a parallel run pays for loading multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(pool.map(_run_one, work, chunksize=8))
     else:

@@ -510,7 +510,11 @@ def test_import_leaves_numpy_out():
 
     src = str(Path(proverb.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    code = "import proverb.cli, sys; assert 'numpy' not in sys.modules"
+    code = (
+        "import proverb.cli, sys; "
+        "loaded = {'numpy', 'concurrent.futures', 'multiprocessing'} & set(sys.modules); "
+        "assert not loaded, loaded"
+    )
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 

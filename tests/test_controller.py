@@ -17,7 +17,7 @@ from proverb.controller import (
     run,
     save_trace,
 )
-from proverb.decision import TimeCost, UtilityModel, ZERO_COST
+from proverb.decision import TimeCost, UtilityModel, ZERO_COST, best_action
 from proverb.generator import GeneratorConfig, generate, generate_corpus
 from proverb.matrix import Matrix, literals, solve, total_paths, SearchStatus
 from proverb.profiles import collect
@@ -307,6 +307,19 @@ def last_step_at_the_end(trace, rows):
     rows[-2].update(fraction={"num": 1, "den": 1}, t=trace.total * 1.0, posterior=1.0)
 
 
+def final_moved(trace, rows):
+    # The stop moved to another belief and time, its action and eu recomputed.
+    action, eu = best_action(0.99, ACT, STOP_COST, 0.0)
+    rows[-1].update(posterior=0.99, t=0.0, action=action, eu=eu)
+
+
+def first_step_dropped(trace, rows):
+    # Run always deliberates first with nothing closed.
+    del rows[1]
+    for k, row in enumerate(rows[1:-1]):
+        row["step"] = k
+
+
 @pytest.mark.parametrize(
     "tamper, field",
     [
@@ -315,6 +328,8 @@ def last_step_at_the_end(trace, rows):
         (renumber_one, "step"),
         (step_past_stop, "step"),
         (last_step_at_the_end, "fraction"),
+        (final_moved, "posterior"),
+        (first_step_dropped, "fraction"),
     ],
 )
 def test_replay_rejects_a_trace_run_could_not_write(tmp_path, tamper, field):

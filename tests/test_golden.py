@@ -6,7 +6,9 @@ the profile, curve, compare and trace formats byte for byte; a deliberate
 format change must update the constant alongside the code.  Trace files are
 compared with the advisory ``wall_time`` removed, because it is the only
 value that differs between two runs.  The five scripts under ``demos/`` are
-deterministic, so their stdout is pinned the same way.
+deterministic, so their stdout is pinned the same way, and so is one scripted
+command-line session: every subcommand's exit code, stdout, stderr and
+written files.
 """
 
 import hashlib
@@ -49,6 +51,7 @@ COMPARE_CSV = "f25e808fd76d50660affd43113c1ca179c50bc2f9ffb8f59b25cfee0f2223881"
 TRACE_ANALYTIC = "98ed41cbbcd198047d593dcdbb9d4228369e160bb05ff6c691ed3df92690afa1"
 TRACE_MIXTURE = "a1a63ea2befd73d541df1d82754a1f9eaafb7a48a34aca5dccf1b4bb108b872c"
 TRACE_PROFILE = "441405c6bfaa870a34039386279384c76c4cf49e1b896bb3d1ef7cd16424284b"
+CLI_SESSION = "47dd0c9f046fd4f39f999bab6410689c14bac7d08cf9a1b8295392013921baaa"
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = {
@@ -160,3 +163,46 @@ def test_demo_stdout(script):
         env=env, capture_output=True, check=True,
     )
     assert digest(result.stdout) == DEMOS[script]
+
+
+UTIL = (
+    "actions=act_w,act_not_w; u(act_w,w)=1; u(act_w,~w)=0; "
+    "u(act_not_w,w)=0; u(act_not_w,~w)=1"
+)
+FAMILY_FLAGS = ["--clauses", "8", "--lits", "2", "--alphabet", "4", "--seed", "10"]
+CNF, PROFILE = "{tmp}/corpus/matrix_0.cnf", "{tmp}/profile.json"
+LINEAR = UTIL + "; cost=linear:0.004"
+# One argv per command; ``{tmp}`` stands for the session directory.
+SESSION = [
+    ["gen", *FAMILY_FLAGS, "--count", "4", "--out", "{tmp}/corpus"],
+    ["prove", CNF],
+    ["prove", CNF, "--budget", "5"],
+    ["prove", CNF, "--presort"],
+    ["profile", *FAMILY_FLAGS, "--count", "12", "--out", PROFILE],
+    ["curve", "--profile", PROFILE, "--out", "{tmp}/curve.csv"],
+    ["curve", "--profile", PROFILE, "--out", "{tmp}/curve13.csv", "--prior", "1/3"],
+    ["decide", "--utilities", UTIL, "--posterior", "0.7"],
+    ["decide", "--utilities", UTIL, "--prior", "0.3", "--survival", "0.2"],
+    ["decide", "--utilities", UTIL, "--profile", PROFILE, "--fraction", "1/2"],
+    ["run", CNF, "--utilities", LINEAR, "--analytic", "3", "--prior", "1/2",
+     "--chunk", "1", "--lookahead", "1,full", "--out", "{tmp}/analytic.jsonl"],
+    ["run", CNF, "--utilities", LINEAR, "--profile", PROFILE, "--chunk", "4",
+     "--out", "{tmp}/profile.jsonl"],
+    ["run", CNF, "--utilities", UTIL, "--profile", PROFILE, "--presort", "--strict"],
+    ["compare-heuristic", *FAMILY_FLAGS, "--count", "12", "--out", "{tmp}/cmp"],
+    ["prove", "{tmp}/bad.cnf"],
+]
+
+
+def test_cli_session_bytes(tmp_path, capsys):
+    (tmp_path / "bad.cnf").write_text("p cnf 2 1\n1 x 0\n")
+    record = []
+    for argv in SESSION:
+        code = main([arg.format(tmp=tmp_path) for arg in argv])
+        out, err = capsys.readouterr()
+        record.append(f"$ {' '.join(argv)}\nexit {code}\n{out}--- stderr\n{err}")
+    for path in sorted(p for p in tmp_path.rglob("*") if p.is_file()):
+        text = re.sub(r', "wall_time": [^,}]+', "", path.read_text())
+        record.append(f"# {path.relative_to(tmp_path)}\n{text}")
+    session = "".join(record).replace(str(tmp_path), "{tmp}")
+    assert digest(session.encode("ascii")) == CLI_SESSION
