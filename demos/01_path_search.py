@@ -6,7 +6,7 @@ contradictory, hence closed.  If every path closes, ~w is impossible and w
 is proved; one open path is a countermodel and disproves w.
 """
 
-from proverb import (
+from proverb.matrix import (
     Matrix,
     SearchStatus,
     fraction_explored,

@@ -8,7 +8,8 @@ the survival curve: p(search alive at fraction s | the claim is false).
 
 from fractions import Fraction
 
-from proverb import GeneratorConfig, collect, export_curve_csv, generate_corpus
+from proverb.generator import GeneratorConfig, generate_corpus
+from proverb.profiles import collect, export_curve_csv
 
 
 def main():

@@ -9,14 +9,9 @@ same one-line Bayes update: survival is the only evidence.
 
 from fractions import Fraction
 
-from proverb import (
-    AnalyticModel,
-    GeneratorConfig,
-    collect,
-    generate_corpus,
-    posterior,
-    survival_analytic,
-)
+from proverb.belief import AnalyticModel, posterior, survival_analytic
+from proverb.generator import GeneratorConfig, generate_corpus
+from proverb.profiles import collect
 
 
 def main():

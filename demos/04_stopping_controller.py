@@ -8,16 +8,10 @@ posterior.  Proofs and deadlines cut the loop short.
 
 from fractions import Fraction
 
-from proverb import (
-    AnalyticSource,
-    ControllerConfig,
-    GeneratorConfig,
-    TimeCost,
-    UtilityModel,
-    generate,
-    run,
-    total_paths,
-)
+from proverb.controller import AnalyticSource, ControllerConfig, run
+from proverb.decision import TimeCost, UtilityModel
+from proverb.generator import GeneratorConfig, generate
+from proverb.matrix import total_paths
 
 UTILITIES = UtilityModel.from_pairs(
     {"publish": (1.0, 0.0), "withdraw": (0.0, 1.0)}

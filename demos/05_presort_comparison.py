@@ -8,7 +8,9 @@ prior; only the survival curve can shift.
 
 from fractions import Fraction
 
-from proverb import GeneratorConfig, Heuristic, collect, generate_corpus
+from proverb.generator import GeneratorConfig, generate_corpus
+from proverb.heuristics import Heuristic
+from proverb.profiles import collect
 
 
 def main():

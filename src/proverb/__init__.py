@@ -1,162 +1,15 @@
 """Budgeted open-path proving with value-of-computation stopping.
 
-The package splits into three layers.  ``matrix``/``dimacs``/``generator``
+The package splits into three layers, and its modules are the API: import
+each name from the module that declares it in ``__all__``, e.g.
+``from proverb.controller import run``.  ``matrix``/``dimacs``/``generator``
 hold the object language: clause matrices, exhaustive path search with an
-explicit budget, and a portable random-instance generator.  ``belief`` and
-``profiles`` turn partial search into a posterior over entailment, either
-from a counting model or from survival statistics collected on a corpus.
-``decision`` and ``controller`` put a price on further search and stop the
-prover when expected value runs out.
+explicit budget, and a portable random-instance generator.  ``heuristics``
+reorders clauses before search.  ``belief`` and ``profiles`` turn partial
+search into a posterior over entailment, either from a counting model or
+from survival statistics collected on a corpus.  ``decision`` and
+``controller`` put a price on further search and stop the prover when
+expected value runs out.  ``cli`` is the command-line front end.
 """
 
-from .belief import (
-    AnalyticModel,
-    ContextTag,
-    ModelError,
-    SurvivalCurve,
-    first_open_cdf,
-    first_open_mean_within,
-    posterior,
-    survival_analytic,
-)
-from .controller import (
-    AnalyticSource,
-    ControllerConfig,
-    DecisionTrace,
-    MalformedTraceError,
-    ProfileSource,
-    ReplayReport,
-    StopReason,
-    TraceStep,
-    load_trace,
-    replay,
-    run,
-    save_trace,
-)
-from .decision import (
-    CostKind,
-    DominanceError,
-    LookaheadError,
-    TimeCost,
-    UtilityModel,
-    UtilitySpecError,
-    ZERO_COST,
-    best_action,
-    format_utility_spec,
-    nevc_multi,
-    nevc_two_outcome,
-    parse_utility_spec,
-    threshold,
-)
-from .dimacs import DimacsError, format_dimacs, parse_dimacs, read_dimacs
-from .generator import (
-    ConfigError,
-    GeneratorConfig,
-    SplitMix64,
-    generate,
-    generate_corpus,
-    instance_seed,
-    write_corpus,
-)
-from .heuristics import Heuristic, presort
-from .matrix import (
-    Clause,
-    InvalidStateError,
-    Literal,
-    Matrix,
-    OracleLimitError,
-    SearchState,
-    SearchStatus,
-    brute_force_sat,
-    fraction_explored,
-    init_search,
-    literals,
-    solve,
-    step_search,
-    total_paths,
-)
-from .profiles import (
-    InstanceRecord,
-    MalformedProfileError,
-    Profile,
-    VersionMismatchError,
-    collect,
-    export_curve_csv,
-    load,
-    save,
-    write_curve_csv,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AnalyticModel",
-    "AnalyticSource",
-    "Clause",
-    "ConfigError",
-    "ContextTag",
-    "ControllerConfig",
-    "CostKind",
-    "DecisionTrace",
-    "DimacsError",
-    "DominanceError",
-    "GeneratorConfig",
-    "Heuristic",
-    "InstanceRecord",
-    "InvalidStateError",
-    "Literal",
-    "LookaheadError",
-    "MalformedProfileError",
-    "MalformedTraceError",
-    "Matrix",
-    "ModelError",
-    "OracleLimitError",
-    "Profile",
-    "ProfileSource",
-    "ReplayReport",
-    "SearchState",
-    "SearchStatus",
-    "SplitMix64",
-    "StopReason",
-    "SurvivalCurve",
-    "TimeCost",
-    "TraceStep",
-    "UtilityModel",
-    "UtilitySpecError",
-    "VersionMismatchError",
-    "ZERO_COST",
-    "best_action",
-    "brute_force_sat",
-    "collect",
-    "export_curve_csv",
-    "first_open_cdf",
-    "first_open_mean_within",
-    "format_dimacs",
-    "format_utility_spec",
-    "fraction_explored",
-    "generate",
-    "generate_corpus",
-    "init_search",
-    "instance_seed",
-    "literals",
-    "load",
-    "load_trace",
-    "nevc_multi",
-    "nevc_two_outcome",
-    "parse_dimacs",
-    "parse_utility_spec",
-    "posterior",
-    "presort",
-    "read_dimacs",
-    "replay",
-    "run",
-    "save",
-    "save_trace",
-    "solve",
-    "step_search",
-    "survival_analytic",
-    "threshold",
-    "total_paths",
-    "write_corpus",
-    "write_curve_csv",
-]

@@ -33,7 +33,7 @@ Everything here is exact when fed exact numbers: integer inputs produce
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
@@ -84,9 +84,7 @@ class ContextTag:
     heuristic: str = "none"
 
 
-_CONTEXT_KEYS = (
-    "n_clauses", "lits_per_clause", "alphabet_size", "seed", "count", "heuristic"
-)
+_CONTEXT_KEYS = tuple(f.name for f in fields(ContextTag))
 
 
 def context_to_json(tag: ContextTag) -> dict:

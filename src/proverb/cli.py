@@ -249,13 +249,12 @@ def _run(args) -> int:
 
 def _compare(args) -> int:
     corpus = generator.generate_corpus(_family(args), args.count)
+    plain = _collect(args, corpus, Heuristic.NONE)
+    sorted_ = _collect(args, corpus, Heuristic.PRESORT)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    built = []
-    for heuristic in (Heuristic.NONE, Heuristic.PRESORT):
-        built.append(_collect(args, corpus, heuristic))
-        profiles.save(built[-1], out_dir / f"profile_{heuristic.value}.json")
-    plain, sorted_ = built
+    profiles.save(plain, out_dir / "profile_none.json")
+    profiles.save(sorted_, out_dir / "profile_presort.json")
     # Same s column in both tables: keep plain's, then presort's other two.
     rows = zip(
         *(profiles.export_curve_csv(p).splitlines()[1:] for p in (plain, sorted_))

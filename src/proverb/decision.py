@@ -44,6 +44,7 @@ __all__ = [
     "CostKind",
     "TimeCost",
     "UtilityModel",
+    "ZERO_COST",
     "best_action",
     "threshold",
     "nevc_multi",

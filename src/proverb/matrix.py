@@ -14,11 +14,6 @@ and the count of pruned complete paths (the product of the remaining clause
 widths) is added to an exact integer tally.  The explored fraction of the
 path space is therefore an exact rational at every moment, and the walk can
 be paused on a path budget and resumed later without losing a single count.
-
-``brute_force_sat`` answers the same satisfiability question by sweeping all
-``2**k`` truth assignments at once, one bit per assignment in a big integer.
-It shares no code or traversal logic with the path search and serves as an
-independent verification oracle.
 """
 
 from __future__ import annotations
@@ -34,19 +29,14 @@ __all__ = [
     "Matrix",
     "SearchStatus",
     "SearchState",
-    "OracleLimitError",
     "InvalidStateError",
     "total_paths",
     "init_search",
     "step_search",
     "solve",
     "fraction_explored",
-    "brute_force_sat",
+    "literals",
 ]
-
-
-class OracleLimitError(ValueError):
-    """Raised when the truth-table oracle is asked to sweep too many symbols."""
 
 
 class InvalidStateError(RuntimeError):
@@ -137,8 +127,7 @@ class SearchState:
         "closure_count",
         "_lits",
         "_tails",
-        "_pos",
-        "_neg",
+        "_on_path",
         "_stack",
         "_cursor",
     )
@@ -146,8 +135,10 @@ class SearchState:
     def __init__(self, matrix: Matrix) -> None:
         self.matrix = matrix
         n = matrix.n_clauses
+        # Literal codes: 2 * symbol + negated, so a literal's complement is
+        # code ^ 1 and _on_path[code] counts its occurrences on the subpath.
         self._lits = [
-            [(lit.symbol_id, lit.negated) for lit in cl] for cl in matrix.clauses
+            [2 * lit.symbol_id + lit.negated for lit in cl] for cl in matrix.clauses
         ]
         # _tails[d] = number of complete paths below one node at depth d,
         # i.e. the product of clause widths from clause d (0-based) on.
@@ -159,8 +150,7 @@ class SearchState:
         self.closed = 0
         self.closure_count = 0
         self.witness: tuple[Literal, ...] | None = None
-        self._pos = [0] * matrix.alphabet_size
-        self._neg = [0] * matrix.alphabet_size
+        self._on_path = [0] * (2 * matrix.alphabet_size)
         self._stack: list[int] = []
         self._cursor = 0
         if self.total == 0:
@@ -213,8 +203,7 @@ def step_search(
 
     clauses = state._lits
     tails = state._tails
-    pos = state._pos
-    neg = state._neg
+    on_path = state._on_path
     stack = state._stack
     n = len(clauses)
     total = state.total
@@ -240,15 +229,11 @@ def step_search(
                 status = SearchStatus.EXHAUSTED
                 break
             li = stack.pop()
-            sym, ng = clauses[len(stack)][li]
-            if ng:
-                neg[sym] -= 1
-            else:
-                pos[sym] -= 1
+            on_path[clauses[len(stack)][li]] -= 1
             cursor = li + 1
             continue
-        sym, ng = row[cursor]
-        if pos[sym] if ng else neg[sym]:
+        code = row[cursor]
+        if on_path[code ^ 1]:
             # Complement already on the subpath: close here, pruning every
             # completion through the remaining clauses at once.
             pruned = tails[depth + 1]
@@ -265,10 +250,7 @@ def step_search(
                 break
         else:
             stack.append(cursor)
-            if ng:
-                neg[sym] += 1
-            else:
-                pos[sym] += 1
+            on_path[code] += 1
             if len(stack) == n:
                 status = SearchStatus.OPEN_FOUND
                 witness = tuple(
@@ -303,38 +285,6 @@ def fraction_explored(state: SearchState) -> Fraction:
     if state.total <= 0:
         raise ValueError("fraction undefined on an empty path space")
     return Fraction(state.closed, state.total)
-
-
-def brute_force_sat(matrix: Matrix, limit: int = 20) -> bool:
-    """Truth-table satisfiability sweep over all ``2**alphabet_size`` rows.
-
-    Independent oracle for the path search: a matrix is satisfiable iff the
-    search finds an open path.  Row ``r`` assigns symbol ``i`` the value of
-    bit ``i`` of ``r``; bit ``r`` of ``columns[i]`` holds that value, so each
-    clause is the OR of its literals' columns, complemented for a negated
-    literal.  Refuses alphabets beyond ``limit`` symbols.
-    """
-    k = matrix.alphabet_size
-    if k > limit:
-        raise OracleLimitError(f"alphabet of {k} symbols exceeds oracle limit {limit}")
-    full = (1 << (1 << k)) - 1
-    columns = [0] * k
-    column = full
-    for i in reversed(range(k)):
-        # Bit i of r is bit i+1 of r xor bit i+1 of r + 2**i, rows past the
-        # last reading 0; the all-ones start stands for a bit above the top.
-        column ^= column >> (1 << i)
-        columns[i] = column
-    alive = full
-    for cl in matrix.clauses:
-        sat = 0
-        for lit in cl:
-            column = columns[lit.symbol_id]
-            sat |= full ^ column if lit.negated else column
-        alive &= sat
-        if not alive:
-            return False
-    return alive != 0
 
 
 def literals(*specs: int | tuple[int, bool]) -> Clause:

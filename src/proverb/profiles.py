@@ -149,6 +149,8 @@ def collect(
     ``jobs`` > 1 fans instances out to worker processes; outcomes are folded
     in instance order either way, so the result is identical.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     if not corpus:
         raise ValueError("corpus is empty")
     work = [(i, m, heuristic.value, step_cap) for i, m in enumerate(corpus)]

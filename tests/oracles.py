@@ -1,4 +1,10 @@
-"""Independent reference computations that the tests check the package against."""
+"""Independent reference computations that the tests check the package against.
+
+``brute_force_sat``, the truth-table oracle, answers the path search's
+satisfiability question by sweeping all ``2**k`` truth assignments at once,
+one bit per assignment in a big integer.  It shares no code or traversal
+logic with the path search and serves as an independent verification oracle.
+"""
 
 import math
 import warnings
@@ -6,6 +12,43 @@ from fractions import Fraction
 
 from proverb.belief import ModelError, survival_analytic
 from proverb.decision import ZERO_COST, TimeCost, UtilityModel, best_action
+from proverb.matrix import Matrix
+
+
+class OracleLimitError(ValueError):
+    """Raised when the truth-table oracle is asked to sweep too many symbols."""
+
+
+def brute_force_sat(matrix: Matrix, limit: int = 20) -> bool:
+    """Truth-table satisfiability sweep over all ``2**alphabet_size`` rows.
+
+    Independent oracle for the path search: a matrix is satisfiable iff the
+    search finds an open path.  Row ``r`` assigns symbol ``i`` the value of
+    bit ``i`` of ``r``; bit ``r`` of ``columns[i]`` holds that value, so each
+    clause is the OR of its literals' columns, complemented for a negated
+    literal.  Refuses alphabets beyond ``limit`` symbols.
+    """
+    k = matrix.alphabet_size
+    if k > limit:
+        raise OracleLimitError(f"alphabet of {k} symbols exceeds oracle limit {limit}")
+    full = (1 << (1 << k)) - 1
+    columns = [0] * k
+    column = full
+    for i in reversed(range(k)):
+        # Bit i of r is bit i+1 of r xor bit i+1 of r + 2**i, rows past the
+        # last reading 0; the all-ones start stands for a bit above the top.
+        column ^= column >> (1 << i)
+        columns[i] = column
+    alive = full
+    for cl in matrix.clauses:
+        sat = 0
+        for lit in cl:
+            column = columns[lit.symbol_id]
+            sat |= full ^ column if lit.negated else column
+        alive &= sat
+        if not alive:
+            return False
+    return alive != 0
 
 
 def first_open_pmf(remaining: int, open_count: int, j: int) -> Fraction:

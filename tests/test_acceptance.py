@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import criterion
-from oracles import first_open_pmf, nevc_one, reference_closures
+from oracles import brute_force_sat, first_open_pmf, nevc_one, reference_closures
 from proverb.belief import posterior, survival_analytic
 from proverb.controller import (
     AnalyticSource,
@@ -38,7 +38,6 @@ from proverb.generator import GeneratorConfig, generate, generate_corpus
 from proverb.heuristics import presort
 from proverb.matrix import (
     SearchStatus,
-    brute_force_sat,
     init_search,
     solve,
     step_search,

@@ -150,6 +150,22 @@ def test_profile_jobs_flag_matches_serial(tmp_path):
     assert load(serial) == load(parallel)
 
 
+@pytest.mark.parametrize(
+    "command, jobs", [("profile", "0"), ("profile", "-3"), ("compare-heuristic", "0")]
+)
+def test_jobs_below_one_is_usage_error(tmp_path, capsys, command, jobs):
+    out = tmp_path / "out"
+    code = run_cli(
+        command, "--clauses", "6", "--lits", "2", "--alphabet", "3",
+        "--seed", "1", "--count", "2", "--jobs", jobs, "--out", str(out),
+    )
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"jobs must be >= 1, got {jobs}" in captured.err
+    assert not out.exists()
+
+
 def test_curve_prior_override(tmp_path, capsys):
     prof_path = tmp_path / "p.json"
     run_cli(

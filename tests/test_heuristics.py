@@ -4,13 +4,13 @@ import random
 
 import pytest
 
+from oracles import brute_force_sat
 from proverb.generator import GeneratorConfig, generate
 from proverb.heuristics import Heuristic, presort
 from proverb.matrix import (
     Literal,
     Matrix,
     SearchStatus,
-    brute_force_sat,
     literals,
     solve,
 )

@@ -7,15 +7,13 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import reference_closures
+from oracles import OracleLimitError, brute_force_sat, reference_closures
 from proverb.generator import GeneratorConfig, generate
 from proverb.matrix import (
     InvalidStateError,
     Literal,
     Matrix,
-    OracleLimitError,
     SearchStatus,
-    brute_force_sat,
     fraction_explored,
     init_search,
     literals,

@@ -122,6 +122,12 @@ def test_collect_parallel_equals_serial():
     assert collect(corpus, jobs=2) == collect(corpus, jobs=1)
 
 
+def test_collect_rejects_jobs_below_one():
+    corpus = generate_corpus(GeneratorConfig(8, 2, 3, seed=21), 4)
+    with pytest.raises(ValueError, match="jobs must be >= 1, got 0"):
+        collect(corpus, jobs=0)
+
+
 def test_collect_respects_heuristic_and_context():
     corpus = generate_corpus(GeneratorConfig(9, 2, 4, seed=5), 15)
     tag = ContextTag(n_clauses=9, heuristic="presort")

@@ -13,7 +13,7 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import reference_closures
+from oracles import brute_force_sat, reference_closures
 from proverb.belief import ContextTag
 from proverb.controller import (
     AnalyticSource,
@@ -30,7 +30,6 @@ from proverb.matrix import (
     Literal,
     Matrix,
     SearchStatus,
-    brute_force_sat,
     init_search,
     solve,
     step_search,
