@@ -13,21 +13,16 @@ see :mod:`proverb.profiles`) or an analytic urn model: if ``O`` of ``M``
 complete paths are open and the searcher removes paths one at a time without
 replacement, the chance that the first ``searched`` are all closed is
 
-    prod_{i=0..searched-1} (1 - O / (M - i))  ==  C(M-searched, O) / C(M, O)
+    prod_{i=0..searched-1} (1 - O / (M - i))  ==  P(M-searched, O) / P(M, O)
 
-The same urn yields the distribution of *when* the first open path appears
-among the remaining paths: it is the j-th with probability
-``p(j) = C(l-j, O-1) / C(l, O)`` for ``l`` remaining paths.  Its cumulative
-sum (``first_open_cdf``) and truncated mean (``first_open_mean_within``)
-price the chance that more search halts early with a disproof; ``p(j)``
-itself, position by position, is a test oracle in ``tests/oracles.py``.
-Both sums up to ``x`` follow from the survival ``S`` of the first ``x``
-paths alone:
+with ``P(n, k) = n! / (n-k)!`` the falling factorial (``math.perm``).  The
+same urn yields the distribution of *when* the first open path appears
+among the remaining paths; :mod:`proverb.decision` prices halts with its
+closed forms, and ``tests/oracles.py`` holds them written out.
 
-    sum_{j<=x} p(j) = 1 - S,   sum_{j<=x} j*p(j) = ((l+1) - S*(l+1+x*O)) / (O+1)
-
-Everything here is exact when fed exact numbers: integer inputs produce
-`fractions.Fraction` outputs, and floats are only introduced by the caller.
+Everything here is exact: a survival is a ratio of integer products, a
+probability given as a float is taken at its exact rational value, and the
+results are `fractions.Fraction`.  Floats are only introduced by the caller.
 """
 
 from __future__ import annotations
@@ -35,6 +30,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from math import perm, prod
 from typing import Iterable, Mapping, Union
 
 __all__ = [
@@ -51,9 +47,9 @@ __all__ = [
     "SurvivalCurve",
     "AnalyticModel",
     "posterior",
+    "probability_pair",
+    "check_open_count",
     "survival_analytic",
-    "first_open_cdf",
-    "first_open_mean_within",
 ]
 
 # Agreement tolerance for float-valued probability checks throughout the
@@ -165,6 +161,16 @@ class SurvivalCurve:
             return Fraction(1)
         return Fraction(n - bisect_right(self._samples, s), n)
 
+    def thresholds(self, total: int) -> tuple[int, ...]:
+        """The samples as path counts ``ceil(f * total)``, in order.
+
+        For integers ``c`` and ``total > 0``, ``f <= c/total`` exactly when
+        ``ceil(f * total) <= c``.  So with ``n`` samples and ``c > 0``,
+        ``value(Fraction(c, total))`` is ``n - bisect_right(thresholds, c)``
+        over ``n``, found without building a Fraction.
+        """
+        return tuple(-(-f.numerator * total // f.denominator) for f in self._samples)
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SurvivalCurve):
             return NotImplemented
@@ -174,40 +180,55 @@ class SurvivalCurve:
         return f"SurvivalCurve.from_samples(<{len(self._samples)} fractions>)"
 
 
-def posterior(prior: Probability, survival: Probability) -> Probability:
-    """Posterior of the claim after surviving search: likelihood 1 under w."""
-    for name, v in (("prior", prior), ("survival", survival)):
-        if not 0 <= v <= 1:
-            raise ValueError(f"{name} {v} outside [0, 1]")
-    if prior == 0:
+def probability_pair(value: Probability, name: str) -> tuple[int, int]:
+    """``value`` as its exact integer pair (numerator, denominator > 0).
+
+    A float counts at its exact rational value.  Raises ``ValueError``
+    naming ``name`` unless the value lies in [0, 1].
+    """
+    try:
+        num, den = value.as_integer_ratio()
+    except (OverflowError, ValueError):  # an infinite or NaN float
+        num, den = -1, 1
+    if not 0 <= num <= den:
+        raise ValueError(f"{name} {value} outside [0, 1]")
+    return num, den
+
+
+def posterior(prior: Probability, survival: Probability) -> Fraction:
+    """Posterior of the claim after surviving search: likelihood 1 under w.
+
+    With ``prior = a/b`` and ``survival = c/d`` it is ``a*d / (a*d + (b-a)*c)``.
+    """
+    a, b = probability_pair(prior, "prior")
+    c, d = probability_pair(survival, "survival")
+    if a == 0:
         # The claim is impossible a priori; no amount of survival revives it,
         # not even survival the model of not-w rules out.
         return Fraction(0)
-    return prior / (prior + (1 - prior) * survival)
+    return Fraction(a * d, a * d + (b - a) * c)
+
+
+def check_open_count(open_count: int, total: int) -> None:
+    """Raise :class:`ModelError` unless ``1 <= open_count <= total``."""
+    if open_count < 1:
+        raise ModelError("open_count must be >= 1 (not-w guarantees an open path)")
+    if open_count > total:
+        raise ModelError(f"open_count {open_count} exceeds total paths {total}")
 
 
 def survival_analytic(total: int, open_count: int, searched: int) -> Fraction:
     """p(first ``searched`` examined paths all closed | ``open_count`` of ``total`` open).
 
     Sampling without replacement:  prod_{i<searched} (1 - O/(M-i)), computed
-    via the equal closed form C(M-searched, O)/C(M, O) so huge path spaces
+    via the equal closed form P(M-searched, O)/P(M, O) so huge path spaces
     cost only O(open_count) big-integer operations.  Searching past the
     closed population (searched > M - O) is impossible unfound: returns 0.
     """
-    if open_count < 1:
-        raise ModelError("open_count must be >= 1 (not-w guarantees an open path)")
-    if open_count > total:
-        raise ModelError(f"open_count {open_count} exceeds total paths {total}")
+    check_open_count(open_count, total)
     if searched < 0:
         raise ValueError("searched must be >= 0")
-    if searched > total - open_count:
-        return Fraction(0)
-    num = 1
-    den = 1
-    for i in range(open_count):
-        num *= total - searched - i
-        den *= total - i
-    return Fraction(num, den)
+    return Fraction(perm(max(total - searched, 0), open_count), perm(total, open_count))
 
 
 # An open-path distribution: (open count, weight) pairs in increasing count order.
@@ -253,12 +274,37 @@ class AnalyticModel:
         dist = self.open_paths
         if isinstance(dist, int):
             dist = {dist: Fraction(1)}
-        object.__setattr__(self, "open_paths", _normalized_dist(dist, self.total))
-
-    def survival(self, searched: int) -> Probability:
-        return sum(
-            p * survival_analytic(self.total, o, searched) for o, p in self.open_paths
+        dist = _normalized_dist(dist, self.total)
+        object.__setattr__(self, "open_paths", dist)
+        # Over one common denominator, p(o) * survival(searched) is
+        # scale(o) * P(M-searched, o): p(o) = num/den and survival has
+        # denominator P(M, o), so the common one is their product over counts.
+        dens = [p.as_integer_ratio()[1] * perm(self.total, o) for o, p in dist]
+        common = prod(dens)
+        scales = tuple(
+            (o, p.as_integer_ratio()[0] * (common // d)) for (o, p), d in zip(dist, dens)
         )
+        object.__setattr__(self, "_scales", scales)
+        object.__setattr__(self, "_common", common)
+        object.__setattr__(self, "_last", (None, ()))
+
+    def _terms(self, searched: int) -> tuple[int, ...]:
+        """Each count's p(o) * survival(searched), times the common denominator.
+
+        The last result is kept, so the posterior and ``conditional`` at one
+        step share the survival products.
+        """
+        last, terms = self._last
+        if searched != last:
+            if searched < 0:
+                raise ValueError("searched must be >= 0")
+            left = max(self.total - searched, 0)
+            terms = tuple(scale * perm(left, o) for o, scale in self._scales)
+            object.__setattr__(self, "_last", (searched, terms))
+        return terms
+
+    def survival(self, searched: int) -> Fraction:
+        return Fraction(sum(self._terms(searched)), self._common)
 
     def conditional(self, searched: int) -> OpenDist:
         """Distribution of the open count given survival to ``searched``.
@@ -269,43 +315,11 @@ class AnalyticModel:
         dist = self.open_paths
         if len(dist) == 1:
             return ((dist[0][0], Fraction(1)),)
-        weighted = [
-            (o, p * survival_analytic(self.total, o, searched)) for o, p in dist
-        ]
-        norm = sum(w for _, w in weighted)
+        terms = self._terms(searched)
+        norm = sum(terms)
         if norm == 0:
             # Survival impossible under every admitted count; the posterior on
             # the claim is 1 and this distribution is never consulted again.
             return dist
-        return tuple((o, w / norm) for o, w in weighted if w)
-
-
-def first_open_cdf(remaining: int, open_count: int, within: int) -> Fraction:
-    """p(first open path appears within the next ``within`` examinations)."""
-    if within < 0:
-        raise ValueError("within must be >= 0")
-    if within == 0:
-        return Fraction(0)
-    return 1 - survival_analytic(remaining, open_count, min(within, remaining))
-
-
-def first_open_mean_within(remaining: int, open_count: int, within: int) -> Fraction:
-    """Truncated mean  sum_{j<=within} j * p(j)  of the first-open position.
-
-    The closed form in the module docstring comes from
-    sum_{j<=x} j*p(j) = sum_{t=1..x} p(J >= t) - x*p(J > x) and the
-    hockey-stick identity sum_{u<x} C(l-u, O) = C(l+1, O+1) - C(l-x+1, O+1),
-    divided by C(l, O).  It costs one survival product, O(open_count)
-    big-integer operations, regardless of x.
-    """
-    if within < 0:
-        raise ValueError("within must be >= 0")
-    l, o = remaining, open_count
-    x = min(within, l)
-    if x == 0:
-        return Fraction(0)
-    if o < 1 or o > l:
-        raise ModelError(f"open_count {o} invalid for {l} remaining paths")
-    survival = survival_analytic(l, o, x)
-    return (l + 1 - survival * (l + 1 + x * o)) / (o + 1)
+        return tuple((o, Fraction(t, norm)) for (o, _), t in zip(dist, terms) if t)
 

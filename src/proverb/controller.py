@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import json
 import time
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -167,13 +168,30 @@ class AnalyticSource:
 class ProfileSource:
     """Empirical prior and survival curve from a collected profile.
 
-    Halts are priced at the chunk end (``nevc_two_outcome``).
+    Halts are priced at the chunk end (``nevc_two_outcome``).  The curve is
+    read at ``closed / total`` through its integer thresholds
+    (``SurvivalCurve.thresholds``), built on first use for a path-space size
+    and kept for the next call, as ``AnalyticSource`` keeps its model.
     """
 
     profile: Profile
 
+    def _survivors(self, total: int, closed: int) -> tuple[int, int]:
+        """The curve at ``closed / total`` as an integer pair (survivors, samples)."""
+        grid = self.__dict__.get("_grid")
+        if grid is None or grid[0] != total:
+            grid = (total, self.profile.curve.thresholds(total))
+            object.__setattr__(self, "_grid", grid)
+        thresholds = grid[1]
+        n = len(thresholds)
+        if n == 0:
+            return 1, 1
+        if closed == 0:  # pinned to 1, as in ``SurvivalCurve.value``
+            return n, n
+        return n - bisect_right(thresholds, closed), n
+
     def posterior_at(self, total: int, closed: int) -> Probability:
-        return self.profile.posterior_at(Fraction(closed, total))
+        return posterior(self.profile.prior, Fraction(*self._survivors(total, closed)))
 
     def nevc_at(
         self,
@@ -183,12 +201,11 @@ class ProfileSource:
         post: Probability,
         t_now: float,
     ) -> tuple[float, ...]:
-        curve = self.profile.curve
-        now = curve.value(Fraction(closed, total))
+        now = self._survivors(total, closed)[0]
         values = []
         for x in config.lookahead_paths(total - closed):
-            nxt = curve.value(Fraction(closed + x, total))
-            ratio = nxt / now if now > 0 else Fraction(1)
+            nxt = self._survivors(total, closed + x)[0]
+            ratio = Fraction(nxt, now) if now > 0 else Fraction(1)
             values.append(
                 nevc_two_outcome(
                     post, ratio, config.utilities, config.timecost, x, t_now

@@ -12,14 +12,20 @@ The second half prices continued search.  ``nevc_multi`` computes the net
 expected value of examining x more paths before acting:
 with probability ``(1-p) * p(j)`` the search halts at path j with a disproof
 (act under certainty, at time t(j)), where ``p(j)`` is the urn's first-open
-probability (its closed form is in :mod:`proverb.belief`, its per-position
-oracle ``first_open_pmf`` in ``tests/oracles.py``); otherwise the posterior
-drifts up by the survival ratio and the best action is taken at t(x).  The
-net value subtracts the utility of acting immediately.  Per-path sums are
-evaluated through exact closed forms (survival ratios and a truncated
-first-open mean), so lookaheads of millions of paths cost O(open_count)
-big-integer operations; tests pin them to the literal sums and to an
-exhaustive placement-enumeration oracle.
+probability; otherwise the posterior drifts up by the survival ratio and the
+best action is taken at t(x).  The net value subtracts the utility of acting
+immediately.  The sums over j follow from the survival ``S`` of the next x
+paths alone (``l`` paths remain, ``O`` of them open):
+
+    sum_{j<=x} p(j) = 1 - S,   sum_{j<=x} j*p(j) = ((l+1) - S*(l+1+x*O)) / (O+1)
+
+``tests/oracles.py`` writes both sums out and pins them to the literal sum
+of ``p(j)``.  Every probability is carried as an unreduced integer pair
+(numerator, denominator), a float input at its exact rational value, and
+becomes a float through one correctly rounded ``int / int`` where it meets a
+utility.  A lookahead of millions of paths costs one falling-factorial
+product per open count (two under a deadline) and no ``Fraction``
+arithmetic.
 
 ``nevc_two_outcome`` is the empirical-curve variant used when only a step
 curve is known: the halt branch is valued at the chunk end, which under
@@ -32,10 +38,10 @@ import math
 import re
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
+from math import perm
 from typing import Mapping
 
-from .belief import OpenDist, Probability, first_open_cdf, first_open_mean_within
+from .belief import OpenDist, Probability, check_open_count, probability_pair
 
 __all__ = [
     "DominanceError",
@@ -227,30 +233,45 @@ def _halt_branch_value(
     utilities: UtilityModel,
     timecost: TimeCost,
     t0: float,
-) -> tuple[Probability, Probability]:
-    """(sum_j pmf(j) * u_halt(t(j)), sum_j pmf(j)) for j = 1..x, per-(1-p).
+) -> tuple[float, int, int]:
+    """sum_j pmf(j) * u_halt(t(j)) for j = 1..x, per-(1-p), and sum_j pmf(j).
 
-    Exact closed forms per open count; mixture-averaged over ``dist``.
+    The halt mass comes back as an integer pair (numerator, denominator).
+    Per open count, one survival product ``P(l-x, o) / P(l, o)`` gives both
+    the halt mass and the truncated mean; a deadline adds the survival of
+    the in-time paths.  Mixture-averaged over ``dist``.
     """
     max_false = max(utilities.when_false)
-    halt_mass: Probability = 0
-    value: Probability = 0
+    kind = timecost.kind
+    if kind is CostKind.LINEAR:
+        level = max_false - timecost.rate * t0
+        slope = timecost.rate * timecost.tau
+    elif kind is CostKind.DEADLINE:
+        j_ok = timecost.paths_in_time(t0, x)
+    mass_num, mass_den = 0, 1
+    value = 0.0
     for o, weight in dist:
-        mass = first_open_cdf(remaining, o, x)
-        halt_mass += weight * mass
-        if timecost.kind is CostKind.ZERO:
-            value += weight * mass * max_false
-        elif timecost.kind is CostKind.LINEAR:
-            mean_j = first_open_mean_within(remaining, o, x)
-            value += weight * (
-                (max_false - timecost.rate * t0) * mass
-                - timecost.rate * timecost.tau * mean_j
+        check_open_count(o, remaining)
+        w_num, w_den = weight.as_integer_ratio()
+        den = perm(remaining, o)
+        stay = perm(remaining - x, o)
+        hit = den - stay  # halt mass of this count: hit / den
+        mass_num = mass_num * w_den * den + w_num * hit * mass_den
+        mass_den *= w_den * den
+        if kind is CostKind.ZERO:
+            value += w_num * hit / (w_den * den) * max_false
+        elif kind is CostKind.LINEAR:
+            mean = (remaining + 1) * den - stay * (remaining + 1 + x * o)
+            value += w_num / w_den * (
+                level * (hit / den) - slope * (mean / (den * (o + 1)))
             )
         else:  # deadline: step split at the last in-time path index
-            j_ok = timecost.paths_in_time(t0, x)
-            early = first_open_cdf(remaining, o, j_ok) if j_ok > 0 else Fraction(0)
-            value += weight * (max_false * early + timecost.penalty * (mass - early))
-    return value, halt_mass
+            stay_ok = perm(remaining - j_ok, o)
+            value += w_num / w_den * (
+                max_false * ((den - stay_ok) / den)
+                + timecost.penalty * ((stay_ok - stay) / den)
+            )
+    return value, mass_num, mass_den
 
 
 def nevc_multi(
@@ -276,24 +297,25 @@ def nevc_multi(
     """
     if lookahead < 1:
         raise LookaheadError(f"lookahead {lookahead} must be >= 1")
-    p = posterior_w
-    if not 0 <= p <= 1:
-        raise ValueError(f"posterior {p} outside [0, 1]")
-    act_now = _act_value(p, utilities, timecost, 0, t0)
-    if p <= 0 or p >= 1 or remaining == 0:
-        return _act_value(p, utilities, timecost, lookahead, t0) - act_now
+    p_num, p_den = probability_pair(posterior_w, "posterior")
+    act_now = _act_value(p_num / p_den, utilities, timecost, 0, t0)
+    if p_num == 0 or p_num == p_den or remaining == 0:
+        return _act_value(p_num / p_den, utilities, timecost, lookahead, t0) - act_now
     if lookahead > remaining:
         raise LookaheadError(
             f"lookahead {lookahead} exceeds remaining paths {remaining}"
         )
-    halt_value, halt_mass = _halt_branch_value(
+    halt_value, h_num, h_den = _halt_branch_value(
         open_dist, remaining, lookahead, utilities, timecost, t0
     )
-    survival = 1 - halt_mass
-    p_halt = (1 - p) * halt_mass
-    drifted = p / (p + survival * (1 - p))
+    # Over the denominator p_den * h_den: 1-p and p_halt = (1-p) * halt mass;
+    # the drifted posterior p / (p + (1 - halt mass) * (1-p)) over its own.
+    q_num = p_den - p_num
+    halt_num, den = q_num * h_num, p_den * h_den
+    drift_num = p_num * h_den
+    drifted = drift_num / (drift_num + (h_den - h_num) * q_num)
     act_after = _act_value(drifted, utilities, timecost, lookahead, t0)
-    return float((1 - p) * halt_value + (1 - p_halt) * act_after - act_now)
+    return q_num / p_den * halt_value + (den - halt_num) / den * act_after - act_now
 
 
 def nevc_two_outcome(
@@ -314,22 +336,22 @@ def nevc_two_outcome(
     """
     if paths < 1:
         raise LookaheadError(f"paths {paths} must be >= 1")
-    p = posterior_w
-    if not 0 <= p <= 1:
-        raise ValueError(f"posterior {p} outside [0, 1]")
-    if not 0 <= survival_ratio <= 1:
-        raise ValueError(f"survival ratio {survival_ratio} outside [0, 1]")
-    act_now = _act_value(p, utilities, timecost, 0, t0)
-    if p <= 0 or p >= 1:
-        return _act_value(p, utilities, timecost, paths, t0) - act_now
-    p_halt = (1 - p) * (1 - survival_ratio)
-    drifted = p / (p + survival_ratio * (1 - p))
+    p_num, p_den = probability_pair(posterior_w, "posterior")
+    r_num, r_den = probability_pair(survival_ratio, "survival ratio")
+    act_now = _act_value(p_num / p_den, utilities, timecost, 0, t0)
+    if p_num == 0 or p_num == p_den:
+        return _act_value(p_num / p_den, utilities, timecost, paths, t0) - act_now
+    # Over the denominator p_den * r_den: p_halt = (1-p) * (1-ratio).
+    q_num = p_den - p_num
+    halt_num, den = q_num * (r_den - r_num), p_den * r_den
+    drift_num = p_num * r_den
+    drifted = drift_num / (drift_num + r_num * q_num)
     u_halt = timecost.utility_at(
         max(utilities.when_false), t0 + paths * timecost.tau
     )
-    return float(
-        p_halt * u_halt
-        + (1 - p_halt) * _act_value(drifted, utilities, timecost, paths, t0)
+    return (
+        halt_num / den * u_halt
+        + (den - halt_num) / den * _act_value(drifted, utilities, timecost, paths, t0)
         - act_now
     )
 

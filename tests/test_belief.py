@@ -8,15 +8,13 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import first_open_pmf
+from oracles import first_open_cdf, first_open_mean_within, first_open_pmf
 from proverb.belief import (
     AnalyticModel,
     ContextTag,
     ModelError,
     SurvivalCurve,
     context_mismatches,
-    first_open_cdf,
-    first_open_mean_within,
     posterior,
     survival_analytic,
 )

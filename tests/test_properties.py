@@ -1,4 +1,5 @@
-"""Property tests: resumable search, its closures and trace round trips on random inputs.
+"""Property tests: resumable search, its closures, and the trace, utility-spec
+and DIMACS round trips on random inputs.
 
 Hypothesis runs derandomized, with no example database and a bounded number
 of examples, so the file gives the same verdict on every run and takes a few
@@ -24,7 +25,13 @@ from proverb.controller import (
     run,
     save_trace,
 )
-from proverb.decision import TimeCost, UtilityModel
+from proverb.decision import (
+    TimeCost,
+    UtilityModel,
+    format_utility_spec,
+    parse_utility_spec,
+)
+from proverb.dimacs import format_dimacs, parse_dimacs
 from proverb.generator import GeneratorConfig, generate_corpus
 from proverb.matrix import (
     Literal,
@@ -164,3 +171,41 @@ def test_run_save_load_replay_is_clean(matrix, data):
     report = replay(loaded, utilities=utilities, timecost=timecost, **kw)
     assert report.ok, report.message
     assert report.steps_checked == len(trace.steps)
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+nonnegative = st.floats(0, allow_infinity=False)
+positive = st.floats(0, allow_infinity=False, exclude_min=True)
+action_name = st.from_regex(r"\A[A-Za-z_][A-Za-z0-9_+-]{0,6}\Z")
+
+
+@st.composite
+def utility_models(draw):
+    names = draw(st.lists(action_name, min_size=2, max_size=4, unique=True))
+    rows = st.lists(finite, min_size=len(names), max_size=len(names))
+    return UtilityModel(tuple(names), tuple(draw(rows)), tuple(draw(rows)))
+
+
+time_costs = st.one_of(
+    st.builds(TimeCost.zero, tau=positive),
+    st.builds(TimeCost.linear, nonnegative, tau=positive),
+    st.builds(TimeCost.deadline, nonnegative, finite, tau=positive),
+)
+
+
+@PROPERTY
+@given(utility_models(), time_costs)
+def test_utility_spec_round_trips(utilities, timecost):
+    assert parse_utility_spec(format_utility_spec(utilities, timecost)) == (utilities, timecost)
+
+
+metadata = st.dictionaries(
+    st.from_regex(r"\A[a-z_]{1,8}\Z"), st.from_regex(r"\A[A-Za-z0-9_.:-]{0,8}\Z"), max_size=4
+)
+
+
+@PROPERTY
+@given(matrices(0, 0), metadata)
+def test_dimacs_round_trips(matrix, meta):
+    assert parse_dimacs(format_dimacs(matrix)) == (matrix, {})
+    assert parse_dimacs(format_dimacs(matrix, meta)) == (matrix, meta)
