@@ -184,11 +184,23 @@ def best_action(
     """Utility-maximizing action under a binary belief; ties -> lowest index."""
     if not 0 <= p_w <= 1:
         raise ValueError(f"p_w {p_w} outside [0, 1]")
+    # Time is priced once per call, with the float expressions of
+    # ``TimeCost.utility_at``.
+    kind = timecost.kind
+    if kind is CostKind.DEADLINE and t > timecost.deadline_at:
+        # Every utility is the penalty: all actions tie on the lowest index.
+        late = timecost.penalty
+        return utilities.actions[0], float(p_w * (late - late) + late)
+    if t < 0:
+        raise ValueError("t must be >= 0")
+    when_true, when_false = utilities.when_true, utilities.when_false
+    if kind is CostKind.LINEAR:
+        shift = timecost.rate * t
+        when_true = [u - shift for u in when_true]
+        when_false = [u - shift for u in when_false]
     best_i = 0
     best_eu = None
-    for i in range(len(utilities.actions)):
-        ut = timecost.utility_at(utilities.when_true[i], t)
-        uf = timecost.utility_at(utilities.when_false[i], t)
+    for i, (ut, uf) in enumerate(zip(when_true, when_false)):
         eu = p_w * (ut - uf) + uf
         if best_eu is None or eu > best_eu:
             best_i, best_eu = i, eu

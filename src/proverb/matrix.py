@@ -188,11 +188,17 @@ def step_search(
 
     Returns None; ``state`` is advanced in place, so its ``closed`` and
     ``closure_count`` deltas are what this call pruned and how many closures
-    it took.  The final closure may overshoot the budget (its full pruned
-    count is always applied).  The call also returns early when the walk
-    terminates (open path found, or space exhausted) or when ``event_cap``
-    closures have been taken this call.  Stepping a terminal state raises
-    :class:`InvalidStateError`.
+    it took.  The call pauses right after a closure, or ends at an open
+    complete path.  After each closure the rule is, in this order:
+
+    1. the walk ends EXHAUSTED when the closure brings ``closed`` to
+       ``total``;
+    2. the call pauses when this call's closures, the last one included,
+       have pruned at least ``budget`` paths; the last closure may
+       overshoot the budget (its full pruned count is always applied);
+    3. the call pauses when this was its ``event_cap``-th closure.
+
+    Stepping a terminal state raises :class:`InvalidStateError`.
     """
     if state.status is not SearchStatus.RUNNING:
         raise InvalidStateError(f"search already terminal: {state.status.value}")
@@ -206,58 +212,63 @@ def step_search(
     on_path = state._on_path
     stack = state._stack
     n = len(clauses)
+    # Per depth: the clause's literal codes, its width, and the paths pruned
+    # by one closure there (every completion through the later clauses).
+    levels = list(zip(clauses, map(len, clauses), tails[1:]))
     total = state.total
     cursor = state._cursor
     closed = state.closed
-    spent = 0
+    # One test per closure covers both exhaustion and the budget; the cap is
+    # 0 when absent, which the closure count (at least 1) never equals.
+    stop = min(closed + budget, total)
+    cap = 0 if event_cap is None else event_cap
     closures = 0
     status = SearchStatus.RUNNING
     witness: tuple[Literal, ...] | None = None
+    depth = len(stack)
+    row, width, pruned = levels[depth]
 
     while True:
-        depth = len(stack)
-        row = clauses[depth]
-        if cursor >= len(row):
-            if not stack:
-                # Natural exhaustion: each complete path is pruned exactly
-                # once, at its first closed prefix, so the tally must match.
-                if closed != total:
-                    raise AssertionError(
-                        "closure accounting broke conservation: "
-                        f"{closed} != {total}"
-                    )
-                status = SearchStatus.EXHAUSTED
-                break
-            li = stack.pop()
-            on_path[clauses[len(stack)][li]] -= 1
-            cursor = li + 1
-            continue
-        code = row[cursor]
-        if on_path[code ^ 1]:
-            # Complement already on the subpath: close here, pruning every
-            # completion through the remaining clauses at once.
-            pruned = tails[depth + 1]
-            closed += pruned
-            spent += pruned
-            closures += 1
+        if cursor < width:
+            code = row[cursor]
             cursor += 1
-            if closed == total:
-                status = SearchStatus.EXHAUSTED
-                break
-            if spent >= budget:
-                break
-            if closures == event_cap:
-                break
-        else:
-            stack.append(cursor)
+            if on_path[code ^ 1]:
+                # Complement already on the subpath: close here, pruning
+                # every completion through the remaining clauses at once.
+                closed += pruned
+                closures += 1
+                if closed >= stop or closures == cap:
+                    if closed == total:
+                        status = SearchStatus.EXHAUSTED
+                    break
+                continue
+            stack.append(cursor - 1)
             on_path[code] += 1
-            if len(stack) == n:
+            depth += 1
+            if depth == n:
                 status = SearchStatus.OPEN_FOUND
                 witness = tuple(
                     state.matrix.clauses[d][i] for d, i in enumerate(stack)
                 )
                 break
+            row, width, pruned = levels[depth]
             cursor = 0
+            continue
+        if not depth:
+            # Natural exhaustion: each complete path is pruned exactly once,
+            # at its first closed prefix, so the tally must match.
+            if closed != total:
+                raise AssertionError(
+                    "closure accounting broke conservation: "
+                    f"{closed} != {total}"
+                )
+            status = SearchStatus.EXHAUSTED
+            break
+        cursor = stack.pop()
+        depth -= 1
+        row, width, pruned = levels[depth]
+        on_path[row[cursor]] -= 1
+        cursor += 1
 
     state._cursor = cursor
     state.closed = closed

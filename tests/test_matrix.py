@@ -318,3 +318,66 @@ def test_max_closures_cap_leaves_state_running():
 def test_total_paths_matches_math_prod():
     m = generate(GeneratorConfig(12, 3, 5, seed=5))
     assert total_paths(m) == math.prod(len(c) for c in m.clauses) == 3**12
+
+
+# --- path spaces beyond 2**64 -------------------------------------------------
+
+
+def test_unsatisfiable_space_beyond_64_bits_is_counted_exactly():
+    # x0 then ~x0 closes at depth 2 and prunes all 3**45 paths at once.
+    tail = [literals(1, 2, 3)] * 45
+    m = Matrix((literals(0), literals((0, True)), *tail), 4)
+    assert total_paths(m) == 3**45 > 2**64
+    state = init_search(m)
+    step_search(state, 1)
+    assert state.status is SearchStatus.EXHAUSTED
+    assert state.closed == state.total == 3**45
+    assert state.closure_count == 1
+    assert fraction_explored(state) == 1
+
+    # Six closures of 3**45 paths each: a budget of one closure's worth,
+    # or one path less, pauses after every closure.
+    m = Matrix((literals(0, 0), literals(*[(0, True)] * 3), *tail), 4)
+    assert total_paths(m) == 6 * 3**45
+    for budget in (3**45, 3**45 - 1):
+        state = init_search(m)
+        for k in range(1, 7):
+            step_search(state, budget)
+            assert state.closure_count == k
+            assert state.closed == k * 3**45
+            assert fraction_explored(state) == Fraction(k, 6)
+            assert state.status is (
+                SearchStatus.EXHAUSTED if k == 6 else SearchStatus.RUNNING
+            )
+    state = init_search(m)
+    step_search(state, 2 * 3**45 + 1)
+    assert (state.closure_count, state.closed) == (3, 3 * 3**45)
+    step_search(state, 2 * 3**45 + 1)
+    assert (state.closure_count, state.closed) == (6, 6 * 3**45)
+    assert state.status is SearchStatus.EXHAUSTED
+
+
+def test_satisfiable_space_beyond_64_bits_finds_its_last_path():
+    # x0 then (~x0 | x1), then 45 clauses (~x1 | ~x0 | x_k): at every depth the
+    # first literals close, so the only open path is the last one.
+    clauses = [literals(0), literals((0, True), 1)]
+    clauses += [literals((1, True), (0, True), k) for k in range(2, 47)]
+    m = Matrix(tuple(clauses), 47)
+    total = 2 * 3**45
+    assert total_paths(m) == total > 2**64
+    reference = [pruned for _clause, pruned in reference_closures(m)]
+    running_total = list(itertools.accumulate(reference, initial=0))
+    assert len(reference) == 91
+    for budget in (1, 3**43, 3**45, total):
+        state = init_search(m)
+        while state.status is SearchStatus.RUNNING:
+            step_search(state, budget)
+            assert state.closed == running_total[state.closure_count]
+        assert state.status is SearchStatus.OPEN_FOUND
+        assert state.closure_count == 91
+        assert state.closed == total - 1
+        assert fraction_explored(state) == Fraction(total - 1, total)
+        assert state.witness == literals(*range(47))
+        assert not path_is_closed(state.witness)
+        for clause, lit in zip(m.clauses, state.witness):
+            assert lit in clause

@@ -32,7 +32,7 @@ from proverb.decision import (
     parse_utility_spec,
 )
 from proverb.dimacs import format_dimacs, parse_dimacs
-from proverb.generator import GeneratorConfig, generate_corpus
+from proverb.generator import GeneratorConfig, generate, generate_corpus
 from proverb.matrix import (
     Literal,
     Matrix,
@@ -90,6 +90,54 @@ def test_any_budget_sequence_reaches_the_solve_state(matrix, budgets):
     assert state.closed == whole.closed
     assert state.witness == whole.witness
     assert state.closure_count == whole.closure_count
+
+
+# Generated instances of 64 to 1,024 paths: many walks take dozens of closures.
+generated = st.builds(
+    lambda shape, seed: generate(GeneratorConfig(*shape, seed)),
+    st.sampled_from([(8, 2, 3), (6, 2, 2), (5, 4, 4)]),
+    st.integers(0, 2**32),
+)
+
+
+@PROPERTY
+@given(
+    generated | matrices(0, 0),
+    st.lists(st.integers(1, 300), min_size=1, max_size=8),
+    st.none() | st.integers(1, 5),
+)
+def test_each_call_stops_at_the_first_closure_its_rule_names(matrix, budgets, cap):
+    reference = [pruned for _clause, pruned in reference_closures(matrix)]
+    running_total = list(itertools.accumulate(reference, initial=0))
+    whole = solve(matrix)
+    state = init_search(matrix)
+    for budget in itertools.cycle(budgets):
+        if state.status is not SearchStatus.RUNNING:
+            break
+        start, base = state.closure_count, state.closed
+        step_search(state, budget, event_cap=cap)
+        assert state.closed == running_total[state.closure_count]
+        # The first later closure that exhausts the space, brings this call's
+        # pruned paths to the budget, or is the cap-th of this call.
+        stops = [
+            k
+            for k in range(start + 1, len(reference) + 1)
+            if running_total[k] == state.total
+            or running_total[k] - base >= budget
+            or k - start == cap
+        ]
+        if stops:
+            assert state.closure_count == stops[0]
+            assert state.status is (
+                SearchStatus.EXHAUSTED
+                if state.closed == state.total
+                else SearchStatus.RUNNING
+            )
+        else:
+            # No closure left stops the call: it runs on to the open path.
+            assert state.closure_count == len(reference)
+            assert state.status is SearchStatus.OPEN_FOUND
+            assert state.witness == whole.witness
 
 
 @PROPERTY
