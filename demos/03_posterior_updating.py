@@ -9,7 +9,7 @@ same one-line Bayes update: survival is the only evidence.
 
 from fractions import Fraction
 
-from proverb.belief import AnalyticModel, posterior, survival_analytic
+from proverb.belief import AnalyticModel, posterior
 from proverb.generator import GeneratorConfig, generate_corpus
 from proverb.profiles import collect
 
@@ -25,8 +25,9 @@ def main():
 
     total, open_count = 1024, 3
     print(f"analytic urn: {total} paths, {open_count} open under not-w")
+    urn = AnalyticModel(total, open_count)
     for searched in (0, 128, 256, 512, 768, 1000):
-        surv = survival_analytic(total, open_count, searched)
+        surv = urn.survival(searched)
         post = posterior(prior, surv)
         print(f"  searched {searched:5d}  survival {float(surv):.6f}  "
               f"posterior {float(post):.6f}")

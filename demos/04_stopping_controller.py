@@ -3,12 +3,23 @@
 The controller prices one more chunk of search against acting right now.
 While some candidate lookahead has positive net expected value the search
 continues; otherwise it stops and takes the best action under the current
-posterior.  Proofs and deadlines cut the loop short.
+posterior.  Proofs and deadlines cut the loop short.  Each run's trace is
+saved, loaded back and replayed, as an auditor would check it, before it is
+shown.
 """
 
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
-from proverb.controller import AnalyticSource, ControllerConfig, run
+from proverb.controller import (
+    AnalyticSource,
+    ControllerConfig,
+    load_trace,
+    replay,
+    run,
+    save_trace,
+)
 from proverb.decision import TimeCost, UtilityModel
 from proverb.generator import GeneratorConfig, generate
 from proverb.matrix import total_paths
@@ -18,7 +29,17 @@ UTILITIES = UtilityModel.from_pairs(
 )
 
 
-def show(trace, label):
+def show(matrix, config, label):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trace.jsonl"
+        save_trace(run(matrix, config), path)
+        trace = load_trace(path)
+    report = replay(
+        trace, utilities=config.utilities, timecost=config.timecost,
+        analytic=config.source,
+    )
+    if not report.ok:
+        raise SystemExit(f"replay failed: {report.message}")
     print(f"--- {label}")
     print(f"  path space {trace.total}, chunk {trace.chunk}, "
           f"lookaheads {trace.lookaheads}")
@@ -42,7 +63,7 @@ def main():
         chunk=64, utilities=UTILITIES, timecost=TimeCost.zero(tau=tau),
         source=source, lookaheads=(64, "full"),
     )
-    show(run(matrix, config), "no time cost")
+    show(matrix, config, "no time cost")
 
     # Linear pressure: stops as soon as the information is priced out.
     config = ControllerConfig(
@@ -50,7 +71,7 @@ def main():
         timecost=TimeCost.linear(0.8, tau=tau),
         source=source, lookaheads=(64, "full"),
     )
-    show(run(matrix, config), "linear cost, rate 0.8 per unit")
+    show(matrix, config, "linear cost, rate 0.8 per unit")
 
     # Hard deadline before a third of the space is searched.
     config = ControllerConfig(
@@ -58,7 +79,7 @@ def main():
         timecost=TimeCost.deadline(at=0.30, penalty=0.0, tau=tau),
         source=source, lookaheads=(64,),
     )
-    show(run(matrix, config), "deadline at t=0.30, missing it scores 0")
+    show(matrix, config, "deadline at t=0.30, missing it scores 0")
 
 
 if __name__ == "__main__":

@@ -8,10 +8,12 @@ escaping the explored region.  Bayes then gives
 
     posterior(p, survival) = p / (p + survival * (1 - p))
 
-Survival comes from either an empirical step curve (collected over a corpus,
-see :mod:`proverb.profiles`) or an analytic urn model: if ``O`` of ``M``
-complete paths are open and the searcher removes paths one at a time without
-replacement, the chance that the first ``searched`` are all closed is
+Survival comes from either an empirical step curve, :class:`SurvivalCurve`
+(collected over a corpus, see :mod:`proverb.profiles`), or an analytic urn
+model, :class:`AnalyticModel`; each is evaluated there and nowhere else.  If
+``O`` of ``M`` complete paths are open and the searcher removes paths one at
+a time without replacement, the chance that the first ``searched`` are all
+closed is
 
     prod_{i=0..searched-1} (1 - O / (M - i))  ==  P(M-searched, O) / P(M, O)
 
@@ -49,7 +51,6 @@ __all__ = [
     "posterior",
     "probability_pair",
     "check_open_count",
-    "survival_analytic",
 ]
 
 # Agreement tolerance for float-valued probability checks throughout the
@@ -136,7 +137,7 @@ class SurvivalCurve:
     constant-1 (uninformative) curve.
     """
 
-    __slots__ = ("_samples",)
+    __slots__ = ("_samples", "_counts")
 
     def __init__(self) -> None:
         raise TypeError("use SurvivalCurve.from_samples")
@@ -149,6 +150,7 @@ class SurvivalCurve:
                 raise ValueError(f"discovery fraction {f} outside [0, 1)")
         obj = object.__new__(cls)
         obj._samples = samples
+        obj._counts = (None, ())
         return obj
 
     def value(self, s: Probability) -> Fraction:
@@ -156,20 +158,26 @@ class SurvivalCurve:
         s = Fraction(s)
         if not 0 <= s <= 1:
             raise ValueError(f"fraction {s} outside [0, 1]")
-        n = len(self._samples)
-        if s == 0 or n == 0:
-            return Fraction(1)
-        return Fraction(n - bisect_right(self._samples, s), n)
+        return Fraction(*self.survivors(s.numerator, s.denominator))
 
-    def thresholds(self, total: int) -> tuple[int, ...]:
-        """The samples as path counts ``ceil(f * total)``, in order.
+    def survivors(self, closed: int, total: int) -> tuple[int, int]:
+        """The curve at ``closed / total`` as the exact pair (survivors, samples).
 
-        For integers ``c`` and ``total > 0``, ``f <= c/total`` exactly when
-        ``ceil(f * total) <= c``.  So with ``n`` samples and ``c > 0``,
-        ``value(Fraction(c, total))`` is ``n - bisect_right(thresholds, c)``
-        over ``n``, found without building a Fraction.
+        The samples are read as path counts ``ceil(f * total)``: for integers
+        ``c`` and ``total > 0``, ``f <= c/total`` exactly when
+        ``ceil(f * total) <= c``, so no Fraction is built.  The counts for
+        the last ``total`` asked are kept, as the curve never changes.
         """
-        return tuple(-(-f.numerator * total // f.denominator) for f in self._samples)
+        n = len(self._samples)
+        if n == 0:
+            return 1, 1
+        if closed == 0:
+            return n, n
+        last, counts = self._counts
+        if total != last:
+            counts = [-(-f.numerator * total // f.denominator) for f in self._samples]
+            self._counts = (total, counts)
+        return n - bisect_right(counts, closed), n
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SurvivalCurve):
@@ -215,20 +223,6 @@ def check_open_count(open_count: int, total: int) -> None:
         raise ModelError("open_count must be >= 1 (not-w guarantees an open path)")
     if open_count > total:
         raise ModelError(f"open_count {open_count} exceeds total paths {total}")
-
-
-def survival_analytic(total: int, open_count: int, searched: int) -> Fraction:
-    """p(first ``searched`` examined paths all closed | ``open_count`` of ``total`` open).
-
-    Sampling without replacement:  prod_{i<searched} (1 - O/(M-i)), computed
-    via the equal closed form P(M-searched, O)/P(M, O) so huge path spaces
-    cost only O(open_count) big-integer operations.  Searching past the
-    closed population (searched > M - O) is impossible unfound: returns 0.
-    """
-    check_open_count(open_count, total)
-    if searched < 0:
-        raise ValueError("searched must be >= 0")
-    return Fraction(perm(max(total - searched, 0), open_count), perm(total, open_count))
 
 
 # An open-path distribution: (open count, weight) pairs in increasing count order.
@@ -284,9 +278,13 @@ class AnalyticModel:
         scales = tuple(
             (o, p.as_integer_ratio()[0] * (common // d)) for (o, p), d in zip(dist, dens)
         )
+        # Survival divides by the terms' sum at 0 searched: the common
+        # denominator itself when the weights sum to 1, and the exact
+        # normalization of float weights that sum to 1 only within FLOAT_TOL.
+        terms = tuple(scale * perm(self.total, o) for o, scale in scales)
         object.__setattr__(self, "_scales", scales)
-        object.__setattr__(self, "_common", common)
-        object.__setattr__(self, "_last", (None, ()))
+        object.__setattr__(self, "_norm", sum(terms))
+        object.__setattr__(self, "_last", (0, terms))
 
     def _terms(self, searched: int) -> tuple[int, ...]:
         """Each count's p(o) * survival(searched), times the common denominator.
@@ -304,7 +302,7 @@ class AnalyticModel:
         return terms
 
     def survival(self, searched: int) -> Fraction:
-        return Fraction(sum(self._terms(searched)), self._common)
+        return Fraction(sum(self._terms(searched)), self._norm)
 
     def conditional(self, searched: int) -> OpenDist:
         """Distribution of the open count given survival to ``searched``.

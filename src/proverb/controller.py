@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import json
 import time
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -169,29 +168,16 @@ class ProfileSource:
     """Empirical prior and survival curve from a collected profile.
 
     Halts are priced at the chunk end (``nevc_two_outcome``).  The curve is
-    read at ``closed / total`` through its integer thresholds
-    (``SurvivalCurve.thresholds``), built on first use for a path-space size
-    and kept for the next call, as ``AnalyticSource`` keeps its model.
+    read at ``closed / total`` as an exact pair through
+    ``SurvivalCurve.survivors``, which keeps its integer thresholds for the
+    last path-space size, so a run or replay builds them once.
     """
 
     profile: Profile
 
-    def _survivors(self, total: int, closed: int) -> tuple[int, int]:
-        """The curve at ``closed / total`` as an integer pair (survivors, samples)."""
-        grid = self.__dict__.get("_grid")
-        if grid is None or grid[0] != total:
-            grid = (total, self.profile.curve.thresholds(total))
-            object.__setattr__(self, "_grid", grid)
-        thresholds = grid[1]
-        n = len(thresholds)
-        if n == 0:
-            return 1, 1
-        if closed == 0:  # pinned to 1, as in ``SurvivalCurve.value``
-            return n, n
-        return n - bisect_right(thresholds, closed), n
-
     def posterior_at(self, total: int, closed: int) -> Probability:
-        return posterior(self.profile.prior, Fraction(*self._survivors(total, closed)))
+        survival = Fraction(*self.profile.curve.survivors(closed, total))
+        return posterior(self.profile.prior, survival)
 
     def nevc_at(
         self,
@@ -201,10 +187,11 @@ class ProfileSource:
         post: Probability,
         t_now: float,
     ) -> tuple[float, ...]:
-        now = self._survivors(total, closed)[0]
+        curve = self.profile.curve
+        now = curve.survivors(closed, total)[0]
         values = []
         for x in config.lookahead_paths(total - closed):
-            nxt = self._survivors(total, closed + x)[0]
+            nxt = curve.survivors(closed + x, total)[0]
             ratio = Fraction(nxt, now) if now > 0 else Fraction(1)
             values.append(
                 nevc_two_outcome(

@@ -426,9 +426,9 @@ def parse_utility_spec(text: str) -> tuple[UtilityModel, TimeCost]:
         for outcome, bucket in (("w", when_true), ("~w", when_false)):
             if (a, outcome) not in entries:
                 raise UtilitySpecError(f"missing u({a},{outcome})")
-            bucket.append(entries.pop((a, outcome)))
-    if entries:
-        stray = ", ".join(f"u({a},{o})" for a, o in entries)
+            bucket.append(entries[(a, outcome)])
+    stray = ", ".join(f"u({a},{o})" for a, o in entries if a not in actions)
+    if stray:
         raise UtilitySpecError(f"utilities for unknown actions: {stray}")
     try:
         model = UtilityModel(tuple(actions), tuple(when_true), tuple(when_false))

@@ -39,6 +39,11 @@ __all__ = [
 ]
 
 
+# Each complete path is pruned exactly once, at its first closed prefix, so a
+# tally can neither pass the space nor be short of it when the walk ends.
+_BROKE_CONSERVATION = "closure accounting broke conservation: {} != {}"
+
+
 class InvalidStateError(RuntimeError):
     """Raised when a terminal search state is asked to keep searching."""
 
@@ -150,7 +155,10 @@ class SearchState:
         self.closed = 0
         self.closure_count = 0
         self.witness: tuple[Literal, ...] | None = None
-        self._on_path = [0] * (2 * matrix.alphabet_size)
+        # Sized by the largest symbol the clauses use: the declared alphabet
+        # (a DIMACS header's count) may be far larger.
+        top = max((lit.symbol_id for cl in matrix.clauses for lit in cl), default=-1)
+        self._on_path = [0] * (2 * top + 2)
         self._stack: list[int] = []
         self._cursor = 0
         if self.total == 0:
@@ -198,7 +206,9 @@ def step_search(
        overshoot the budget (its full pruned count is always applied);
     3. the call pauses when this was its ``event_cap``-th closure.
 
-    Stepping a terminal state raises :class:`InvalidStateError`.
+    Stepping a terminal state raises :class:`InvalidStateError`.  A tally
+    that passes ``total`` (checked at every pause) or falls short of it when
+    the walk is back at the root breaks conservation: ``AssertionError``.
     """
     if state.status is not SearchStatus.RUNNING:
         raise InvalidStateError(f"search already terminal: {state.status.value}")
@@ -240,6 +250,8 @@ def step_search(
                 if closed >= stop or closures == cap:
                     if closed == total:
                         status = SearchStatus.EXHAUSTED
+                    elif closed > total:
+                        raise AssertionError(_BROKE_CONSERVATION.format(closed, total))
                     break
                 continue
             stack.append(cursor - 1)
@@ -255,15 +267,9 @@ def step_search(
             cursor = 0
             continue
         if not depth:
-            # Natural exhaustion: each complete path is pruned exactly once,
-            # at its first closed prefix, so the tally must match.
-            if closed != total:
-                raise AssertionError(
-                    "closure accounting broke conservation: "
-                    f"{closed} != {total}"
-                )
-            status = SearchStatus.EXHAUSTED
-            break
+            # Back at the root short of the space: the closure that completes
+            # the tally ends the walk above.
+            raise AssertionError(_BROKE_CONSERVATION.format(closed, total))
         cursor = stack.pop()
         depth -= 1
         row, width, pruned = levels[depth]

@@ -214,7 +214,7 @@ def load(path: str | Path) -> Profile:
         raise MalformedProfileError(str(exc)) from exc
     _require(0 <= prior <= 1, f"prior {prior} outside [0, 1]")
     excluded = doc.get("excluded", 0)
-    _require(isinstance(excluded, int) and excluded >= 0, "bad excluded count")
+    _require(type(excluded) is int and excluded >= 0, "bad excluded count")
     raw_records = doc.get("records")
     _require(isinstance(raw_records, list) and raw_records, "missing records")
     records = []
@@ -223,7 +223,7 @@ def load(path: str | Path) -> Profile:
         _require(type(row.get("id")) is int, f"record {i}: bad id")
         _require(isinstance(row.get("sat"), bool), f"record {i}: bad sat flag")
         _require(
-            isinstance(row.get("closures"), int) and row["closures"] >= 0,
+            type(row.get("closures")) is int and row["closures"] >= 0,
             f"record {i}: bad closure count",
         )
         try:
@@ -244,10 +244,9 @@ def export_curve_csv(profile: Profile, prior_override: Fraction | None = None) -
         raise ValueError(f"prior {prior} outside [0, 1]")
     lines = ["s,survival,posterior"]
     for i in range(101):
-        s = Fraction(i, 100)
-        survival = profile.curve.value(s)
+        survival = Fraction(*profile.curve.survivors(i, 100))
         post = posterior(prior, survival)
-        lines.append(f"{float(s):.6f},{float(survival):.6f},{float(post):.6f}")
+        lines.append(f"{i / 100:.6f},{float(survival):.6f},{float(post):.6f}")
     return "\n".join(lines) + "\n"
 
 

@@ -5,14 +5,16 @@ satisfiability question by sweeping all ``2**k`` truth assignments at once,
 one bit per assignment in a big integer.  It shares no code or traversal
 logic with the path search and serves as an independent verification oracle.
 
-The ``fraction_*`` functions price lookaheads with every exact probability a
-``Fraction``; a float enters only where a ``Fraction`` meets a utility.  Since
+The ``fraction_*`` functions read the survival models and price lookaheads
+with every exact probability a ``Fraction``; a float enters only where a
+``Fraction`` meets a utility.  Since
 CPython evaluates ``Fraction op float`` as ``float(Fraction) op float``, they
 are the bit-for-bit oracle of the package's integer-pair pricing.
 """
 
 import math
 import warnings
+from bisect import bisect_right
 from fractions import Fraction
 
 from proverb.belief import ModelError
@@ -174,6 +176,21 @@ def fraction_survival(total: int, open_count: int, searched: int) -> Fraction:
         num *= total - searched - i
         den *= total - i
     return Fraction(num, den)
+
+
+def fraction_curve_value(fractions, s) -> Fraction:
+    """The empirical survival curve at ``s``: the share of samples above ``s``.
+
+    Pinned to 1 at ``s = 0`` (every search begins unfound), and 1 everywhere
+    when there are no samples.  A bisection over the samples as
+    ``Fraction``s, the oracle for ``SurvivalCurve.survivors``.
+    """
+    samples = sorted(Fraction(f) for f in fractions)
+    s = Fraction(s)
+    n = len(samples)
+    if s == 0 or n == 0:
+        return Fraction(1)
+    return Fraction(n - bisect_right(samples, s), n)
 
 
 def first_open_cdf(remaining: int, open_count: int, within: int) -> Fraction:

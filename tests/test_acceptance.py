@@ -15,7 +15,7 @@ import pytest
 
 from conftest import criterion
 from oracles import brute_force_sat, first_open_pmf, nevc_one, reference_closures
-from proverb.belief import posterior, survival_analytic
+from proverb.belief import AnalyticModel, posterior
 from proverb.controller import (
     AnalyticSource,
     ControllerConfig,
@@ -99,11 +99,12 @@ def test_criterion_03_survival_closed_forms():
     with criterion(3, "survival closed form equals the product form; pmf sums to 1"):
         for total in range(1, 31):
             for open_count in range(1, total + 1):
+                model = AnalyticModel(total, open_count)
                 for searched in range(total + 1):
                     product = Fraction(1)
                     for i in range(searched):
                         product *= 1 - Fraction(open_count, total - i)
-                    assert survival_analytic(total, open_count, searched) == product
+                    assert model.survival(searched) == product
         for remaining in range(1, 21):
             for open_count in range(1, remaining + 1):
                 support = range(1, remaining - open_count + 2)

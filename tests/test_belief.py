@@ -8,7 +8,13 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import first_open_cdf, first_open_mean_within, first_open_pmf
+from oracles import (
+    first_open_cdf,
+    first_open_mean_within,
+    first_open_pmf,
+    fraction_curve_value,
+    fraction_survival,
+)
 from proverb.belief import (
     AnalyticModel,
     ContextTag,
@@ -16,7 +22,6 @@ from proverb.belief import (
     SurvivalCurve,
     context_mismatches,
     posterior,
-    survival_analytic,
 )
 
 
@@ -85,14 +90,15 @@ def test_prior_zero_posterior_is_zero():
 
 def test_survival_single_open_worked_value():
     # One open path among four, two searched: half the placements survive.
-    assert survival_analytic(4, 1, 2) == Fraction(1, 2)
+    assert AnalyticModel(4, 1).survival(2) == Fraction(1, 2)
 
 
 def test_survival_closed_form_equals_product_form():
     for total in range(1, 31):
         for open_count in range(1, total + 1):
+            model = AnalyticModel(total, open_count)
             for searched in range(0, total + 1):
-                assert survival_analytic(total, open_count, searched) == (
+                assert model.survival(searched) == (
                     survival_product_form(total, open_count, searched)
                 )
 
@@ -100,29 +106,30 @@ def test_survival_closed_form_equals_product_form():
 def test_survival_matches_placement_enumeration():
     for total in range(1, 9):
         for open_count in range(1, total + 1):
+            model = AnalyticModel(total, open_count)
             for searched in range(0, total):
-                assert survival_analytic(total, open_count, searched) == (
+                assert model.survival(searched) == (
                     survival_by_placement(total, open_count, searched)
                 )
 
 
 def test_survival_pigeonhole_zero():
-    assert survival_analytic(10, 3, 8) == 0
-    assert survival_analytic(10, 3, 7) > 0
+    assert AnalyticModel(10, 3).survival(8) == 0
+    assert AnalyticModel(10, 3).survival(7) > 0
 
 
 def test_survival_validation():
     with pytest.raises(ModelError):
-        survival_analytic(5, 0, 1)
+        AnalyticModel(5, 0)
     with pytest.raises(ModelError):
-        survival_analytic(5, 6, 1)
+        AnalyticModel(5, 6)
     with pytest.raises(ValueError):
-        survival_analytic(5, 1, -1)
+        AnalyticModel(5, 1).survival(-1)
 
 
 def test_survival_handles_huge_path_spaces():
     total = 3**40
-    value = survival_analytic(total, 2, total // 2)
+    value = AnalyticModel(total, 2).survival(total // 2)
     assert 0 < value < 1
     assert abs(float(value) - 0.25) < 1e-6
 
@@ -142,6 +149,18 @@ def test_mixture_validation():
     with pytest.raises(ModelError):
         AnalyticModel(4, {1: Fraction(1, 2)}).survival(1)  # sums to 1/2
     assert AnalyticModel(4, {1: 0.5, 2: 0.5}).survival(2) == pytest.approx(1 / 3)
+
+
+def test_float_weights_are_normalized_exactly():
+    # 0.9 + 0.1 is not exactly 1 at the floats' exact values; survival must
+    # still start at 1 and stay the exactly normalized mixture.
+    weights = {1: 0.9, 2: 0.1}
+    model = AnalyticModel(100, weights)
+    assert model.survival(0) == 1
+    norm = sum(Fraction(w) for w in weights.values())
+    for searched in (1, 37, 99, 100):
+        want = sum(Fraction(w) * fraction_survival(100, o, searched) for o, w in weights.items())
+        assert model.survival(searched) == want / norm
 
 
 def test_analytic_model_point_and_mixture_agree():
@@ -224,7 +243,7 @@ def test_first_open_pmf_validation():
 
 def test_first_open_cdf_complements_survival():
     for within in range(0, 6):
-        assert first_open_cdf(5, 2, within) == 1 - survival_analytic(5, 2, within)
+        assert first_open_cdf(5, 2, within) == 1 - AnalyticModel(5, 2).survival(within)
     assert first_open_cdf(5, 2, 99) == 1  # clamped at the urn size
 
 
@@ -296,6 +315,15 @@ def test_curve_is_nonincreasing_and_right_continuous():
     for s in sorted(set(samples)):
         if 0 < s < 1:  # s=0 is pinned to 1 by design, tested separately
             assert curve.value(s) == curve.value(s + Fraction(1, 10**9))
+
+
+def test_curve_value_matches_the_fraction_bisect():
+    rng = random.Random(3)
+    samples = [Fraction(rng.randint(0, 59), 60) for _ in range(25)] + [Fraction(0)]
+    curve = SurvivalCurve.from_samples(samples)
+    grid = [Fraction(k, d) for d in (7, 60, 97) for k in range(d + 1)]
+    for s in grid + [0.25, 0.5, 1e-9, 1.0]:
+        assert curve.value(s) == fraction_curve_value(samples, s)
 
 
 def test_curve_sample_validation():

@@ -513,12 +513,58 @@ def test_decide_prior_zero_survival_zero(capsys):
     ],
 )
 def test_bad_number_is_usage_error(argv, error, prior_zero_files, tmp_path, capsys):
+    assert_usage_error(argv, error, prior_zero_files, tmp_path, capsys)
+
+
+def assert_usage_error(argv, error, prior_zero_files, tmp_path, capsys):
+    """Exit 2 with nothing on stdout and ``error`` on stderr."""
     profile, cnf = prior_zero_files
     names = {"profile": profile, "cnf": cnf, "out": tmp_path / "c.csv"}
     assert run_cli(*(arg.format(**names) for arg in argv)) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert error in captured.err
+
+
+ANALYTIC_RUN = ("run", "{cnf}", "--utilities", UTIL, "--analytic", "1", "--prior", "1/2")
+TWO_ACTIONS = "actions=a,b; u(a,w)=1; u(a,~w)=0; u(b,w)=0; u(b,~w)=1"
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (("decide", "--utilities", UTIL, "--posterior", "3/2"), "outside [0, 1]"),
+        (
+            ("run", "{cnf}", "--utilities", UTIL, "--analytic", "1:", "--prior", "1/2"),
+            "bad open-path entry",
+        ),
+        (ANALYTIC_RUN + ("--lookahead", "0"), "lookaheads must be >= 1"),
+        (ANALYTIC_RUN + ("--lookahead", ","), "empty lookahead list"),
+        (
+            ("decide", "--utilities", TWO_ACTIONS + "; cost", "--posterior", "1/2"),
+            "expected key=value",
+        ),
+        (
+            ("decide", "--utilities", "actions=a,9b; u(a,w)=1", "--posterior", "1/2"),
+            "bad action name",
+        ),
+        (
+            ("decide", "--utilities", TWO_ACTIONS + "; tau=soon", "--posterior", "1/2"),
+            "bad tau",
+        ),
+        (
+            ("decide", "--utilities", "actions=a,a; u(a,w)=1; u(a,~w)=0", "--posterior", "1/2"),
+            "action names must be distinct",
+        ),
+        (
+            ("gen", "--clauses", "3", "--lits", "1", "--alphabet", "0", "--seed", "1",
+             "--count", "1", "--out", "{out}"),
+            "alphabet_size must be >= 1",
+        ),
+    ],
+)
+def test_bad_input_is_usage_error(argv, error, prior_zero_files, tmp_path, capsys):
+    assert_usage_error(argv, error, prior_zero_files, tmp_path, capsys)
 
 
 def test_import_leaves_numpy_out():

@@ -439,3 +439,16 @@ def test_mixture_runs_past_its_largest_open_count(
         load_trace(path), utilities=ACT, timecost=ZERO_COST, analytic=source
     )
     assert report.ok and report.steps_checked == len(trace.steps), report.message
+
+
+def test_float_mixture_weights_start_at_the_prior(tmp_path):
+    # 0.9 + 0.1 sums to 1 only within FLOAT_TOL at the floats' exact values;
+    # the weights are normalized, so step 0 reads survival 1 and the prior.
+    m = generate(GeneratorConfig(8, 2, 4, seed=21))
+    source = AnalyticSource(Fraction(1, 2), {1: 0.9, 2: 0.1})
+    trace = run(m, analytic_config(source=source, chunk=8, lookaheads=(8, "full")))
+    assert trace.steps[0].posterior == 0.5
+    path = tmp_path / "t.jsonl"
+    save_trace(trace, path)
+    report = replay(load_trace(path), utilities=ACT, timecost=ZERO_COST, analytic=source)
+    assert report.ok and report.steps_checked == len(trace.steps), report.message

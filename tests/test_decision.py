@@ -7,8 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import first_open_pmf, nevc_one
-from proverb.belief import survival_analytic
+from oracles import first_open_pmf, fraction_survival, nevc_one
 from proverb.decision import (
     CostKind,
     DominanceError,
@@ -246,8 +245,8 @@ def test_nevc_multi_against_pmf_literal_sum():
         first_open_pmf(remaining, open_count, j) * Fraction(1 - rate * j)
         for j in range(1, x + 1)
     )
-    mass = 1 - survival_analytic(remaining, open_count, x)
-    survival = survival_analytic(remaining, open_count, x)
+    mass = 1 - fraction_survival(remaining, open_count, x)
+    survival = fraction_survival(remaining, open_count, x)
     drifted = p / (p + survival * (1 - p))
     act_after = max(drifted, 1 - drifted) - Fraction(rate) * x
     act_now = max(p, 1 - p)
@@ -300,7 +299,7 @@ def test_nevc_two_outcome_matches_analytic_single_chunk():
     # valued at its end equals the analytic lookahead when all halt times
     # price identically (zero cost).
     p, remaining, open_count, x = 0.5, 8, 2, 3
-    ratio = survival_analytic(remaining, open_count, x)
+    ratio = fraction_survival(remaining, open_count, x)
     got = nevc_two_outcome(p, ratio, ACT, ZERO_COST, paths=x)
     want = nevc_multi(p, remaining, ((open_count, 1),), ACT, ZERO_COST, x)
     assert got == pytest.approx(want, abs=1e-12)

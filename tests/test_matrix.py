@@ -3,11 +3,13 @@
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from oracles import OracleLimitError, brute_force_sat, reference_closures
+from proverb.dimacs import parse_dimacs
 from proverb.generator import GeneratorConfig, generate
 from proverb.matrix import (
     InvalidStateError,
@@ -228,6 +230,51 @@ def test_closure_conservation_on_random_matrices():
             assert state.closed == state.total
         else:
             assert state.closed < state.total
+
+
+def deep_unsat_state():
+    """An unsatisfiable search paused after its first closure.
+
+    Clauses (x0 | x1), ~x0, ~x1, then seven of width 3: 2 * 3**7 paths, and
+    each of the walk's two closures prunes 3**7 of them.
+    """
+    wide = literals(2, 3, 4)
+    m = Matrix((literals(0, 1), literals((0, True)), literals((1, True))) + (wide,) * 7, 5)
+    state = init_search(m)
+    step_search(state, 1)
+    assert (state.status, state.closed, state.total) == (SearchStatus.RUNNING, 3**7, 2 * 3**7)
+    return state
+
+
+def test_tally_past_the_space_breaks_conservation():
+    # The last closure takes the tally 3**7 - 1 past the space: a pause must
+    # not report it as RUNNING.
+    state = deep_unsat_state()
+    state.closed = state.total - 1
+    with pytest.raises(AssertionError, match="conservation"):
+        step_search(state, 1)
+
+
+def test_tally_short_of_the_space_breaks_conservation():
+    # The walk gets back to the root with 3**7 paths unaccounted for.
+    state = deep_unsat_state()
+    state.closed = 0
+    with pytest.raises(AssertionError, match="conservation"):
+        step_search(state, state.total)
+
+
+def test_search_memory_follows_the_symbols_used():
+    # The header declares a million symbols; the one clause uses one.
+    matrix, _meta = parse_dimacs("p cnf 1000000 1\n1 0\n")
+    tracemalloc.start()
+    try:
+        state = init_search(matrix)
+        step_search(state, 1)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert state.status is SearchStatus.OPEN_FOUND
+    assert peak < 64 * 1024
 
 
 def test_exhaustion_agrees_with_path_enumeration():

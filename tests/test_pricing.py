@@ -1,8 +1,8 @@
 """The integer-pair pricing against the ``Fraction`` oracle, bit for bit.
 
 ``tests/oracles.py`` writes ``nevc_multi``, ``nevc_two_outcome``, the
-posterior and the analytic source's conditioning with every exact
-probability a ``Fraction``.  The package must return the same float
+posterior, the analytic source's conditioning and the survival curve's
+reading with every exact probability a ``Fraction``.  The package must return the same float
 (compared by ``repr``, so even the sign of a zero counts) and raise the same
 exception type with the same message.  A float posterior counts at its exact
 rational value, so the oracle gets ``Fraction(p)``.
@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from oracles import (
     fraction_analytic_posterior,
     fraction_conditional,
+    fraction_curve_value,
     fraction_nevc_multi,
     fraction_nevc_two_outcome,
     fraction_posterior,
@@ -211,22 +212,31 @@ def profile_of(fractions, unsat):
 
 @SOURCES
 @given(st.lists(st.fractions(0, 1, max_denominator=50).filter(lambda f: f < 1), max_size=8),
-       st.integers(1, 400))
-def test_threshold_lookup_equals_the_curve(fractions, total):
-    source = ProfileSource(profile_of(fractions, unsat=1))
-    curve = source.profile.curve
-    near = {0, total}
-    for f in fractions:
-        low = f.numerator * total // f.denominator
-        near.update(c for c in (low - 1, low, low + 1, low + 2) if 0 <= c <= total)
-    for c in sorted(near):
-        assert Fraction(*source._survivors(total, c)) == curve.value(Fraction(c, total))
+       st.integers(1, 400), st.integers(1, 400))
+def test_threshold_lookup_equals_the_curve(fractions, total, other):
+    curve = profile_of(fractions, unsat=1).curve
+    n = len(fractions)
+    # Alternating sizes rebuild the kept thresholds each time.
+    for size in (total, other, total):
+        near = {0, size}
+        for f in fractions:
+            low = f.numerator * size // f.denominator
+            near.update(c for c in (low - 1, low, low + 1, low + 2) if 0 <= c <= size)
+        for c in sorted(near):
+            want = fraction_curve_value(fractions, Fraction(c, size))
+            survivors, samples = curve.survivors(c, size)
+            assert samples == (n or 1)
+            assert Fraction(survivors, samples) == want
+            assert curve.value(Fraction(c, size)) == want
 
 
 def test_empty_curve_lookup_is_one():
-    source = ProfileSource(profile_of([], unsat=2))
+    curve = profile_of([], unsat=2).curve
     for total, c in [(1, 0), (1, 1), (7, 0), (7, 3), (7, 7)]:
-        assert source._survivors(total, c) == (1, 1)
+        assert curve.survivors(c, total) == (1, 1)
+    curve = profile_of([Fraction(0), Fraction(1, 2)], unsat=1).curve
+    assert curve.survivors(0, 7) == (2, 2)  # pinned at 0, past a discovery at 0
+    assert curve.survivors(1, 7) == (1, 2)
 
 
 @SOURCES
@@ -235,20 +245,19 @@ def test_empty_curve_lookup_is_one():
        st.integers(1, 3), st.integers(2, 300), st.data())
 def test_profile_source_matches_the_oracle(fractions, unsat, total, data):
     source = ProfileSource(profile_of(fractions, unsat))
-    profile, curve = source.profile, source.profile.curve
+    profile = source.profile
     timecost = data.draw(costs(total))
     chunk = data.draw(st.integers(1, total))
     config = ControllerConfig(chunk, ACT, timecost, source, (chunk, "full"))
     for closed in range(0, total, max(1, total // 7)):
-        s = Fraction(closed, total)
-        post = fraction_posterior(profile.prior, curve.value(s))
+        now = fraction_curve_value(fractions, Fraction(closed, total))
+        post = fraction_posterior(profile.prior, now)
         got = source.posterior_at(total, closed)
         assert got == post
         t_now = closed * timecost.tau
-        now = curve.value(s)
         want = []
         for x in config.lookahead_paths(total - closed):
-            nxt = curve.value(Fraction(closed + x, total))
+            nxt = fraction_curve_value(fractions, Fraction(closed + x, total))
             ratio = nxt / now if now > 0 else Fraction(1)
             want.append(repr(fraction_nevc_two_outcome(post, ratio, ACT, timecost, x, t_now)))
         assert list(map(repr, source.nevc_at(config, total, closed, got, t_now))) == want

@@ -210,6 +210,8 @@ def test_load_rejects_bad_version(tmp_path):
         lambda d: d["records"][0].__setitem__("sat", "yes"),
         lambda d: d.__setitem__("excluded", -2),
         lambda d: d["records"][0].__setitem__("closures", -1),
+        lambda d: d["records"][0].__setitem__("closures", True),
+        lambda d: d.__setitem__("excluded", True),
     ],
 )
 def test_load_rejects_malformed_documents(tmp_path, mutate):

@@ -1,5 +1,5 @@
-"""Property tests: resumable search, its closures, and the trace, utility-spec
-and DIMACS round trips on random inputs.
+"""Property tests: resumable search, its closures, and the trace, utility-spec,
+DIMACS and profile round trips on random inputs.
 
 Hypothesis runs derandomized, with no example database and a bounded number
 of examples, so the file gives the same verdict on every run and takes a few
@@ -42,7 +42,7 @@ from proverb.matrix import (
     step_search,
     total_paths,
 )
-from proverb.profiles import collect
+from proverb.profiles import InstanceRecord, Profile, collect, load, save
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=150, deadline=None)
 
@@ -77,8 +77,19 @@ def _profile(family, seed):
 PROFILES = (_profile((8, 2, 3), 1), _profile((3, 3, 10), 1))
 
 
+# Generated instances of 64 to 1,024 paths: many walks take dozens of closures.
+generated = st.builds(
+    lambda shape, seed: generate(GeneratorConfig(*shape, seed)),
+    st.sampled_from([(8, 2, 3), (6, 2, 2), (5, 4, 4)]),
+    st.integers(0, 2**32),
+)
+
+
 @PROPERTY
-@given(matrices(0, 0), st.lists(st.integers(1, 60), min_size=1, max_size=8))
+@given(
+    generated | matrices(0, 0),
+    st.lists(st.integers(1, 60), min_size=1, max_size=8),
+)
 def test_any_budget_sequence_reaches_the_solve_state(matrix, budgets):
     state = init_search(matrix)
     for budget in itertools.cycle(budgets):
@@ -90,14 +101,6 @@ def test_any_budget_sequence_reaches_the_solve_state(matrix, budgets):
     assert state.closed == whole.closed
     assert state.witness == whole.witness
     assert state.closure_count == whole.closure_count
-
-
-# Generated instances of 64 to 1,024 paths: many walks take dozens of closures.
-generated = st.builds(
-    lambda shape, seed: generate(GeneratorConfig(*shape, seed)),
-    st.sampled_from([(8, 2, 3), (6, 2, 2), (5, 4, 4)]),
-    st.integers(0, 2**32),
-)
 
 
 @PROPERTY
@@ -257,3 +260,39 @@ metadata = st.dictionaries(
 def test_dimacs_round_trips(matrix, meta):
     assert parse_dimacs(format_dimacs(matrix)) == (matrix, {})
     assert parse_dimacs(format_dimacs(matrix, meta)) == (matrix, meta)
+
+
+counts = st.none() | st.integers(0, 2**40)
+contexts = st.builds(
+    ContextTag, counts, counts, counts, counts, counts, st.sampled_from(["none", "presort"])
+)
+outcomes = st.tuples(
+    st.integers(0, 2**40),
+    st.booleans(),
+    st.fractions(0, 1, max_denominator=3**30).filter(lambda f: f < 1),
+    st.integers(0, 2**70),
+)
+
+
+@st.composite
+def profiles(draw):
+    rows = draw(st.lists(outcomes, min_size=1, max_size=12))
+    records = tuple(
+        InstanceRecord(i, sat, frac if sat else Fraction(1), closures)
+        for i, sat, frac, closures in rows
+    )
+    prior = Fraction(sum(not r.satisfiable for r in records), len(records))
+    return Profile(draw(contexts), prior, records, draw(st.integers(0, 2**40)))
+
+
+@PROPERTY
+@given(profiles())
+def test_profile_save_load_round_trips(profile):
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp) / "a.json", Path(tmp) / "b.json"
+        save(profile, first)
+        loaded = load(first)
+        save(loaded, second)
+        assert second.read_bytes() == first.read_bytes()
+    assert loaded == profile
+    assert loaded.curve == profile.curve
