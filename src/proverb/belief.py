@@ -90,10 +90,21 @@ def context_to_json(tag: ContextTag) -> dict:
 
 
 def context_from_json(node: object) -> ContextTag:
-    """Inverse of :func:`context_to_json`; absent keys take their defaults."""
+    """Inverse of :func:`context_to_json`; absent keys take their defaults.
+
+    The counts and the seed must be integers (not bools) or null, and the
+    heuristic a string.
+    """
     if not isinstance(node, dict):
         raise ValueError("missing context object")
-    return ContextTag(**{key: node[key] for key in _CONTEXT_KEYS if key in node})
+    values = {key: node[key] for key in _CONTEXT_KEYS if key in node}
+    for key, value in values.items():
+        if key == "heuristic":
+            if type(value) is not str:
+                raise ValueError(f"context heuristic must be a string, got {value!r}")
+        elif value is not None and type(value) is not int:
+            raise ValueError(f"context {key} must be an integer or null, got {value!r}")
+    return ContextTag(**values)
 
 
 def rational_to_json(value: Probability) -> dict:

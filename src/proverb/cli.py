@@ -4,6 +4,11 @@ Subcommands: gen, prove, profile, curve, decide, run, compare-heuristic.
 Exit codes: 0 success (including a terminal proof), 2 parse/configuration
 error, 3 budget exhausted while still running, 4 context mismatch under
 --strict.
+
+Each subcommand imports only the layers it runs, inside its handler:
+``prove`` never loads the belief or decision layers, ``decide --posterior``
+never loads the search kernel, and only ``run`` loads the controller.  A
+command runs in a fresh interpreter, where start-up is most of its time.
 """
 
 from __future__ import annotations
@@ -12,10 +17,6 @@ import argparse
 import sys
 from fractions import Fraction
 from pathlib import Path
-
-from . import belief, controller, decision, dimacs, generator, profiles
-from .heuristics import Heuristic
-from .matrix import SearchStatus, init_search, step_search, total_paths
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -49,17 +50,23 @@ def _parse_open_paths(text: str):
         count, _, weight = part.partition(":")
         if not weight:
             raise ValueError(f"bad open-path entry {part!r} (want COUNT:PROB)")
-        dist[int(count)] = _parse_fraction(weight)
+        weight = _parse_fraction(weight)
+        count = int(count)
+        if count in dist:
+            raise ValueError(f"open-path count {count} given twice")
+        dist[count] = weight
     return dist
 
 
 def _parse_lookaheads(text: str) -> tuple:
+    from .controller import FULL_LOOKAHEAD
+
     out = []
     for part in text.split(","):
         part = part.strip()
         if not part:
             continue
-        if part == controller.FULL_LOOKAHEAD:
+        if part == FULL_LOOKAHEAD:
             out.append(part)
         else:
             value = int(part)
@@ -71,14 +78,16 @@ def _parse_lookaheads(text: str) -> tuple:
     return tuple(out)
 
 
-def _instance_context(meta: dict, heuristic: Heuristic) -> belief.ContextTag:
+def _instance_context(meta: dict, heuristic):
+    from .belief import ContextTag
+
     def _int(key):
         try:
             return int(meta[key])
         except (KeyError, ValueError):
             return None
 
-    return belief.ContextTag(
+    return ContextTag(
         n_clauses=_int("n_clauses"),
         lits_per_clause=_int("lits_per_clause"),
         alphabet_size=_int("alphabet_size"),
@@ -87,34 +96,46 @@ def _instance_context(meta: dict, heuristic: Heuristic) -> belief.ContextTag:
     )
 
 
-def _family(args) -> generator.GeneratorConfig:
-    return generator.GeneratorConfig(args.clauses, args.lits, args.alphabet, args.seed)
+def _family(args):
+    from .generator import GeneratorConfig
+
+    return GeneratorConfig(args.clauses, args.lits, args.alphabet, args.seed)
 
 
-def _collect(args, corpus, heuristic: Heuristic) -> profiles.Profile:
+def _collect(args, corpus, heuristic):
     """Profile the family's corpus, tagged with the family and heuristic."""
-    context = belief.ContextTag(
+    from .belief import ContextTag
+    from .profiles import collect
+
+    context = ContextTag(
         args.clauses, args.lits, args.alphabet, args.seed, args.count, heuristic.value
     )
-    return profiles.collect(
+    return collect(
         corpus, heuristic, context=context, step_cap=args.step_cap, jobs=args.jobs
     )
 
 
 def _read_instance(args):
     """The DIMACS file's matrix (presorted under --presort), header and heuristic."""
-    matrix, meta = dimacs.read_dimacs(args.file)
+    from .dimacs import read_dimacs
+    from .heuristics import Heuristic
+
+    matrix, meta = read_dimacs(args.file)
     heuristic = Heuristic.PRESORT if args.presort else Heuristic.NONE
     return heuristic.apply(matrix), meta, heuristic
 
 
 def _gen(args) -> int:
-    paths = generator.write_corpus(_family(args), args.count, args.out, args.prefix)
+    from .generator import write_corpus
+
+    paths = write_corpus(_family(args), args.count, args.out, args.prefix)
     print(f"wrote {len(paths)} instances to {args.out}")
     return EXIT_OK
 
 
 def _prove(args) -> int:
+    from .matrix import SearchStatus, init_search, step_search
+
     matrix, _meta, _heuristic = _read_instance(args)
     state = init_search(matrix)
     if state.status is SearchStatus.RUNNING:
@@ -142,10 +163,14 @@ def _prove(args) -> int:
 
 
 def _profile(args) -> int:
-    corpus = generator.generate_corpus(_family(args), args.count)
+    from .generator import generate_corpus
+    from .heuristics import Heuristic
+    from .profiles import save
+
+    corpus = generate_corpus(_family(args), args.count)
     heuristic = Heuristic.PRESORT if args.presort else Heuristic.NONE
     profile = _collect(args, corpus, heuristic)
-    profiles.save(profile, args.out)
+    save(profile, args.out)
     print(
         f"profile over {len(profile.records)} instances "
         f"(excluded {profile.excluded}): prior {profile.prior} "
@@ -155,14 +180,19 @@ def _profile(args) -> int:
 
 
 def _curve(args) -> int:
-    profile = profiles.load(args.profile)
+    from .profiles import load, write_curve_csv
+
+    profile = load(args.profile)
     override = _parse_fraction(args.prior) if args.prior is not None else None
-    profiles.write_curve_csv(profile, args.out, override)
+    write_curve_csv(profile, args.out, override)
     print(f"wrote curve table to {args.out}")
     return EXIT_OK
 
 
 def _decide(args) -> int:
+    from . import decision
+    from .belief import posterior
+
     utilities, timecost = decision.parse_utility_spec(args.utilities)
     given = [
         args.posterior is not None,
@@ -177,11 +207,11 @@ def _decide(args) -> int:
     if args.posterior is not None:
         post = _parse_fraction(args.posterior)
     elif args.prior is not None:
-        post = belief.posterior(
-            _parse_fraction(args.prior), _parse_fraction(args.survival)
-        )
+        post = posterior(_parse_fraction(args.prior), _parse_fraction(args.survival))
     else:
-        profile = profiles.load(args.profile)
+        from .profiles import load
+
+        profile = load(args.profile)
         post = profile.posterior_at(_parse_fraction(args.fraction))
     print(f"posterior: {float(post):.6f}")
     try:
@@ -195,16 +225,22 @@ def _decide(args) -> int:
 
 
 def _run(args) -> int:
+    from . import controller
+    from .belief import context_mismatches
+    from .decision import parse_utility_spec
+    from .matrix import total_paths
+    from .profiles import load
+
     matrix, meta, heuristic = _read_instance(args)
-    utilities, timecost = decision.parse_utility_spec(args.utilities)
+    utilities, timecost = parse_utility_spec(args.utilities)
 
     if (args.profile is None) == (args.analytic is None):
         return _fail("give exactly one of --profile or --analytic (with --prior)")
     if args.profile is not None:
-        profile = profiles.load(args.profile)
+        profile = load(args.profile)
         source = controller.ProfileSource(profile)
         instance_ctx = _instance_context(meta, heuristic)
-        bad = belief.context_mismatches(profile.context, instance_ctx)
+        bad = context_mismatches(profile.context, instance_ctx)
         if bad:
             detail = ", ".join(
                 f"{name}: {getattr(profile.context, name)!r} "
@@ -248,17 +284,19 @@ def _run(args) -> int:
 
 
 def _compare(args) -> int:
-    corpus = generator.generate_corpus(_family(args), args.count)
+    from .generator import generate_corpus
+    from .heuristics import Heuristic
+    from .profiles import export_curve_csv, save
+
+    corpus = generate_corpus(_family(args), args.count)
     plain = _collect(args, corpus, Heuristic.NONE)
     sorted_ = _collect(args, corpus, Heuristic.PRESORT)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    profiles.save(plain, out_dir / "profile_none.json")
-    profiles.save(sorted_, out_dir / "profile_presort.json")
+    save(plain, out_dir / "profile_none.json")
+    save(sorted_, out_dir / "profile_presort.json")
     # Same s column in both tables: keep plain's, then presort's other two.
-    rows = zip(
-        *(profiles.export_curve_csv(p).splitlines()[1:] for p in (plain, sorted_))
-    )
+    rows = zip(*(export_curve_csv(p).splitlines()[1:] for p in (plain, sorted_)))
     lines = ["s,survival_none,posterior_none,survival_presort,posterior_presort"]
     lines += [f"{a},{b.partition(',')[2]}" for a, b in rows]
     (out_dir / "curves.csv").write_bytes(("\n".join(lines) + "\n").encode("ascii"))

@@ -203,7 +203,7 @@ def load(path: str | Path) -> Profile:
         raise MalformedProfileError(f"not valid JSON: {exc}") from exc
     _require(isinstance(doc, dict), "profile document must be a JSON object")
     version = doc.get("format_version")
-    if version != FORMAT_VERSION:
+    if type(version) is not int or version != FORMAT_VERSION:
         raise VersionMismatchError(
             f"profile format_version {version!r} unsupported (expected {FORMAT_VERSION})"
         )

@@ -538,6 +538,10 @@ TWO_ACTIONS = "actions=a,b; u(a,w)=1; u(a,~w)=0; u(b,w)=0; u(b,~w)=1"
             ("run", "{cnf}", "--utilities", UTIL, "--analytic", "1:", "--prior", "1/2"),
             "bad open-path entry",
         ),
+        (
+            ("run", "{cnf}", "--utilities", UTIL, "--analytic", "1:0.5,1:0.5", "--prior", "1/2"),
+            "open-path count 1 given twice",
+        ),
         (ANALYTIC_RUN + ("--lookahead", "0"), "lookaheads must be >= 1"),
         (ANALYTIC_RUN + ("--lookahead", ","), "empty lookahead list"),
         (
@@ -578,6 +582,105 @@ def test_import_leaves_numpy_out():
         "assert not loaded, loaded"
     )
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+PROBE = """\
+import sys
+from proverb.cli import main
+code = main(sys.argv[1:]) if len(sys.argv) > 1 else 0
+print(code, *sorted(n for n in sys.modules if n == "proverb" or n.startswith("proverb.")))
+"""
+
+
+def modules_after(argv, cwd):
+    """Exit code and the ``proverb`` modules loaded by ``main(argv)`` in a fresh
+    interpreter, named without the package prefix."""
+    import proverb
+
+    src = str(Path(proverb.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", PROBE, *argv],
+        env=env, cwd=cwd, capture_output=True, text=True, check=True,
+    )
+    code, *names = done.stdout.splitlines()[-1].split()
+    return int(code), {name.removeprefix("proverb.") for name in names}
+
+
+def test_import_loads_only_the_front_end(tmp_path):
+    assert modules_after([], tmp_path) == (0, {"proverb", "cli"})
+
+
+SMALL_FAMILY = (
+    "--clauses", "3", "--lits", "1", "--alphabet", "2", "--seed", "1", "--count", "2",
+)
+
+
+@pytest.mark.parametrize(
+    "argv, loaded, absent",
+    [
+        (
+            ("prove", "{cnf}"),
+            {"matrix", "dimacs", "heuristics"},
+            {"controller", "decision", "profiles", "belief"},
+        ),
+        (
+            ("decide", "--utilities", UTIL, "--posterior", "1/2"),
+            {"decision", "belief"},
+            {"controller", "matrix", "profiles"},
+        ),
+        (
+            ("gen", *SMALL_FAMILY, "--out", "{out}"),
+            {"generator"},
+            {"controller", "decision", "profiles", "belief"},
+        ),
+        (
+            ("decide", "--utilities", UTIL, "--profile", "{profile}", "--fraction", "1/2"),
+            {"decision", "profiles"},
+            {"controller"},
+        ),
+        (
+            ("curve", "--profile", "{profile}", "--out", "{out}"),
+            {"profiles"},
+            {"controller", "decision"},
+        ),
+        (("profile", *SMALL_FAMILY, "--out", "{out}"), {"profiles"}, {"controller", "decision"}),
+        (
+            ("compare-heuristic", *SMALL_FAMILY, "--out", "{out}"),
+            {"profiles"},
+            {"controller", "decision"},
+        ),
+        (ANALYTIC_RUN, {"controller"}, set()),
+    ],
+)
+def test_each_command_loads_only_its_layers(argv, loaded, absent, prior_zero_files, tmp_path):
+    profile, cnf = prior_zero_files
+    names = {"profile": profile, "cnf": cnf, "out": tmp_path / "out"}
+    code, modules = modules_after([arg.format(**names) for arg in argv], tmp_path)
+    assert code == 0
+    assert loaded <= modules
+    assert not absent & modules, absent & modules
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("heuristic", 5), ("n_clauses", [1])],
+)
+def test_run_profile_with_mistyped_context_is_usage_error(
+    field, value, prior_zero_files, tmp_path, capsys
+):
+    profile, cnf = prior_zero_files
+    doc = json.loads(profile.read_text())
+    doc["context"][field] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code = run_cli(
+        "run", str(cnf), "--utilities", UTIL, "--profile", str(bad), "--strict"
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: context {field} must be ")
 
 
 def test_malformed_profile_is_usage_error(tmp_path, capsys):

@@ -212,6 +212,12 @@ def test_load_rejects_bad_version(tmp_path):
         lambda d: d["records"][0].__setitem__("closures", -1),
         lambda d: d["records"][0].__setitem__("closures", True),
         lambda d: d.__setitem__("excluded", True),
+        lambda d: d.__setitem__("format_version", True),
+        lambda d: d["context"].__setitem__("heuristic", 5),
+        lambda d: d["context"].__setitem__("heuristic", None),
+        lambda d: d["context"].__setitem__("n_clauses", [1]),
+        lambda d: d["context"].__setitem__("seed", True),
+        lambda d: d["context"].__setitem__("count", 2.0),
     ],
 )
 def test_load_rejects_malformed_documents(tmp_path, mutate):

@@ -1,21 +1,27 @@
 """Property tests: resumable search, its closures, and the trace, utility-spec,
-DIMACS and profile round trips on random inputs.
+DIMACS and profile round trips on random inputs; and the command line, which
+answers malformed input of every kind with exit 2 and the cause on stderr.
 
 Hypothesis runs derandomized, with no example database and a bounded number
 of examples, so the file gives the same verdict on every run and takes a few
 seconds.
 """
 
+import io
 import itertools
+import json
 import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_force_sat, reference_closures
 from proverb.belief import ContextTag
+from proverb.cli import main
 from proverb.controller import (
     AnalyticSource,
     ControllerConfig,
@@ -42,7 +48,14 @@ from proverb.matrix import (
     step_search,
     total_paths,
 )
-from proverb.profiles import InstanceRecord, Profile, collect, load, save
+from proverb.profiles import (
+    InstanceRecord,
+    MalformedProfileError,
+    Profile,
+    collect,
+    load,
+    save,
+)
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=150, deadline=None)
 
@@ -77,17 +90,27 @@ def _profile(family, seed):
 PROFILES = (_profile((8, 2, 3), 1), _profile((3, 3, 10), 1))
 
 
-# Generated instances of 64 to 1,024 paths: many walks take dozens of closures.
-generated = st.builds(
-    lambda shape, seed: generate(GeneratorConfig(*shape, seed)),
-    st.sampled_from([(8, 2, 3), (6, 2, 2), (5, 4, 4)]),
-    st.integers(0, 2**32),
+def long_walk(shape, seed):
+    """The first instance of ``shape`` from ``seed`` on whose walk takes at
+    least 20 closures; about half of the instances of these shapes do."""
+    for seed in itertools.count(seed):
+        matrix = generate(GeneratorConfig(*shape, seed))
+        if solve(matrix).closure_count >= 20:
+            return matrix
+
+
+# Instances of 256 to 1,024 paths, so that a budget sequence splits a long
+# walk.  Two draws in three are such walks; the rest are small matrices, the
+# degenerate ones included.
+long_walks = st.builds(
+    long_walk, st.sampled_from([(8, 2, 3), (10, 2, 3), (10, 2, 4)]), st.integers(0, 2**32)
 )
+walks = st.sampled_from([long_walks, long_walks, matrices(0, 0)]).flatmap(lambda s: s)
 
 
 @PROPERTY
 @given(
-    generated | matrices(0, 0),
+    walks,
     st.lists(st.integers(1, 60), min_size=1, max_size=8),
 )
 def test_any_budget_sequence_reaches_the_solve_state(matrix, budgets):
@@ -105,7 +128,7 @@ def test_any_budget_sequence_reaches_the_solve_state(matrix, budgets):
 
 @PROPERTY
 @given(
-    generated | matrices(0, 0),
+    walks,
     st.lists(st.integers(1, 300), min_size=1, max_size=8),
     st.none() | st.integers(1, 5),
 )
@@ -296,3 +319,351 @@ def test_profile_save_load_round_trips(profile):
         assert second.read_bytes() == first.read_bytes()
     assert loaded == profile
     assert loaded.curve == profile.curve
+
+
+# --- malformed command-line input ----------------------------------------------
+
+SPEC = "actions=a,b; u(a,w)=1; u(a,~w)=0; u(b,w)=0; u(b,~w)=1"
+CNF, PROFILE, OUT, BAD = "@cnf", "@profile", "@out", "@bad"  # stand-ins for paths
+CNF_TEXT = "p cnf 3 3\n1 2 3 0\n-1 -2 -3 0\n1 -2 3 0\n"  # 27 paths
+ANALYTIC = ("run", CNF, "--utilities", SPEC, "--analytic", "1", "--prior", "1/2")
+
+
+def call_cli(argv, bad=b""):
+    """``main(argv)`` on fresh files, ``bad`` the content of the ``@bad`` file:
+    exit code, stdout and stderr."""
+    with tempfile.TemporaryDirectory() as tmp:
+        names = {CNF: "f.cnf", PROFILE: "p.json", OUT: "out", BAD: "bad"}
+        paths = {arg: Path(tmp) / name for arg, name in names.items()}
+        paths[CNF].write_text(CNF_TEXT)
+        paths[PROFILE].write_text(PROFILE_TEXT)
+        paths[BAD].write_bytes(bad)
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main([str(paths.get(arg, arg)) for arg in argv])
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_usage_error(argv, cause, bad=b""):
+    """Exit 2, nothing on stdout and ``cause`` on stderr; nothing raised."""
+    code, out, err = call_cli(argv, bad)
+    assert (code, out) == (2, ""), err
+    assert cause in err, err
+
+
+def rejected_by(parse):
+    def rejects(text):
+        try:
+            parse(text)
+        except (ValueError, ZeroDivisionError):
+            return True
+        return False
+
+    return rejects
+
+
+def fill(template, text):
+    return tuple(arg.format(text) for arg in template)
+
+
+word = st.from_regex(r"\A[a-z]{1,6}\Z")
+not_a_fraction = st.text(st.sampled_from("0123456789+-./eE x"), min_size=1, max_size=6).filter(
+    rejected_by(Fraction)
+)
+not_an_int = st.text(st.sampled_from("0123456789+-.ex "), max_size=4).filter(rejected_by(int))
+# Malformed probabilities: the error quotes each one.
+bad_fractions = st.one_of(
+    not_a_fraction,
+    st.integers(0, 99).map(lambda n: f"{n}/0"),
+    st.fractions().filter(lambda f: not 0 <= f <= 1).map(str),
+)
+FRACTION_SLOTS = [
+    ("decide", "--utilities", SPEC, "--posterior={}"),
+    ("decide", "--utilities", SPEC, "--prior={}", "--survival", "1/2"),
+    ("decide", "--utilities", SPEC, "--prior", "1/2", "--survival={}"),
+    ("decide", "--utilities", SPEC, "--profile", PROFILE, "--fraction={}"),
+    ("curve", "--profile", PROFILE, "--out", OUT, "--prior={}"),
+    ANALYTIC[:-2] + ("--prior={}",),
+    ANALYTIC[:4] + ("--analytic", "1:{}", "--prior", "1/2"),
+]
+FAMILY_CAUSES = {
+    "--clauses": "n_clauses must be >= 1",
+    "--lits": "lits_per_clause must be >= 1",
+    "--alphabet": "alphabet_size must be >= 1",
+    "--count": "count must be >= 1",
+    "--jobs": "jobs must be >= 1",
+}
+
+
+def family_template(command, flag):
+    values = {"--clauses": 3, "--lits": 1, "--alphabet": 2, "--seed": 1, "--count": 2, flag: "{}"}
+    return (command, *(f"{key}={value}" for key, value in values.items()), "--out", OUT)
+
+
+# Integer flags and the cause a value below 1 gets.
+INT_SLOTS = [
+    (("prove", CNF, "--budget={}"), "budget must be >= 1"),
+    (ANALYTIC + ("--chunk={}",), "chunk must be >= 1"),
+    *(
+        (family_template(command, flag), cause)
+        for command in ("gen", "profile", "compare-heuristic")
+        for flag, cause in FAMILY_CAUSES.items()
+        if flag != "--jobs" or command != "gen"
+    ),
+]
+
+
+@st.composite
+def bad_numbers(draw):
+    """A malformed number in some command's slot, and the cause stderr must name."""
+    kind = draw(st.sampled_from(["fraction", "not an int", "below 1"]))
+    if kind == "fraction":
+        text = draw(bad_fractions)
+        return fill(draw(st.sampled_from(FRACTION_SLOTS)), text), repr(text)
+    template, cause = draw(st.sampled_from(INT_SLOTS))
+    if kind == "not an int":
+        text = draw(not_an_int)
+        return fill(template, text), f"invalid int value: {text!r}"
+    return fill(template, str(draw(st.integers(-5, 0)))), cause
+
+
+@PROPERTY
+@given(bad_numbers())
+def test_malformed_number_is_usage_error(case):
+    assert_usage_error(*case)
+
+
+weights = st.fractions(0, 1, max_denominator=6)
+
+
+@st.composite
+def bad_open_paths(draw):
+    """A malformed ``--analytic`` value (of 27 paths) and its cause."""
+    kind = draw(st.sampled_from(["repeat", "no weight", "count", "range", "sum"]))
+    if kind == "repeat":
+        counts = draw(st.lists(st.integers(1, 27), min_size=1, max_size=3, unique=True))
+        again = draw(st.sampled_from(counts))
+        text = ",".join(f"{c}:{draw(weights)}" for c in counts + [again])
+        cause = f"open-path count {again} given twice"
+    elif kind == "no weight":
+        bare = draw(st.integers(1, 27))
+        text, cause = f"1:1/2,{bare}", f"bad open-path entry '{bare}'"
+    elif kind == "count":
+        count = draw(not_an_int)
+        text, cause = draw(st.sampled_from([count, f"{count}:1"])), repr(count)
+    elif kind == "range":
+        count = draw(st.integers(-5, 0) | st.integers(28, 10**6))
+        text = draw(st.sampled_from([str(count), f"{count}:1"]))
+        cause = f"open-path count {count} "
+    else:
+        counts = draw(st.lists(st.integers(1, 27), min_size=1, max_size=4, unique=True))
+        shares = draw(st.lists(weights, min_size=len(counts), max_size=len(counts)))
+        assume(sum(shares) != 1)
+        text = ",".join(f"{c}:{w}" for c, w in zip(counts, shares))
+        cause = f"open-path distribution sums to {sum(shares)}, not 1"
+    return ANALYTIC[:4] + ANALYTIC[6:] + (f"--analytic={text}",), cause
+
+
+@st.composite
+def bad_lookaheads(draw):
+    """A malformed ``--lookahead`` list and its cause."""
+    kind = draw(st.sampled_from(["below 1", "empty", "word"]))
+    if kind == "empty":
+        text, cause = draw(st.text(st.sampled_from(", "), min_size=1, max_size=4)), "empty"
+    else:
+        if kind == "below 1":
+            bad, cause = str(draw(st.integers(-5, 0))), "lookaheads must be >= 1"
+        else:
+            bad = draw(word.filter(lambda w: w != "full"))
+            cause = repr(bad)
+        good = st.lists(st.integers(1, 30).map(str) | st.just("full"), max_size=2)
+        text = ",".join(draw(good) + [bad] + draw(good))
+    return ANALYTIC + (f"--lookahead={text}",), cause
+
+
+@PROPERTY
+@given(bad_open_paths() | bad_lookaheads())
+def test_malformed_open_paths_or_lookaheads_are_usage_errors(case):
+    assert_usage_error(*case)
+
+
+@st.composite
+def bad_specs(draw):
+    """A malformed utility spec and its cause."""
+    chunks = SPEC.split("; ")
+    kind = draw(st.sampled_from(["key", "pair", "value", "missing", "action", "cost", "tau"]))
+    if kind == "key":
+        key = draw(word.filter(lambda w: w not in ("actions", "cost", "tau")))
+        chunks.append(f"{key}=1")
+        cause = f"unrecognized key {key!r}"
+    elif kind == "pair":
+        chunks.append(draw(word))
+        cause = f"expected key=value, got {chunks[-1]!r}"
+    elif kind == "value":
+        i, value = draw(st.integers(1, 4)), draw(word.filter(rejected_by(float)))
+        chunks[i] = chunks[i].partition("=")[0] + "=" + value
+        cause = f"bad utility value {value!r}"
+    elif kind == "missing":
+        cause = "missing " + chunks.pop(draw(st.integers(1, 4))).partition("=")[0]
+    elif kind == "action":
+        name = draw(st.from_regex(r"\A[0-9+-][a-z0-9]{0,3}\Z"))
+        chunks[0] = f"actions=a,{name}"
+        cause = f"bad action name {name!r}"
+    elif kind == "cost":
+        cost = draw(
+            word.filter(lambda w: w != "zero")
+            | word.filter(rejected_by(float)).map("linear:{}".format)
+            | st.sampled_from(["linear:-1", "linear:nan", "deadline:-1:0", "deadline:1:inf"])
+            | st.sampled_from(["zero:1", "linear", "deadline:1"])
+        )
+        chunks.append(f"cost={cost}")
+        cause = repr(cost)
+    else:
+        tau, cause = draw(
+            word.filter(rejected_by(float)).map(lambda w: (w, f"bad tau {w!r}"))
+            | st.sampled_from([("0", "tau must be > 0"), ("-1", "tau must be > 0")])
+            | st.sampled_from([("nan", "tau must be finite"), ("inf", "tau must be finite")])
+        )
+        chunks.append(f"tau={tau}")
+    spec = "; ".join(chunks)
+    command = draw(st.sampled_from([("decide", "--posterior", "1/2"), ANALYTIC[:2] + ANALYTIC[4:]]))
+    return command + (f"--utilities={spec}",), cause
+
+
+@PROPERTY
+@given(bad_specs())
+def test_malformed_utility_spec_is_usage_error(case):
+    assert_usage_error(*case)
+
+
+@st.composite
+def bad_dimacs(draw):
+    """Malformed DIMACS bytes and their cause."""
+    n = draw(st.integers(1, 4))
+    clause = st.lists(st.integers(-n, n).filter(bool), max_size=3)
+    body = "".join(" ".join(map(str, c + [0])) + "\n" for c in draw(st.lists(clause, max_size=3)))
+    count = body.count("\n")
+    header = f"p cnf {n} {count}\n"
+    kind = draw(
+        st.sampled_from(
+            ["no header", "data first", "twice", "fields", "not int", "negative",
+             "token", "alphabet", "unterminated", "count", "encoding"]
+        )
+    )
+    if kind == "no header":
+        return f"c only comments\n{draw(st.sampled_from(['', 'c more']))}\n", "no 'p cnf' header"
+    if kind == "data first":
+        return "1 0\n" + header + body, "line 1: clause data before header"
+    if kind == "twice":
+        return header + body + header, f"line {count + 2}: duplicate header"
+    if kind == "fields":
+        line = draw(st.sampled_from([f"p cnf {n}", f"p sat {n} {count}", f"p cnf {n} {count} 1"]))
+        return line + "\n" + body, f"line 1: malformed header {line!r}"
+    if kind == "not int":
+        return f"p cnf {draw(word)} {count}\n" + body, "line 1: non-integer header field"
+    if kind == "negative":
+        return f"p cnf {n} -{count + 1}\n" + body, "line 1: negative header field"
+    if kind == "token":
+        tok = draw(word)
+        return header + body + f"1 {tok} 0\n", f"bad token {tok!r}"
+    if kind == "alphabet":
+        lit = draw(st.integers(n + 1, 99)) * draw(st.sampled_from([1, -1]))
+        return header + body + f"{lit} 0\n", f"literal {lit} outside declared alphabet"
+    if kind == "unterminated":
+        return f"p cnf {n} {count + 1}\n" + body + "1\n", "unterminated clause"
+    if kind == "count":
+        extra = draw(st.integers(1, 3))
+        cause = f"declares {count + extra} clauses, found {count}"
+        return f"p cnf {n} {count + extra}\n" + body, cause
+    return (header + body).encode("ascii") + b"\xff\xfe\n", "can't decode"
+
+
+@PROPERTY
+@given(bad_dimacs(), st.sampled_from([("prove", BAD), ("prove", BAD, "--presort"), ANALYTIC]))
+def test_malformed_dimacs_is_usage_error(case, argv):
+    text, cause = case
+    bad = text if isinstance(text, bytes) else text.encode("ascii")
+    assert_usage_error(tuple(BAD if arg == CNF else arg for arg in argv), cause, bad)
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=2)
+    | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+    max_leaves=4,
+)
+
+
+def other_than(*kinds):
+    """JSON values whose type is none of ``kinds`` (a bool is no int)."""
+    return json_values.filter(lambda v: type(v) not in kinds)
+
+
+def profile_text(profile):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "p.json"
+        save(profile, path)
+        return path.read_text()
+
+
+PROFILE_TEXT = profile_text(PROFILES[0])
+COUNT_KEYS = ("n_clauses", "lits_per_clause", "alphabet_size", "seed", "count")
+
+
+@st.composite
+def bad_profiles(draw):
+    """The bytes of a malformed profile: a field of a valid one given a value
+    of the wrong type or range, a part dropped, or the document broken."""
+    doc = json.loads(PROFILE_TEXT)
+    kind = draw(st.sampled_from(["text", "document", "version", "drop", "field"]))
+    if kind == "text":
+        return draw(st.sampled_from(["", "{", "[1,", "not json", '{"a": 1'])).encode()
+    if kind == "document":
+        doc = draw(other_than(dict))
+    elif kind == "version":
+        doc["format_version"] = draw(other_than(int) | st.integers().filter(lambda v: v != 1))
+    elif kind == "drop":
+        del doc[draw(st.sampled_from(["context", "prior", "records"]))]
+    else:
+        row = draw(st.integers(0, len(doc["records"]) - 1))
+        fields = [
+            *((("context", key), other_than(int, type(None))) for key in COUNT_KEYS),
+            (("context", "heuristic"), other_than(str)),
+            (("context",), other_than(dict)),
+            (("prior",), other_than(dict)),
+            (("prior", "num"), other_than(int)),
+            (("prior", "den"), other_than(int) | st.integers(max_value=0)),
+            (("excluded",), other_than(int) | st.integers(max_value=-1)),
+            (("records",), other_than(list) | st.just([])),
+            (("records", row), other_than(dict)),
+            (("records", row, "id"), other_than(int)),
+            (("records", row, "sat"), other_than(bool)),
+            (("records", row, "closures"), other_than(int) | st.integers(max_value=-1)),
+            (("records", row, "frac"), other_than(dict)),
+        ]
+        (*parents, last), values = draw(st.sampled_from(fields))
+        node = doc
+        for key in parents:
+            node = node[key]
+        node[last] = draw(values)
+    return json.dumps(doc).encode()
+
+
+@PROPERTY
+@given(
+    bad_profiles(),
+    st.sampled_from(
+        [
+            ("curve", "--profile", BAD, "--out", OUT),
+            ("decide", "--utilities", SPEC, "--profile", BAD, "--fraction", "1/2"),
+            ANALYTIC[:4] + ("--profile", BAD, "--strict"),
+        ]
+    ),
+)
+def test_malformed_profile_json_is_usage_error(bad, argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "bad.json"
+        path.write_bytes(bad)
+        with pytest.raises(MalformedProfileError) as caught:
+            load(path)
+    assert_usage_error(argv, f"error: {caught.value}\n", bad)
