@@ -31,7 +31,19 @@ def _fail(message: str) -> int:
     return EXIT_USAGE
 
 
+_MAX_EXPONENT = 4300  # the default of Python's own digit limit for int()
+
+
 def _parse_fraction(text: str) -> Fraction:
+    # Fraction expands a decimal exponent exactly: 1e-4000000 would build a
+    # four-million-digit denominator before the range check.
+    _, _, exponent = text.lower().partition("e")
+    try:
+        huge = abs(int(exponent)) > _MAX_EXPONENT
+    except ValueError:  # no integer exponent: Fraction names the fault
+        huge = False
+    if huge:
+        raise ValueError(f"{text!r} has an exponent beyond {_MAX_EXPONENT}")
     try:
         value = Fraction(text)
     except ZeroDivisionError:

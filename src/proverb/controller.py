@@ -245,7 +245,7 @@ class ControllerConfig:
         ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceStep:
     step: int
     fraction: Fraction

@@ -1,28 +1,32 @@
 """Random clause-matrix corpora with a portable, documented RNG.
 
-Reproducibility contract: the generator is built on SplitMix64 (Steele,
-Lea & Flood's 64-bit mix generator), implemented here in ~20 lines of pure
-integer arithmetic so corpora are bit-identical across platforms and Python
-versions.  Uniform integers below ``n`` are drawn by bitmask rejection
-(exactly uniform); negation is one low bit per literal.
+Reproducibility contract: corpora are bit-identical across platforms and
+Python versions.  The stream is SplitMix64 (Steele, Lea & Flood's 64-bit mix
+generator) in pure integer arithmetic, walked in one loop in ``generate``: a
+local state advances by the golden-ratio increment, and each draw is one call
+of ``_mix64``, the finalizer that ``instance_seed`` shares.  The stream as a
+class, ``SplitMix64``, lives in ``tests/oracles.py`` as the reference that
+``generate`` is checked against.  Integers below ``n`` are drawn by bitmask
+rejection (exactly uniform); negation is one low bit per literal.
 
-Draw order per instance, and therefore the stream layout, is fixed: clauses
-in order; within a clause, each literal draws symbols by rejection until one
-not already in the clause appears, then draws the negation coin.  Instance
-``i`` of a corpus uses the derived seed ``mix64(seed + (i+1)*GAMMA)`` so any
-single instance can be regenerated without replaying the corpus.
+Draw order per instance, and so the stream layout, is fixed and unchanged:
+clauses in order; within a clause, each literal draws symbols by rejection
+until one not already in the clause appears, then draws the negation coin.
+Instance ``i`` of a corpus uses the derived seed ``mix64(seed + (i+1)*GAMMA)``
+so any single instance can be regenerated without replaying the corpus.
+Within one instance equal literals are one object, from a table that lives
+for one ``generate`` call: no cache outlives it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .dimacs import format_dimacs
 from .matrix import Clause, Literal, Matrix
 
 __all__ = [
-    "SplitMix64",
     "GeneratorConfig",
     "ConfigError",
     "instance_seed",
@@ -40,32 +44,6 @@ def _mix64(z: int) -> int:
     z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
     z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK64
     return z ^ (z >> 31)
-
-
-class SplitMix64:
-    """SplitMix64 stream: state advances by the golden-ratio increment."""
-
-    __slots__ = ("_state",)
-
-    def __init__(self, seed: int) -> None:
-        self._state = seed & _MASK64
-
-    def next_u64(self) -> int:
-        self._state = (self._state + _GAMMA) & _MASK64
-        return _mix64(self._state)
-
-    def below(self, n: int) -> int:
-        """Uniform integer in [0, n) by bitmask rejection (exactly uniform)."""
-        if n <= 0:
-            raise ValueError("below() needs n >= 1")
-        mask = (1 << (n - 1).bit_length()) - 1
-        while True:
-            value = self.next_u64() & mask
-            if value < n:
-                return value
-
-    def coin(self) -> bool:
-        return bool(self.next_u64() & 1)
 
 
 def instance_seed(seed: int, index: int) -> int:
@@ -104,27 +82,35 @@ class GeneratorConfig:
 
 def generate(config: GeneratorConfig) -> Matrix:
     """One random matrix: distinct symbols per clause, fair negation coin."""
-    rng = SplitMix64(config.seed)
+    n = config.alphabet_size
+    mask = (1 << (n - 1).bit_length()) - 1
+    state = config.seed & _MASK64
+    table: dict[int, Literal] = {}
     clauses: list[Clause] = []
     for _ in range(config.n_clauses):
         used: set[int] = set()
         lits: list[Literal] = []
         for _ in range(config.lits_per_clause):
-            symbol = rng.below(config.alphabet_size)
-            while symbol in used:
-                symbol = rng.below(config.alphabet_size)
+            while True:
+                state = (state + _GAMMA) & _MASK64
+                symbol = _mix64(state) & mask
+                if symbol < n and symbol not in used:
+                    break
             used.add(symbol)
-            lits.append(Literal(symbol, rng.coin()))
+            state = (state + _GAMMA) & _MASK64
+            key = symbol << 1 | _mix64(state) & 1
+            lit = table.get(key)
+            if lit is None:
+                lit = table[key] = Literal(symbol, bool(key & 1))
+            lits.append(lit)
         clauses.append(tuple(lits))
-    return Matrix(tuple(clauses), config.alphabet_size)
+    return Matrix(tuple(clauses), n)
 
 
 def generate_corpus(config: GeneratorConfig, count: int) -> list[Matrix]:
     """``count`` independent instances, seeded per instance via instance_seed."""
     if count < 1:
         raise ConfigError("count must be >= 1")
-    from dataclasses import replace
-
     return [
         generate(replace(config, seed=instance_seed(config.seed, i)))
         for i in range(count)

@@ -10,6 +10,11 @@ with every exact probability a ``Fraction``; a float enters only where a
 ``Fraction`` meets a utility.  Since
 CPython evaluates ``Fraction op float`` as ``float(Fraction) op float``, they
 are the bit-for-bit oracle of the package's integer-pair pricing.
+
+``SplitMix64`` is the generator's random stream as a class, and
+``reference_generate`` draws an instance from it the plain way, one method
+call per draw and one new literal per literal: the reference that
+``generator.generate`` must match byte for byte.
 """
 
 import math
@@ -26,7 +31,7 @@ from proverb.decision import (
     UtilityModel,
     best_action,
 )
-from proverb.matrix import Matrix
+from proverb.matrix import Literal, Matrix
 
 
 class OracleLimitError(ValueError):
@@ -152,6 +157,55 @@ def reference_closures(matrix):
         return False
 
     yield from walk(0, frozenset())
+
+
+_MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+
+
+class SplitMix64:
+    """SplitMix64 stream: state advances by the golden-ratio increment."""
+
+    __slots__ = ("_state",)
+
+    def __init__(self, seed: int) -> None:
+        self._state = seed & _MASK64
+
+    def next_u64(self) -> int:
+        self._state = z = (self._state + _GAMMA) & _MASK64
+        z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
+        z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK64
+        return z ^ (z >> 31)
+
+    def below(self, n: int) -> int:
+        """Uniform integer in [0, n) by bitmask rejection (exactly uniform)."""
+        if n <= 0:
+            raise ValueError("below() needs n >= 1")
+        mask = (1 << (n - 1).bit_length()) - 1
+        while True:
+            value = self.next_u64() & mask
+            if value < n:
+                return value
+
+    def coin(self) -> bool:
+        return bool(self.next_u64() & 1)
+
+
+def reference_generate(config) -> Matrix:
+    """One random matrix: distinct symbols per clause, fair negation coin."""
+    rng = SplitMix64(config.seed)
+    clauses = []
+    for _ in range(config.n_clauses):
+        used = set()
+        lits = []
+        for _ in range(config.lits_per_clause):
+            symbol = rng.below(config.alphabet_size)
+            while symbol in used:
+                symbol = rng.below(config.alphabet_size)
+            used.add(symbol)
+            lits.append(Literal(symbol, rng.coin()))
+        clauses.append(tuple(lits))
+    return Matrix(tuple(clauses), config.alphabet_size)
 
 
 def fraction_survival(total: int, open_count: int, searched: int) -> Fraction:

@@ -189,6 +189,15 @@ def test_decide_from_posterior(capsys):
     assert "eu: 0.700000" in out
 
 
+@pytest.mark.parametrize(
+    "text, shown",
+    [("0.5", "0.500000"), ("1/3", "0.333333"), ("1e-6", "0.000001"), ("2.5E-3", "0.002500")],
+)
+def test_decide_reads_decimals_fractions_and_exponents(text, shown, capsys):
+    assert run_cli("decide", "--utilities", UTIL, "--posterior", text) == 0
+    assert f"posterior: {shown}" in capsys.readouterr().out
+
+
 def test_decide_from_prior_and_survival(capsys):
     assert run_cli(
         "decide", "--utilities", UTIL, "--prior", "0.3", "--survival", "0.2"
@@ -534,6 +543,15 @@ TWO_ACTIONS = "actions=a,b; u(a,w)=1; u(a,~w)=0; u(b,w)=0; u(b,~w)=1"
     "argv, error",
     [
         (("decide", "--utilities", UTIL, "--posterior", "3/2"), "outside [0, 1]"),
+        (
+            ("decide", "--utilities", UTIL, "--posterior", "1e-4000000"),
+            "exponent beyond 4300",
+        ),
+        (
+            ("decide", "--utilities", UTIL, "--prior", "1/2", "--survival", "2.5E+4301"),
+            "exponent beyond 4300",
+        ),
+        (ANALYTIC_RUN[:-1] + ("1e-4_301",), "exponent beyond 4300"),
         (
             ("run", "{cnf}", "--utilities", UTIL, "--analytic", "1:", "--prior", "1/2"),
             "bad open-path entry",

@@ -12,6 +12,7 @@ from proverb.controller import (
     MalformedTraceError,
     ProfileSource,
     StopReason,
+    TraceStep,
     load_trace,
     replay,
     run,
@@ -193,6 +194,13 @@ def test_trace_save_load_round_trip(tmp_path):
     assert lines[0]["kind"] == "header"
     assert lines[-1]["kind"] == "final"
     assert all(l["kind"] == "step" for l in lines[1:-1])
+
+
+def test_trace_steps_keep_no_instance_dict():
+    # A round holds thousands of steps: each run's trace and its reloaded copy.
+    trace = run(generate(GeneratorConfig(8, 2, 4, seed=2)), analytic_config(chunk=8))
+    assert trace.steps and isinstance(trace.steps[0], TraceStep)
+    assert not hasattr(trace.steps[0], "__dict__")
 
 
 def test_replay_clean_across_twenty_runs(tmp_path):

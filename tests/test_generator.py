@@ -1,12 +1,14 @@
 """Instance generator: portability, determinism, and distributional checks."""
 
+import tracemalloc
+
 import pytest
 
+from oracles import SplitMix64
 from proverb.dimacs import read_dimacs
 from proverb.generator import (
     ConfigError,
     GeneratorConfig,
-    SplitMix64,
     generate,
     generate_corpus,
     instance_seed,
@@ -75,6 +77,27 @@ def test_full_width_clause_is_a_permutation():
 def test_generation_is_deterministic():
     config = GeneratorConfig(15, 3, 6, seed=512)
     assert generate(config) == generate(config)
+
+
+def test_an_instance_shares_one_literal_per_signed_symbol():
+    m = generate(GeneratorConfig(40, 3, 4, seed=9))
+    assert len({id(lit) for clause in m.clauses for lit in clause}) <= 2 * 4
+
+
+def test_a_held_corpus_stays_small():
+    # 640 instances of 42 literals over 3 symbols; with one object per
+    # literal drawn the corpus holds about 1.9 MB, with shared ones 0.8 MB.
+    config = GeneratorConfig(14, 3, 3, seed=11)
+    generate_corpus(config, 1)  # first-call set-up is not the corpus
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        corpus = generate_corpus(config, 640)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(corpus) == 640
+    assert held < 1_200_000
 
 
 def test_negation_rate_is_about_half():

@@ -1,6 +1,7 @@
-"""Property tests: resumable search, its closures, and the trace, utility-spec,
-DIMACS and profile round trips on random inputs; and the command line, which
-answers malformed input of every kind with exit 2 and the cause on stderr.
+"""Property tests: resumable search, its closures, the generator's stream, and
+the trace, utility-spec, DIMACS and profile round trips on random inputs; and
+the command line, which answers malformed input of every kind with exit 2 and
+the cause on stderr.
 
 Hypothesis runs derandomized, with no example database and a bounded number
 of examples, so the file gives the same verdict on every run and takes a few
@@ -16,10 +17,10 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_force_sat, reference_closures
+from oracles import brute_force_sat, reference_closures, reference_generate
 from proverb.belief import ContextTag
 from proverb.cli import main
 from proverb.controller import (
@@ -283,6 +284,27 @@ metadata = st.dictionaries(
 def test_dimacs_round_trips(matrix, meta):
     assert parse_dimacs(format_dimacs(matrix)) == (matrix, {})
     assert parse_dimacs(format_dimacs(matrix, meta)) == (matrix, meta)
+
+
+@st.composite
+def generator_configs(draw):
+    """Any shape the generator accepts, over alphabets of 1 to 20 symbols."""
+    alphabet = draw(st.integers(1, 20))
+    width = draw(st.integers(1, alphabet))
+    seed = draw(st.integers(0, 2**64 - 1))
+    return GeneratorConfig(draw(st.integers(1, 12)), width, alphabet, seed)
+
+
+@PROPERTY
+@given(generator_configs())
+@example(GeneratorConfig(9, 1, 7, 3))  # width 1, an alphabet of 7
+@example(GeneratorConfig(9, 6, 6, 4))  # full width: each clause a permutation
+@example(GeneratorConfig(9, 5, 16, 2**64 - 1))  # a power of two, the largest seed
+def test_generate_draws_the_reference_stream(config):
+    matrix = generate(config)
+    expected = reference_generate(config)
+    assert matrix == expected
+    assert format_dimacs(matrix) == format_dimacs(expected)
 
 
 counts = st.none() | st.integers(0, 2**40)
