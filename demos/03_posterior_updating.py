@@ -19,7 +19,7 @@ def main():
 
     print("worked example: prior 0.3")
     for surv in (Fraction(1, 5), Fraction(2, 25)):
-        post = posterior(prior, surv)
+        post = Fraction(*posterior(prior, surv))
         print(f"  survival {float(surv):5.2f} -> posterior {float(post):.6f}")
     print()
 
@@ -27,8 +27,8 @@ def main():
     print(f"analytic urn: {total} paths, {open_count} open under not-w")
     urn = AnalyticModel(total, open_count)
     for searched in (0, 128, 256, 512, 768, 1000):
-        surv = urn.survival(searched)
-        post = posterior(prior, surv)
+        surv = Fraction(*urn.survival(searched))
+        post = Fraction(*posterior(prior, surv))
         print(f"  searched {searched:5d}  survival {float(surv):.6f}  "
               f"posterior {float(post):.6f}")
     print()
@@ -36,9 +36,9 @@ def main():
     model = AnalyticModel(total, {1: Fraction(1, 2), 5: Fraction(1, 2)})
     print("mixture urn: open count 1 or 5, equally likely")
     for searched in (0, 256, 512, 900):
-        surv = model.survival(searched)
+        surv = Fraction(*model.survival(searched))
         cond = model.conditional(searched)
-        post = posterior(prior, surv)
+        post = Fraction(*posterior(prior, surv))
         weights = ", ".join(f"{o}: {float(p):.3f}" for o, p in cond)
         print(f"  searched {searched:4d}  posterior {float(post):.6f}  "
               f"open-count belief {{{weights}}}")

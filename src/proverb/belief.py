@@ -22,9 +22,12 @@ same urn yields the distribution of *when* the first open path appears
 among the remaining paths; :mod:`proverb.decision` prices halts with its
 closed forms, and ``tests/oracles.py`` holds them written out.
 
-Everything here is exact: a survival is a ratio of integer products, a
-probability given as a float is taken at its exact rational value, and the
-results are `fractions.Fraction`.  Floats are only introduced by the caller.
+Everything here is exact: a survival is a ratio of integer products, and a
+probability given as a float is taken at its exact rational value.  The
+survival and the posterior come back as exact pairs (numerator,
+denominator), unreduced, so the controller's step builds no ``Fraction``;
+``Fraction(*pair)`` gives the reduced value.  Floats are only introduced by
+the caller.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from math import perm, prod
+from math import lcm, perm
 from typing import Iterable, Mapping, Union
 
 __all__ = [
@@ -50,7 +53,6 @@ __all__ = [
     "AnalyticModel",
     "posterior",
     "probability_pair",
-    "check_open_count",
 ]
 
 # Agreement tolerance for float-valued probability checks throughout the
@@ -199,41 +201,39 @@ class SurvivalCurve:
         return f"SurvivalCurve.from_samples(<{len(self._samples)} fractions>)"
 
 
-def probability_pair(value: Probability, name: str) -> tuple[int, int]:
+def probability_pair(
+    value: Probability | tuple[int, int], name: str
+) -> tuple[int, int]:
     """``value`` as its exact integer pair (numerator, denominator > 0).
 
-    A float counts at its exact rational value.  Raises ``ValueError``
-    naming ``name`` unless the value lies in [0, 1].
+    A float counts at its exact rational value, and an exact pair is taken
+    as it is, unreduced.  Raises ``ValueError`` naming ``name`` unless the
+    value lies in [0, 1].
     """
     try:
-        num, den = value.as_integer_ratio()
+        num, den = value if type(value) is tuple else value.as_integer_ratio()
     except (OverflowError, ValueError):  # an infinite or NaN float
         num, den = -1, 1
-    if not 0 <= num <= den:
+    if den <= 0 or not 0 <= num <= den:
         raise ValueError(f"{name} {value} outside [0, 1]")
     return num, den
 
 
-def posterior(prior: Probability, survival: Probability) -> Fraction:
+def posterior(
+    prior: Probability | tuple[int, int], survival: Probability | tuple[int, int]
+) -> tuple[int, int]:
     """Posterior of the claim after surviving search: likelihood 1 under w.
 
-    With ``prior = a/b`` and ``survival = c/d`` it is ``a*d / (a*d + (b-a)*c)``.
+    With ``prior = a/b`` and ``survival = c/d`` it is the exact pair
+    ``(a*d, a*d + (b-a)*c)``; either input may itself be an exact pair.
     """
     a, b = probability_pair(prior, "prior")
     c, d = probability_pair(survival, "survival")
     if a == 0:
         # The claim is impossible a priori; no amount of survival revives it,
         # not even survival the model of not-w rules out.
-        return Fraction(0)
-    return Fraction(a * d, a * d + (b - a) * c)
-
-
-def check_open_count(open_count: int, total: int) -> None:
-    """Raise :class:`ModelError` unless ``1 <= open_count <= total``."""
-    if open_count < 1:
-        raise ModelError("open_count must be >= 1 (not-w guarantees an open path)")
-    if open_count > total:
-        raise ModelError(f"open_count {open_count} exceeds total paths {total}")
+        return 0, 1
+    return a * d, a * d + (b - a) * c
 
 
 # An open-path distribution: (open count, weight) pairs in increasing count order.
@@ -283,9 +283,11 @@ class AnalyticModel:
         object.__setattr__(self, "open_paths", dist)
         # Over one common denominator, p(o) * survival(searched) is
         # scale(o) * P(M-searched, o): p(o) = num/den and survival has
-        # denominator P(M, o), so the common one is their product over counts.
+        # denominator P(M, o), so the common one is their least common
+        # multiple over counts.  scale(o) is the weight of each placement of
+        # the o open paths among the M.
         dens = [p.as_integer_ratio()[1] * perm(self.total, o) for o, p in dist]
-        common = prod(dens)
+        common = lcm(*dens)
         scales = tuple(
             (o, p.as_integer_ratio()[0] * (common // d)) for (o, p), d in zip(dist, dens)
         )
@@ -297,11 +299,12 @@ class AnalyticModel:
         object.__setattr__(self, "_norm", sum(terms))
         object.__setattr__(self, "_last", (0, terms))
 
-    def _terms(self, searched: int) -> tuple[int, ...]:
+    def joint(self, searched: int) -> tuple[int, ...]:
         """Each count's p(o) * survival(searched), times the common denominator.
 
-        The last result is kept, so the posterior and ``conditional`` at one
-        step share the survival products.
+        One integer per count of ``open_paths``, in its order; a count that
+        the survival rules out reads 0.  The last result is kept, so the
+        posterior and the pricing at one step share the survival products.
         """
         last, terms = self._last
         if searched != last:
@@ -312,8 +315,9 @@ class AnalyticModel:
             object.__setattr__(self, "_last", (searched, terms))
         return terms
 
-    def survival(self, searched: int) -> Fraction:
-        return Fraction(sum(self._terms(searched)), self._norm)
+    def survival(self, searched: int) -> tuple[int, int]:
+        """p(the first ``searched`` paths are all closed | not-w), an exact pair."""
+        return sum(self.joint(searched)), self._norm
 
     def conditional(self, searched: int) -> OpenDist:
         """Distribution of the open count given survival to ``searched``.
@@ -324,11 +328,10 @@ class AnalyticModel:
         dist = self.open_paths
         if len(dist) == 1:
             return ((dist[0][0], Fraction(1)),)
-        terms = self._terms(searched)
+        terms = self.joint(searched)
         norm = sum(terms)
         if norm == 0:
             # Survival impossible under every admitted count; the posterior on
             # the claim is 1 and this distribution is never consulted again.
             return dist
         return tuple((o, Fraction(t, norm)) for (o, _), t in zip(dist, terms) if t)
-

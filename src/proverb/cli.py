@@ -31,25 +31,31 @@ def _fail(message: str) -> int:
     return EXIT_USAGE
 
 
-_MAX_EXPONENT = 4300  # the default of Python's own digit limit for int()
+_MAX_DIGITS = 4300  # the default of Python's own digit limit for int() and str()
 
 
 def _parse_fraction(text: str) -> Fraction:
     # Fraction expands a decimal exponent exactly: 1e-4000000 would build a
-    # four-million-digit denominator before the range check.
+    # four-million-digit denominator before the range check.  A value within
+    # the exponent bound must still fit the digit limit once reduced, as a
+    # trace or profile writes its numerator and denominator in decimal.
+    if len(text) > _MAX_DIGITS:  # int() would refuse its digits
+        raise ValueError(f"a number of {len(text)} characters exceeds {_MAX_DIGITS} digits")
     _, _, exponent = text.lower().partition("e")
     try:
-        huge = abs(int(exponent)) > _MAX_EXPONENT
+        huge = abs(int(exponent)) > _MAX_DIGITS
     except ValueError:  # no integer exponent: Fraction names the fault
         huge = False
     if huge:
-        raise ValueError(f"{text!r} has an exponent beyond {_MAX_EXPONENT}")
+        raise ValueError(f"{text!r} has an exponent beyond {_MAX_DIGITS}")
     try:
         value = Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"{text!r} has a zero denominator") from None
     if not 0 <= value <= 1:
         raise ValueError(f"{text!r} outside [0, 1]")
+    if value.denominator >= 10**_MAX_DIGITS:  # the numerator is no larger
+        raise ValueError(f"{text!r} needs more than {_MAX_DIGITS} digits")
     return value
 
 
@@ -219,7 +225,7 @@ def _decide(args) -> int:
     if args.posterior is not None:
         post = _parse_fraction(args.posterior)
     elif args.prior is not None:
-        post = posterior(_parse_fraction(args.prior), _parse_fraction(args.survival))
+        post = Fraction(*posterior(_parse_fraction(args.prior), _parse_fraction(args.survival)))
     else:
         from .profiles import load
 

@@ -20,9 +20,10 @@ three methods, and the step rule, ``run`` and ``replay`` use only these,
 never asking which source they hold:
 
 * ``posterior_at(total, closed)`` -- the posterior on the claim once
-  ``closed`` of ``total`` paths are closed without an open one;
+  ``closed`` of ``total`` paths are closed without an open one, as an exact
+  pair;
 * ``nevc_at(config, total, closed, post, t_now)`` -- the net expected value
-  of each candidate lookahead at that point;
+  of each candidate lookahead at that point, all priced in one call;
 * ``describe()`` -- the JSON object the trace header records for the source.
 
 A misspecified analytic model can drive the posterior to 1 while the search
@@ -127,7 +128,7 @@ class AnalyticSource:
             object.__setattr__(self, "_built", model)
         return model
 
-    def posterior_at(self, total: int, closed: int) -> Probability:
+    def posterior_at(self, total: int, closed: int) -> tuple[int, int]:
         return posterior(self.prior, self._model(total).survival(closed))
 
     def nevc_at(
@@ -135,16 +136,17 @@ class AnalyticSource:
         config: ControllerConfig,
         total: int,
         closed: int,
-        post: Probability,
+        post: tuple[int, int],
         t_now: float,
     ) -> tuple[float, ...]:
-        remaining = total - closed
-        dist = self._model(total).conditional(closed)
-        return tuple(
-            nevc_multi(
-                post, remaining, dist, config.utilities, config.timecost, x, t_now
-            )
-            for x in config.lookahead_paths(remaining)
+        return nevc_multi(
+            post,
+            self._model(total),
+            closed,
+            config.utilities,
+            config.timecost,
+            config.lookahead_paths(total - closed),
+            t_now,
         )
 
     def describe(self) -> dict:
@@ -170,35 +172,33 @@ class ProfileSource:
     Halts are priced at the chunk end (``nevc_two_outcome``).  The curve is
     read at ``closed / total`` as an exact pair through
     ``SurvivalCurve.survivors``, which keeps its integer thresholds for the
-    last path-space size, so a run or replay builds them once.
+    last path-space size, so a run or replay builds them once.  The survival
+    ratios reach the pricing as exact pairs of survivor counts.
     """
 
     profile: Profile
 
-    def posterior_at(self, total: int, closed: int) -> Probability:
-        survival = Fraction(*self.profile.curve.survivors(closed, total))
-        return posterior(self.profile.prior, survival)
+    def posterior_at(self, total: int, closed: int) -> tuple[int, int]:
+        return posterior(self.profile.prior, self.profile.curve.survivors(closed, total))
 
     def nevc_at(
         self,
         config: ControllerConfig,
         total: int,
         closed: int,
-        post: Probability,
+        post: tuple[int, int],
         t_now: float,
     ) -> tuple[float, ...]:
         curve = self.profile.curve
         now = curve.survivors(closed, total)[0]
-        values = []
-        for x in config.lookahead_paths(total - closed):
-            nxt = curve.survivors(closed + x, total)[0]
-            ratio = Fraction(nxt, now) if now > 0 else Fraction(1)
-            values.append(
-                nevc_two_outcome(
-                    post, ratio, config.utilities, config.timecost, x, t_now
-                )
-            )
-        return tuple(values)
+        lookaheads = config.lookahead_paths(total - closed)
+        ratios = [
+            (curve.survivors(closed + x, total)[0], now) if now else (1, 1)
+            for x in lookaheads
+        ]
+        return nevc_two_outcome(
+            post, ratios, config.utilities, config.timecost, lookaheads, t_now
+        )
 
     def describe(self) -> dict:
         return {
@@ -274,12 +274,14 @@ class DecisionTrace:
 
 def _deliberate(
     config: ControllerConfig, total: int, closed: int
-) -> tuple[Probability, tuple[float, ...], float, StopReason | None]:
+) -> tuple[float, tuple[float, ...], float, StopReason | None]:
     """The stop rule at one step, ``closed`` of ``total`` paths closed.
 
     Returns the posterior, the candidate values (empty when the deadline
     forces the stop), the model time ``closed * tau``, and the verdict:
-    ``DEADLINE_FORCED``, ``NONPOSITIVE_EVC``, or None to search on.
+    ``DEADLINE_FORCED``, ``NONPOSITIVE_EVC``, or None to search on.  The
+    posterior reaches the pricing as its exact pair and comes back as the
+    float of that pair.
     """
     source = config.source
     timecost = config.timecost
@@ -287,10 +289,10 @@ def _deliberate(
     post = source.posterior_at(total, closed)
     chunk = min(config.chunk, total - closed)
     if timecost.paths_in_time(t_now, chunk) < chunk:
-        return post, (), t_now, StopReason.DEADLINE_FORCED
+        return post[0] / post[1], (), t_now, StopReason.DEADLINE_FORCED
     nevcs = source.nevc_at(config, total, closed, post, t_now)
     verdict = StopReason.NONPOSITIVE_EVC if max(nevcs) <= 0 else None
-    return post, nevcs, t_now, verdict
+    return post[0] / post[1], nevcs, t_now, verdict
 
 
 def run(matrix: Matrix, config: ControllerConfig) -> DecisionTrace:
@@ -303,16 +305,14 @@ def run(matrix: Matrix, config: ControllerConfig) -> DecisionTrace:
     while verdict is None and state.status is SearchStatus.RUNNING:
         closed = state.closed
         post, nevcs, t_now, verdict = _deliberate(config, total, closed)
-        steps.append(
-            TraceStep(len(steps), Fraction(closed, total), float(post), nevcs, t_now)
-        )
+        steps.append(TraceStep(len(steps), Fraction(closed, total), post, nevcs, t_now))
         if verdict is None:
             step_search(state, min(config.chunk, total - closed))
     if verdict is None:  # the search ended in a proof
         proved = state.status is SearchStatus.EXHAUSTED
         verdict = StopReason.PROOF_OF_W if proved else StopReason.PROOF_OF_NOT_W
         post, t_now = float(proved), state.closed * config.timecost.tau
-    action, eu = best_action(float(post), config.utilities, config.timecost, t_now)
+    action, eu = best_action(post, config.utilities, config.timecost, t_now)
     return DecisionTrace(
         total=total,
         chunk=config.chunk,
@@ -323,7 +323,7 @@ def run(matrix: Matrix, config: ControllerConfig) -> DecisionTrace:
         stop_reason=verdict,
         action=action,
         eu=eu,
-        final_posterior=float(post),
+        final_posterior=post,
         final_elapsed=t_now,
         wall_time=time.perf_counter() - wall_started,
     )
@@ -382,9 +382,12 @@ def load_trace(path: str | Path) -> DecisionTrace:
         if not line.strip():
             continue
         try:
-            rows.append(json.loads(line))
-        except json.JSONDecodeError as exc:
+            row = json.loads(line)
+        except ValueError as exc:  # not JSON, or an integer beyond int()'s digit limit
             raise MalformedTraceError(f"line {lineno}: not JSON: {exc}") from exc
+        if not isinstance(row, dict):
+            raise MalformedTraceError(f"line {lineno}: not a JSON object")
+        rows.append(row)
     if not rows or rows[0].get("kind") != "header":
         raise MalformedTraceError("first line must be the header record")
     if rows[-1].get("kind") != "final":
@@ -538,8 +541,8 @@ def replay(
         )
         if abs(t_now - s.elapsed) > FLOAT_TOL:
             return _diverged(s.step, "t", t_now, s.elapsed, checked)
-        if abs(float(post) - s.posterior) > FLOAT_TOL:
-            return _diverged(s.step, "posterior", float(post), s.posterior, checked)
+        if abs(post - s.posterior) > FLOAT_TOL:
+            return _diverged(s.step, "posterior", post, s.posterior, checked)
         if len(nevcs) != len(s.nevc):
             return _diverged(s.step, "nevc", nevcs, s.nevc, checked)
         for k, (a, b) in enumerate(zip(nevcs, s.nevc)):

@@ -8,8 +8,9 @@ deadline kind collapses every utility to a flat penalty once ``t`` passes
 the deadline.  Model time is proportional to
 paths examined: ``t(j) = t0 + j * tau``.
 
-The second half prices continued search.  ``nevc_multi`` computes the net
-expected value of examining x more paths before acting:
+The second half prices continued search, all of a step's candidate
+lookaheads in one call, with acting now priced once.  ``nevc_multi``
+computes the net expected value of examining x more paths before acting:
 with probability ``(1-p) * p(j)`` the search halts at path j with a disproof
 (act under certainty, at time t(j)), where ``p(j)`` is the urn's first-open
 probability; otherwise the posterior drifts up by the survival ratio and the
@@ -20,12 +21,20 @@ paths alone (``l`` paths remain, ``O`` of them open):
     sum_{j<=x} p(j) = 1 - S,   sum_{j<=x} j*p(j) = ((l+1) - S*(l+1+x*O)) / (O+1)
 
 ``tests/oracles.py`` writes both sums out and pins them to the literal sum
-of ``p(j)``.  Every probability is carried as an unreduced integer pair
-(numerator, denominator), a float input at its exact rational value, and
-becomes a float through one correctly rounded ``int / int`` where it meets a
-utility.  A lookahead of millions of paths costs one falling-factorial
-product per open count (two under a deadline) and no ``Fraction``
-arithmetic.
+of ``p(j)``.  The pricer takes the urn model and the paths searched so far,
+not a conditioned distribution.  The model's joint terms
+``J(o) = scale(o) * P(l, o)`` (count o's weight times its survival, over
+one common denominator) give the conditional weight ``J(o) / sum J`` and
+count o's survival of the next x paths, ``J'(o) / J(o)`` with ``J'`` the
+terms x paths on.  So the halt mass over the mixture is the exact pair
+``(sum J - sum J', sum J)``: two survival sums, with no conditional
+``Fraction`` built and no product of the counts' denominators.  Every
+probability is carried as an unreduced integer pair (numerator,
+denominator), a float input at its exact rational value, and becomes a float
+through one correctly rounded ``int / int`` where it meets a utility, so
+each float is the one the reduced ``Fraction`` gives.  A lookahead of
+millions of paths costs one falling-factorial product per open count (two
+under a deadline).
 
 ``nevc_two_outcome`` is the empirical-curve variant used when only a step
 curve is known: the halt branch is valued at the chunk end, which under
@@ -38,10 +47,9 @@ import math
 import re
 from dataclasses import dataclass
 from enum import Enum
-from math import perm
-from typing import Mapping
+from typing import Mapping, Sequence
 
-from .belief import OpenDist, Probability, check_open_count, probability_pair
+from .belief import AnalyticModel, ModelError, Probability, probability_pair
 
 __all__ = [
     "DominanceError",
@@ -238,134 +246,160 @@ def _act_value(
     return best_action(p, utilities, timecost, t0 + paths * timecost.tau)[1]
 
 
+def _check_lookaheads(lookaheads: Sequence[int], what: str) -> None:
+    for x in lookaheads:
+        if x < 1:
+            raise LookaheadError(f"{what} {x} must be >= 1")
+
+
 def _halt_branch_value(
-    dist: OpenDist,
-    remaining: int,
+    model: AnalyticModel,
+    searched: int,
+    now: tuple[int, ...],
+    total_now: int,
     x: int,
     utilities: UtilityModel,
     timecost: TimeCost,
     t0: float,
-) -> tuple[float, int, int]:
-    """sum_j pmf(j) * u_halt(t(j)) for j = 1..x, per-(1-p), and sum_j pmf(j).
+) -> tuple[float, int]:
+    """sum_j pmf(j) * u_halt(t(j)) for j = 1..x, per-(1-p), and sum J'.
 
-    The halt mass comes back as an integer pair (numerator, denominator).
-    Per open count, one survival product ``P(l-x, o) / P(l, o)`` gives both
-    the halt mass and the truncated mean; a deadline adds the survival of
-    the in-time paths.  Mixture-averaged over ``dist``.
+    ``now`` holds the joint terms J at ``searched`` and ``total_now`` their
+    sum; J' are those at ``searched + x``, and a deadline adds those at its
+    last in-time path.  Each count's float term divides the same rationals
+    as its survival product P(l-x, o) / P(l, o), whatever the common
+    denominator.
     """
+    remaining = model.total - searched
     max_false = max(utilities.when_false)
     kind = timecost.kind
     if kind is CostKind.LINEAR:
         level = max_false - timecost.rate * t0
         slope = timecost.rate * timecost.tau
     elif kind is CostKind.DEADLINE:
-        j_ok = timecost.paths_in_time(t0, x)
-    mass_num, mass_den = 0, 1
+        in_time = model.joint(searched + timecost.paths_in_time(t0, x))
+    after = model.joint(searched + x)
     value = 0.0
-    for o, weight in dist:
-        check_open_count(o, remaining)
-        w_num, w_den = weight.as_integer_ratio()
-        den = perm(remaining, o)
-        stay = perm(remaining - x, o)
-        hit = den - stay  # halt mass of this count: hit / den
-        mass_num = mass_num * w_den * den + w_num * hit * mass_den
-        mass_den *= w_den * den
+    for k, ((o, _), t) in enumerate(zip(model.open_paths, now)):
+        if not t:  # ruled out by the survival so far
+            continue
+        u = after[k]
         if kind is CostKind.ZERO:
-            value += w_num * hit / (w_den * den) * max_false
+            value += (t - u) / total_now * max_false
         elif kind is CostKind.LINEAR:
-            mean = (remaining + 1) * den - stay * (remaining + 1 + x * o)
-            value += w_num / w_den * (
-                level * (hit / den) - slope * (mean / (den * (o + 1)))
+            mean = (remaining + 1) * t - u * (remaining + 1 + x * o)
+            value += t / total_now * (
+                level * ((t - u) / t) - slope * (mean / (t * (o + 1)))
             )
         else:  # deadline: step split at the last in-time path index
-            stay_ok = perm(remaining - j_ok, o)
-            value += w_num / w_den * (
-                max_false * ((den - stay_ok) / den)
-                + timecost.penalty * ((stay_ok - stay) / den)
+            ok = in_time[k]
+            value += t / total_now * (
+                max_false * ((t - ok) / t) + timecost.penalty * ((ok - u) / t)
             )
-    return value, mass_num, mass_den
+    return value, sum(after)
 
 
 def nevc_multi(
-    posterior_w: Probability,
-    remaining: int,
-    open_dist: OpenDist,
+    posterior_w: Probability | tuple[int, int],
+    model: AnalyticModel,
+    searched: int,
     utilities: UtilityModel,
     timecost: TimeCost = ZERO_COST,
-    lookahead: int = 1,
+    lookaheads: Sequence[int] = (1,),
     t0: float = 0.0,
-) -> float:
-    """Net expected value of examining ``lookahead`` more paths before acting.
+) -> tuple[float, ...]:
+    """Net expected value of examining each of ``lookaheads`` more paths.
 
-    ``remaining`` counts unexplored complete paths; ``open_dist`` is the
-    distribution of the open-path count among them under not-w, already
-    conditioned on the progress so far (``AnalyticModel.conditional``).
+    ``model`` is the urn model of the whole search and ``searched`` the
+    paths closed so far without an open one; the remaining paths are
+    ``model.total - searched``, and the open count among them is conditioned
+    on that survival here.  ``posterior_w`` may be an exact pair.
 
     Exactly: sum over halt positions j of p(halt at j) * best-disproof
     utility at t(j), plus the no-halt mass times the best utility at the
     drifted posterior and t(lookahead), minus the best utility of acting
-    now.  At a posterior already certain (or an empty remainder) search
-    carries no information and the value is the pure delay cost.
+    now, which is priced once for all candidates.  At a posterior already
+    certain (or an empty remainder) search carries no information and the
+    value is the pure delay cost.
     """
-    if lookahead < 1:
-        raise LookaheadError(f"lookahead {lookahead} must be >= 1")
+    _check_lookaheads(lookaheads, "lookahead")
     p_num, p_den = probability_pair(posterior_w, "posterior")
-    act_now = _act_value(p_num / p_den, utilities, timecost, 0, t0)
+    p = p_num / p_den
+    act_now = _act_value(p, utilities, timecost, 0, t0)
+    remaining = model.total - searched
     if p_num == 0 or p_num == p_den or remaining == 0:
-        return _act_value(p_num / p_den, utilities, timecost, lookahead, t0) - act_now
-    if lookahead > remaining:
-        raise LookaheadError(
-            f"lookahead {lookahead} exceeds remaining paths {remaining}"
+        return tuple(
+            _act_value(p, utilities, timecost, x, t0) - act_now for x in lookaheads
         )
-    halt_value, h_num, h_den = _halt_branch_value(
-        open_dist, remaining, lookahead, utilities, timecost, t0
-    )
-    # Over the denominator p_den * h_den: 1-p and p_halt = (1-p) * halt mass;
-    # the drifted posterior p / (p + (1 - halt mass) * (1-p)) over its own.
+    for x in lookaheads:
+        if x > remaining:
+            raise LookaheadError(f"lookahead {x} exceeds remaining paths {remaining}")
+    now = model.joint(searched)
+    total_now = sum(now)
+    if total_now == 0:
+        raise ModelError(f"no open count fits the {remaining} remaining paths")
+    # Over the denominator p_den * S: the no-halt mass 1 - (1-p) * (S - S_x) / S
+    # is (p * S + (1-p) * S_x) / S, whose numerator also divides the drifted
+    # posterior p / (p + (1-p) * S_x / S).
     q_num = p_den - p_num
-    halt_num, den = q_num * h_num, p_den * h_den
-    drift_num = p_num * h_den
-    drifted = drift_num / (drift_num + (h_den - h_num) * q_num)
-    act_after = _act_value(drifted, utilities, timecost, lookahead, t0)
-    return q_num / p_den * halt_value + (den - halt_num) / den * act_after - act_now
+    stay_num, den = p_num * total_now, p_den * total_now
+    values = []
+    for x in lookaheads:
+        halt_value, total_after = _halt_branch_value(
+            model, searched, now, total_now, x, utilities, timecost, t0
+        )
+        no_halt = stay_num + q_num * total_after
+        act_after = _act_value(stay_num / no_halt, utilities, timecost, x, t0)
+        values.append(
+            q_num / p_den * halt_value + no_halt / den * act_after - act_now
+        )
+    return tuple(values)
 
 
 def nevc_two_outcome(
-    posterior_w: Probability,
-    survival_ratio: Probability,
+    posterior_w: Probability | tuple[int, int],
+    survival_ratios: Sequence[Probability | tuple[int, int]],
     utilities: UtilityModel,
     timecost: TimeCost = ZERO_COST,
-    paths: int = 1,
+    lookaheads: Sequence[int] = (1,),
     t0: float = 0.0,
-) -> float:
-    """Chunk-level net value from an empirical curve.
+) -> tuple[float, ...]:
+    """Chunk-level net value of each of ``lookaheads`` from an empirical curve.
 
-    ``survival_ratio`` is curve(s') / curve(s): the chance that a chunk of
-    ``paths`` more examinations stays unfound given not-w and survival so
-    far.  The halt branch is valued at the chunk end t(paths) -- a step
-    curve says nothing about where inside the chunk the find lands, and
-    end-pricing never overprices search under nondecreasing cost.
+    ``survival_ratios[k]`` is curve(s') / curve(s) for ``lookaheads[k]``: the
+    chance that a chunk of that many more examinations stays unfound given
+    not-w and survival so far.  Ratios and posterior may be exact pairs.
+    The halt branch is valued at the chunk end t(paths) -- a step curve says
+    nothing about where inside the chunk the find lands, and end-pricing
+    never overprices search under nondecreasing cost.  Acting now is priced
+    once for all candidates.
     """
-    if paths < 1:
-        raise LookaheadError(f"paths {paths} must be >= 1")
+    _check_lookaheads(lookaheads, "paths")
     p_num, p_den = probability_pair(posterior_w, "posterior")
-    r_num, r_den = probability_pair(survival_ratio, "survival ratio")
-    act_now = _act_value(p_num / p_den, utilities, timecost, 0, t0)
+    ratios = [probability_pair(r, "survival ratio") for r in survival_ratios]
+    if len(ratios) != len(lookaheads):
+        raise ValueError("need one survival ratio per lookahead")
+    p = p_num / p_den
+    act_now = _act_value(p, utilities, timecost, 0, t0)
     if p_num == 0 or p_num == p_den:
-        return _act_value(p_num / p_den, utilities, timecost, paths, t0) - act_now
+        return tuple(
+            _act_value(p, utilities, timecost, x, t0) - act_now for x in lookaheads
+        )
     # Over the denominator p_den * r_den: p_halt = (1-p) * (1-ratio).
     q_num = p_den - p_num
-    halt_num, den = q_num * (r_den - r_num), p_den * r_den
-    drift_num = p_num * r_den
-    drifted = drift_num / (drift_num + r_num * q_num)
-    u_halt = timecost.utility_at(
-        max(utilities.when_false), t0 + paths * timecost.tau
-    )
-    return (
-        halt_num / den * u_halt
-        + (den - halt_num) / den * _act_value(drifted, utilities, timecost, paths, t0)
-        - act_now
-    )
+    max_false = max(utilities.when_false)
+    values = []
+    for paths, (r_num, r_den) in zip(lookaheads, ratios):
+        halt_num, den = q_num * (r_den - r_num), p_den * r_den
+        drift_num = p_num * r_den
+        drifted = drift_num / (drift_num + r_num * q_num)
+        u_halt = timecost.utility_at(max_false, t0 + paths * timecost.tau)
+        values.append(
+            halt_num / den * u_halt
+            + (den - halt_num) / den * _act_value(drifted, utilities, timecost, paths, t0)
+            - act_now
+        )
+    return tuple(values)
 
 
 # ---------------------------------------------------------------------------

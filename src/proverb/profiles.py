@@ -117,7 +117,7 @@ class Profile:
 
     def posterior_at(self, s) -> Fraction:
         """Posterior of the claim after surviving to explored fraction ``s``."""
-        return posterior(self.prior, self.curve.value(s))
+        return Fraction(*posterior(self.prior, self.curve.value(s)))
 
 
 def _run_one(args: tuple[int, Matrix, str, int | None]) -> InstanceRecord | None:
@@ -199,7 +199,7 @@ def _require(cond: bool, message: str) -> None:
 def load(path: str | Path) -> Profile:
     try:
         doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not JSON, or an integer beyond int()'s digit limit
         raise MalformedProfileError(f"not valid JSON: {exc}") from exc
     _require(isinstance(doc, dict), "profile document must be a JSON object")
     version = doc.get("format_version")
@@ -244,9 +244,9 @@ def export_curve_csv(profile: Profile, prior_override: Fraction | None = None) -
         raise ValueError(f"prior {prior} outside [0, 1]")
     lines = ["s,survival,posterior"]
     for i in range(101):
-        survival = Fraction(*profile.curve.survivors(i, 100))
-        post = posterior(prior, survival)
-        lines.append(f"{i / 100:.6f},{float(survival):.6f},{float(post):.6f}")
+        survivors, samples = profile.curve.survivors(i, 100)
+        num, den = posterior(prior, (survivors, samples))
+        lines.append(f"{i / 100:.6f},{survivors / samples:.6f},{num / den:.6f}")
     return "\n".join(lines) + "\n"
 
 

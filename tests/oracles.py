@@ -10,6 +10,9 @@ with every exact probability a ``Fraction``; a float enters only where a
 ``Fraction`` meets a utility.  Since
 CPython evaluates ``Fraction op float`` as ``float(Fraction) op float``, they
 are the bit-for-bit oracle of the package's integer-pair pricing.
+``one_lookahead`` and ``one_chunk`` call the package's pricers, which take
+all of a step's candidates at once, for one candidate in the oracles'
+signatures.
 
 ``SplitMix64`` is the generator's random stream as a class, and
 ``reference_generate`` draws an instance from it the plain way, one method
@@ -22,7 +25,7 @@ import warnings
 from bisect import bisect_right
 from fractions import Fraction
 
-from proverb.belief import ModelError
+from proverb.belief import AnalyticModel, ModelError
 from proverb.decision import (
     ZERO_COST,
     CostKind,
@@ -30,6 +33,8 @@ from proverb.decision import (
     TimeCost,
     UtilityModel,
     best_action,
+    nevc_multi,
+    nevc_two_outcome,
 )
 from proverb.matrix import Literal, Matrix
 
@@ -400,3 +405,33 @@ def fraction_nevc_two_outcome(
         + (1 - p_halt) * _act_value(drifted, utilities, timecost, paths, t0)
         - act_now
     )
+
+
+def one_lookahead(
+    p,
+    remaining: int,
+    open_dist,
+    utilities: UtilityModel,
+    timecost: TimeCost = ZERO_COST,
+    lookahead: int = 1,
+    t0: float = 0.0,
+) -> float:
+    """``nevc_multi`` at one lookahead, in ``fraction_nevc_multi``'s signature.
+
+    ``open_dist`` is the open count's distribution over the ``remaining``
+    paths, so the urn model starts there with none searched.
+    """
+    model = AnalyticModel(remaining, dict(open_dist))
+    return nevc_multi(p, model, 0, utilities, timecost, (lookahead,), t0)[0]
+
+
+def one_chunk(
+    p,
+    survival_ratio,
+    utilities: UtilityModel,
+    timecost: TimeCost = ZERO_COST,
+    paths: int = 1,
+    t0: float = 0.0,
+) -> float:
+    """``nevc_two_outcome`` at one chunk, in ``fraction_nevc_two_outcome``'s signature."""
+    return nevc_two_outcome(p, (survival_ratio,), utilities, timecost, (paths,), t0)[0]

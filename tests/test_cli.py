@@ -535,6 +535,40 @@ def assert_usage_error(argv, error, prior_zero_files, tmp_path, capsys):
     assert error in captured.err
 
 
+@pytest.mark.parametrize(
+    "analytic, prior",
+    [("1", "1e-4300"), ("1:1e-4300,2:1", "1/2"), ("1", "0." + "0" * 4300 + "1")],
+    ids=["prior", "weight", "long-literal"],
+)
+def test_value_beyond_the_digit_limit_is_refused_before_the_search(
+    analytic, prior, prior_zero_files, tmp_path, capsys, monkeypatch
+):
+    # Each value's reduced denominator has more digits than a trace can write.
+    from proverb import controller
+
+    def search(*_args):
+        raise AssertionError("the search ran")
+
+    monkeypatch.setattr(controller, "run", search)
+    _, cnf = prior_zero_files
+    trace = tmp_path / "t.jsonl"
+    argv = ("run", str(cnf), "--utilities", UTIL, "--analytic", analytic,
+            "--prior", prior, "--out", str(trace))
+    assert run_cli(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not trace.exists()
+    assert "exceeds 4300 digits" in captured.err or "needs more than 4300 digits" in captured.err
+
+
+def test_decide_on_a_profile_with_an_integer_beyond_the_digit_limit(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text('{"format_version": 1, "prior": {"num": 1, "den": 1' + "0" * 9300 + "}}")
+    code = run_cli("decide", "--utilities", UTIL, "--profile", str(path), "--fraction", "1/2")
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: not valid JSON")
+
+
 ANALYTIC_RUN = ("run", "{cnf}", "--utilities", UTIL, "--analytic", "1", "--prior", "1/2")
 TWO_ACTIONS = "actions=a,b; u(a,w)=1; u(a,~w)=0; u(b,w)=0; u(b,~w)=1"
 

@@ -287,7 +287,7 @@ def step_after(trace, config):
         "kind": "step",
         "step": len(trace.steps),
         "fraction": {"num": closed, "den": trace.total},
-        "posterior": float(post),
+        "posterior": post[0] / post[1],
         "nevc": list(nevc),
         "t": t_now,
     }
@@ -381,6 +381,10 @@ def test_load_trace_rejects_malformed(tmp_path):
     path.write_text('{"kind": "step"}\n')
     with pytest.raises(MalformedTraceError):
         load_trace(path)
+    for rows in ('[1]\n', '{"kind": "header", "format_version": 1}\n[2]\n{"kind": "final"}\n'):
+        path.write_text(rows)
+        with pytest.raises(MalformedTraceError, match="not a JSON object"):
+            load_trace(path)
 
     m = generate(GeneratorConfig(6, 2, 3, seed=1))
     trace = run(m, analytic_config(chunk=4))
@@ -397,6 +401,22 @@ def test_load_trace_rejects_malformed(tmp_path):
     truncated.write_text("\n".join(lines[:-1]) + "\n")
     with pytest.raises(MalformedTraceError):
         load_trace(truncated)
+
+
+def test_load_trace_rejects_an_integer_beyond_the_digit_limit(tmp_path):
+    # json reads a 9,300-digit integer with int(), which refuses it with a
+    # plain ValueError rather than a JSONDecodeError.
+    m = generate(GeneratorConfig(6, 2, 3, seed=1))
+    good = tmp_path / "good.jsonl"
+    save_trace(run(m, analytic_config(chunk=4)), good)
+    lines = good.read_text().splitlines()
+    step = json.loads(lines[1])
+    step["fraction"] = {"num": 0, "den": "DEN"}
+    huge = json.dumps(step).replace('"DEN"', "1" + "0" * 9300)
+    bad = tmp_path / "huge.jsonl"
+    bad.write_text("\n".join([lines[0], huge] + lines[2:]) + "\n")
+    with pytest.raises(MalformedTraceError, match="line 2: not JSON"):
+        load_trace(bad)
 
 
 def test_runs_are_deterministic():

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import first_open_pmf, fraction_survival, nevc_one
+from oracles import first_open_pmf, fraction_survival, nevc_one, one_chunk, one_lookahead
 from proverb.decision import (
     CostKind,
     DominanceError,
@@ -18,8 +18,6 @@ from proverb.decision import (
     ZERO_COST,
     best_action,
     format_utility_spec,
-    nevc_multi,
-    nevc_two_outcome,
     parse_utility_spec,
     threshold,
 )
@@ -205,13 +203,13 @@ def test_nevc_multi_x1_equals_nevc_one():
             [ZERO_COST, TimeCost.linear(0.1), TimeCost.deadline(10.0, -1.0)]
         )
         beliefs = (p, remaining, ((open_count, 1),))
-        assert nevc_multi(*beliefs, ACT, cost, 1) == pytest.approx(
+        assert one_lookahead(*beliefs, ACT, cost, 1) == pytest.approx(
             nevc_one(*beliefs, ACT, cost), abs=1e-12
         )
 
 
 def test_nevc_multi_full_lookahead_is_value_of_perfect_information():
-    assert nevc_multi(0.5, 2, ((1, 1),), ACT, lookahead=2) == pytest.approx(0.5)
+    assert one_lookahead(0.5, 2, ((1, 1),), ACT, lookahead=2) == pytest.approx(0.5)
 
 
 def test_nevc_multi_matches_enumeration_oracle():
@@ -222,7 +220,7 @@ def test_nevc_multi_matches_enumeration_oracle():
             for x in range(1, remaining + 1):
                 p = Fraction(rng.randint(1, 9), 10)
                 cost = costs[(remaining + open_count + x) % 3]
-                got = nevc_multi(p, remaining, ((open_count, 1),), ACT, cost, x)
+                got = one_lookahead(p, remaining, ((open_count, 1),), ACT, cost, x)
                 want = oracle_nevc(p, remaining, {open_count: 1}, ACT, cost, x)
                 assert got == pytest.approx(want, abs=1e-12)
 
@@ -230,7 +228,7 @@ def test_nevc_multi_matches_enumeration_oracle():
 def test_nevc_multi_mixture_matches_enumeration_oracle():
     dist = {1: Fraction(1, 2), 3: Fraction(1, 2)}
     for x in range(1, 5):
-        got = nevc_multi(Fraction(2, 5), 5, tuple(dist.items()), ACT, ZERO_COST, x)
+        got = one_lookahead(Fraction(2, 5), 5, tuple(dist.items()), ACT, ZERO_COST, x)
         want = oracle_nevc(Fraction(2, 5), 5, dist, ACT, ZERO_COST, x)
         assert got == pytest.approx(want, abs=1e-12)
 
@@ -240,7 +238,7 @@ def test_nevc_multi_against_pmf_literal_sum():
     p, remaining, open_count, x = Fraction(1, 3), 40, 3, 17
     rate = 0.01
     cost = TimeCost.linear(rate)
-    got = nevc_multi(p, remaining, ((open_count, 1),), ACT, cost, x)
+    got = one_lookahead(p, remaining, ((open_count, 1),), ACT, cost, x)
     halt = sum(
         first_open_pmf(remaining, open_count, j) * Fraction(1 - rate * j)
         for j in range(1, x + 1)
@@ -262,31 +260,31 @@ def test_nevc_multi_nonnegative_under_zero_cost_grid():
             for x in (1, remaining // 2 or 1, remaining):
                 for p in (0.01, 0.3, 0.5, 0.97):
                     dist = ((open_count, 1),)
-                    value = nevc_multi(p, remaining, dist, ACT, ZERO_COST, x)
+                    value = one_lookahead(p, remaining, dist, ACT, ZERO_COST, x)
                     assert value >= -1e-12
 
 
 def test_nevc_multi_lookahead_validation():
     with pytest.raises(LookaheadError):
-        nevc_multi(0.5, 3, ((1, 1),), ACT, lookahead=0)
+        one_lookahead(0.5, 3, ((1, 1),), ACT, lookahead=0)
     with pytest.raises(LookaheadError):
-        nevc_multi(0.5, 3, ((1, 1),), ACT, lookahead=4)
+        one_lookahead(0.5, 3, ((1, 1),), ACT, lookahead=4)
     with pytest.raises(ValueError):
-        nevc_multi(1.5, 3, ((1, 1),), ACT)
+        one_lookahead(1.5, 3, ((1, 1),), ACT)
     with pytest.raises(ValueError):
-        nevc_multi(-0.1, 3, ((1, 1),), ACT)
+        one_lookahead(-0.1, 3, ((1, 1),), ACT)
     # At certainty the remaining-paths cap does not apply: pure delay value.
-    assert nevc_multi(1.0, 3, ((1, 1),), ACT, lookahead=9) == 0.0
+    assert one_lookahead(1.0, 3, ((1, 1),), ACT, lookahead=9) == 0.0
 
 
 def test_nevc_multi_deadline_forces_negative_value():
     cost = TimeCost.deadline(at=0.5, penalty=0.0)
-    value = nevc_multi(0.5, 2, ((1, 1),), ACT, cost, 1)
+    value = one_lookahead(0.5, 2, ((1, 1),), ACT, cost, 1)
     assert value == pytest.approx(-0.5)
 
 
 def test_nevc_grows_with_lookahead_under_zero_cost():
-    values = [nevc_multi(0.4, 20, ((2, 1),), ACT, ZERO_COST, x) for x in range(1, 21)]
+    values = [one_lookahead(0.4, 20, ((2, 1),), ACT, ZERO_COST, x) for x in range(1, 21)]
     for earlier, later in zip(values, values[1:]):
         assert later >= earlier - 1e-12
 
@@ -300,14 +298,14 @@ def test_nevc_two_outcome_matches_analytic_single_chunk():
     # price identically (zero cost).
     p, remaining, open_count, x = 0.5, 8, 2, 3
     ratio = fraction_survival(remaining, open_count, x)
-    got = nevc_two_outcome(p, ratio, ACT, ZERO_COST, paths=x)
-    want = nevc_multi(p, remaining, ((open_count, 1),), ACT, ZERO_COST, x)
+    got = one_chunk(p, ratio, ACT, ZERO_COST, paths=x)
+    want = one_lookahead(p, remaining, ((open_count, 1),), ACT, ZERO_COST, x)
     assert got == pytest.approx(want, abs=1e-12)
 
 
 def test_nevc_two_outcome_prices_halt_at_chunk_end():
     cost = TimeCost.linear(0.1)
-    value = nevc_two_outcome(0.5, Fraction(1, 2), ACT, cost, paths=4)
+    value = one_chunk(0.5, Fraction(1, 2), ACT, cost, paths=4)
     # Halt branch pays the full 4-path delay even if the find lands earlier.
     p_halt = 0.5 * 0.5
     drifted = 0.5 / (0.5 + 0.5 * 0.5)
@@ -317,12 +315,12 @@ def test_nevc_two_outcome_prices_halt_at_chunk_end():
 
 def test_nevc_two_outcome_validation():
     with pytest.raises(LookaheadError):
-        nevc_two_outcome(0.5, Fraction(1, 2), ACT, paths=0)
+        one_chunk(0.5, Fraction(1, 2), ACT, paths=0)
     with pytest.raises(ValueError):
-        nevc_two_outcome(1.5, Fraction(1, 2), ACT)
+        one_chunk(1.5, Fraction(1, 2), ACT)
     with pytest.raises(ValueError):
-        nevc_two_outcome(0.5, Fraction(3, 2), ACT)
-    assert nevc_two_outcome(1.0, Fraction(1, 2), ACT) == 0.0
+        one_chunk(0.5, Fraction(3, 2), ACT)
+    assert one_chunk(1.0, Fraction(1, 2), ACT) == 0.0
 
 
 # --- certainty convention ----------------------------------------------------------
@@ -330,10 +328,10 @@ def test_nevc_two_outcome_validation():
 
 def test_certainty_value_is_negative_cost_of_waiting():
     cost = TimeCost.linear(0.2)
-    value = nevc_multi(0.0, 4, ((1, 1),), ACT, cost, 3)
+    value = one_lookahead(0.0, 4, ((1, 1),), ACT, cost, 3)
     assert value == pytest.approx(-0.6)
     late = TimeCost.deadline(at=1.0, penalty=-3.0)
-    value = nevc_multi(1.0, 4, ((1, 1),), ACT, late, 3)
+    value = one_lookahead(1.0, 4, ((1, 1),), ACT, late, 3)
     assert value == pytest.approx(-3.0 - 1.0)  # collapse replaces the win
 
 
@@ -423,9 +421,9 @@ def test_timecost_validation():
         with pytest.raises(ValueError, match="t must be >= 0"):
             cost.utility_at(1.0, -0.5)
         with pytest.raises(ValueError, match="t must be >= 0"):
-            nevc_multi(0.5, 3, ((1, 1),), ACT, cost, 1, t0=-1.0)
+            one_lookahead(0.5, 3, ((1, 1),), ACT, cost, 1, t0=-1.0)
         with pytest.raises(ValueError, match="t must be >= 0"):
-            nevc_two_outcome(0.5, Fraction(1, 2), ACT, cost, 1, t0=-1.0)
+            one_chunk(0.5, Fraction(1, 2), ACT, cost, 1, t0=-1.0)
 
 
 def test_timecost_schedules():
@@ -433,8 +431,8 @@ def test_timecost_schedules():
     assert cost.utility_at(10.0, 4.0) == 8.0
     # At certainty search only delays: 3 paths from t0 = 1 end at t = 7,
     # and waiting 6 time units at rate 0.5 costs 3.
-    assert nevc_multi(1.0, 5, ((1, 1),), ACT, cost, 3, t0=1.0) == -3.0
-    assert nevc_two_outcome(1.0, Fraction(1, 2), ACT, cost, 3, t0=1.0) == -3.0
+    assert one_lookahead(1.0, 5, ((1, 1),), ACT, cost, 3, t0=1.0) == -3.0
+    assert one_chunk(1.0, Fraction(1, 2), ACT, cost, 3, t0=1.0) == -3.0
     assert ZERO_COST.utility_at(10.0, 4.0) == 10.0
     late = TimeCost.deadline(at=3.0, penalty=-7.0)
     assert late.utility_at(10.0, 3.0) == 10.0

@@ -1,11 +1,13 @@
-"""The integer-pair pricing against the ``Fraction`` oracle, bit for bit.
+"""The one-pass pricing against the ``Fraction`` oracle, bit for bit.
 
 ``tests/oracles.py`` writes ``nevc_multi``, ``nevc_two_outcome``, the
 posterior, the analytic source's conditioning and the survival curve's
-reading with every exact probability a ``Fraction``.  The package must return the same float
-(compared by ``repr``, so even the sign of a zero counts) and raise the same
-exception type with the same message.  A float posterior counts at its exact
-rational value, so the oracle gets ``Fraction(p)``.
+reading with every exact probability a ``Fraction``, one candidate at a
+time.  The package prices all of a step's candidates in one call and must
+return the same floats (compared by ``repr``, so even the sign of a zero
+counts) and raise the same exception type with the same message.  A float
+posterior counts at its exact rational value, so the oracle gets
+``Fraction(p)``; an exact pair gets ``Fraction(*pair)``.
 """
 
 from fractions import Fraction
@@ -21,8 +23,10 @@ from oracles import (
     fraction_nevc_multi,
     fraction_nevc_two_outcome,
     fraction_posterior,
+    one_chunk,
+    one_lookahead,
 )
-from proverb.belief import ContextTag, ModelError, posterior
+from proverb.belief import AnalyticModel, ContextTag, ModelError, posterior
 from proverb.controller import AnalyticSource, ControllerConfig, ProfileSource
 from proverb.decision import TimeCost, UtilityModel, nevc_multi, nevc_two_outcome
 from proverb.profiles import InstanceRecord, Profile
@@ -39,11 +43,13 @@ UTILITIES = st.sampled_from([
 
 
 def outcome(fn, *args):
-    """The float ``fn`` returns, by repr, or the type and message it raises."""
+    """What ``fn`` returns, by repr (each value of a tuple), or the type and
+    message it raises."""
     try:
-        return repr(fn(*args))
+        value = fn(*args)
     except Exception as exc:  # noqa: BLE001 - the oracle's exception is the spec
         return type(exc), str(exc)
+    return [repr(v) for v in value] if isinstance(value, tuple) else repr(value)
 
 
 def probabilities():
@@ -52,6 +58,15 @@ def probabilities():
         st.sampled_from([Fraction(0), Fraction(1), ALMOST_ONE, Fraction(1, 2)]),
         st.fractions(0, 1, max_denominator=10**6),
         st.floats(0, 1),
+    )
+
+
+def exact_pairs():
+    """Unreduced (numerator, denominator) pairs in [0, 1]."""
+    return st.integers(1, 10**6).flatmap(
+        lambda den: st.tuples(st.integers(0, den), st.just(den)).map(
+            lambda pair: (pair[0] * 6, pair[1] * 6)
+        )
     )
 
 
@@ -66,16 +81,21 @@ def costs(remaining):
 
 
 @st.composite
-def open_dists(draw, remaining):
-    """One to three distinct open counts with Fraction (or int 1) weights."""
+def open_dists(draw, remaining, floats=False):
+    """One to three distinct open counts with Fraction (or int 1) weights, or
+    with float weights that sum to 1 only within rounding."""
     counts = draw(st.lists(st.integers(1, remaining), min_size=1, max_size=3, unique=True))
     if len(counts) == 1 and draw(st.booleans()):
         return ((counts[0], 1),)
     raw = draw(st.lists(st.integers(1, 9), min_size=len(counts), max_size=len(counts)))
+    if floats:
+        return tuple((o, r / sum(raw)) for o, r in sorted(zip(counts, raw)))
     return tuple((o, Fraction(r, sum(raw))) for o, r in sorted(zip(counts, raw)))
 
 
 def as_exact(p):
+    if isinstance(p, tuple):
+        return Fraction(*p)
     return Fraction(p) if isinstance(p, float) else p
 
 
@@ -84,38 +104,48 @@ def as_exact(p):
 def test_nevc_multi_matches_the_fraction_oracle(data):
     remaining = data.draw(st.integers(1, 60))
     dist = data.draw(open_dists(remaining))
-    p = data.draw(probabilities())
-    x = data.draw(st.one_of(st.just(1), st.just(remaining), st.integers(1, remaining)))
+    p = data.draw(st.one_of(probabilities(), exact_pairs()))
+    xs = data.draw(st.lists(
+        st.one_of(st.just(1), st.just(remaining), st.integers(1, remaining)),
+        min_size=1, max_size=3,
+    ))
     timecost = data.draw(costs(remaining))
     # t0 = 0, somewhere inside, or past every deadline drawn above.
     t0 = data.draw(st.sampled_from([0.0, 0.5, 3.0]))
     utilities = data.draw(UTILITIES)
-    args = (remaining, dist, utilities, timecost, x, t0)
-    assert outcome(nevc_multi, p, *args) == outcome(fraction_nevc_multi, as_exact(p), *args)
+    model = AnalyticModel(remaining, dict(dist))
+    got = outcome(nevc_multi, p, model, 0, utilities, timecost, tuple(xs), t0)
+    want = [
+        outcome(fraction_nevc_multi, as_exact(p), remaining, dist, utilities, timecost, x, t0)
+        for x in xs
+    ]
+    assert got == want
 
 
 @PRICING
-@given(probabilities(), probabilities(), UTILITIES, costs(100), st.integers(1, 100),
-       st.sampled_from([0.0, 0.5, 3.0]))
-def test_nevc_two_outcome_matches_the_fraction_oracle(p, ratio, utilities, timecost, paths, t0):
-    args = (utilities, timecost, paths, t0)
-    assert outcome(nevc_two_outcome, p, ratio, *args) == outcome(
-        fraction_nevc_two_outcome, as_exact(p), as_exact(ratio), *args
-    )
+@given(probabilities(), st.lists(st.tuples(st.one_of(probabilities(), exact_pairs()),
+                                           st.integers(1, 100)), min_size=1, max_size=3),
+       UTILITIES, costs(100), st.sampled_from([0.0, 0.5, 3.0]))
+def test_nevc_two_outcome_matches_the_fraction_oracle(p, candidates, utilities, timecost, t0):
+    ratios = tuple(ratio for ratio, _ in candidates)
+    paths = tuple(x for _, x in candidates)
+    got = outcome(nevc_two_outcome, p, ratios, utilities, timecost, paths, t0)
+    want = [
+        outcome(fraction_nevc_two_outcome, as_exact(p), as_exact(ratio), utilities, timecost, x, t0)
+        for ratio, x in candidates
+    ]
+    assert got == want
 
 
 @PRICING
-@given(probabilities(), probabilities())
+@given(st.one_of(probabilities(), exact_pairs()), st.one_of(probabilities(), exact_pairs()))
 def test_posterior_matches_the_fraction_oracle(prior, survival):
-    got, want = posterior(prior, survival), fraction_posterior(*map(as_exact, (prior, survival)))
-    assert got == want and repr(float(got)) == repr(float(want))
+    (num, den), want = posterior(prior, survival), fraction_posterior(*map(as_exact, (prior, survival)))
+    assert Fraction(num, den) == want and repr(num / den) == repr(float(want))
 
 
 ACT = UtilityModel.from_pairs({"act_w": (1.0, 0.0), "act_not_w": (0.0, 1.0)})
 BAD_INPUTS = [
-    (Fraction(1, 2), 5, ((6, 1),), 1),  # one open count beyond the remaining paths
-    (Fraction(1, 2), 5, ((1, Fraction(1, 2)), (9, Fraction(1, 2))), 2),
-    (Fraction(1, 2), 5, ((0, 1),), 1),
     (Fraction(1, 2), 5, ((1, 1),), 0),
     (Fraction(1, 2), 5, ((1, 1),), 6),
     (Fraction(3, 2), 5, ((1, 1),), 1),
@@ -127,18 +157,42 @@ BAD_INPUTS = [
 @pytest.mark.parametrize("p, remaining, dist, x", BAD_INPUTS)
 def test_bad_input_raises_as_the_oracle_does(p, remaining, dist, x):
     args = (remaining, dist, ACT, TimeCost.linear(0.1), x)
-    got = outcome(nevc_multi, p, *args)
+    got = outcome(one_lookahead, p, *args)
     assert got == outcome(fraction_nevc_multi, p, *args)
     assert isinstance(got, tuple)
-    if dist[-1][0] > remaining:
-        assert got[0] is ModelError
+
+
+@pytest.mark.parametrize("dist", [
+    ((6, 1),),  # one open count beyond the remaining paths
+    ((1, Fraction(1, 2)), (9, Fraction(1, 2))),
+    ((0, 1),),
+])
+def test_bad_open_counts_are_refused_with_the_model(dist):
+    # The oracle meets them while pricing; the package when the model is built.
+    assert outcome(fraction_nevc_multi, Fraction(1, 2), 5, dist, ACT)[0] is ModelError
+    with pytest.raises(ModelError):
+        AnalyticModel(5, dict(dist))
+
+
+@pytest.mark.parametrize("p", [(3, 2), (1, 0), (-1, 2)])
+def test_bad_exact_pair_posterior_is_refused(p):
+    model = AnalyticModel(5, 1)
+    with pytest.raises(ValueError, match="posterior"):
+        nevc_multi(p, model, 0, ACT)
+    with pytest.raises(ValueError, match="posterior"):
+        nevc_two_outcome(p, ((1, 2),), ACT)
+
+
+def test_one_survival_ratio_per_lookahead():
+    with pytest.raises(ValueError, match="one survival ratio per lookahead"):
+        nevc_two_outcome(Fraction(1, 2), ((1, 2),), ACT, lookaheads=(1, 2))
 
 
 @pytest.mark.parametrize("p, ratio", [(Fraction(3, 2), Fraction(1, 2)),
                                       (Fraction(1, 2), Fraction(3, 2)),
                                       (Fraction(1, 2), float("inf"))])
 def test_bad_two_outcome_input_raises_as_the_oracle_does(p, ratio):
-    got = outcome(nevc_two_outcome, p, ratio, ACT)
+    got = outcome(one_chunk, p, ratio, ACT)
     assert got == outcome(fraction_nevc_two_outcome, p, ratio, ACT)
     assert isinstance(got, tuple)
 
@@ -147,12 +201,17 @@ def test_bad_two_outcome_input_raises_as_the_oracle_does(p, ratio):
 
 
 def analytic_oracle(source, config, total, closed):
-    """The analytic source's posterior and candidate values, in Fractions."""
+    """The analytic source's posterior and candidate values, in Fractions.
+
+    A float prior and float weights count at their exact values, the weights
+    normalized by their exact sum as the model does.
+    """
     open_paths = source.open_paths
     if isinstance(open_paths, int):
         open_paths = {open_paths: Fraction(1)}
-    dist = tuple(sorted(open_paths.items()))
-    post = fraction_analytic_posterior(source.prior, total, dist, closed)
+    norm = sum(Fraction(w) for w in open_paths.values())
+    dist = tuple(sorted((o, Fraction(w) / norm) for o, w in open_paths.items()))
+    post = fraction_analytic_posterior(Fraction(source.prior), total, dist, closed)
     remaining = total - closed
     cond = fraction_conditional(total, dist, closed)
     t_now = closed * config.timecost.tau
@@ -165,26 +224,40 @@ def analytic_oracle(source, config, total, closed):
 
 def check_analytic(source, config, total, closed):
     post, nevcs = analytic_oracle(source, config, total, closed)
-    got = source.posterior_at(total, closed)
-    assert got == post and repr(float(got)) == repr(float(post))
+    num, den = source.posterior_at(total, closed)
+    assert Fraction(num, den) == post and repr(num / den) == repr(float(post))
     t_now = closed * config.timecost.tau
-    got_nevcs = source.nevc_at(config, total, closed, got, t_now)
+    got_nevcs = source.nevc_at(config, total, closed, (num, den), t_now)
     assert list(map(repr, got_nevcs)) == list(map(repr, nevcs))
 
 
 @SOURCES
 @given(st.data())
 def test_analytic_source_matches_the_oracle(data):
+    # Open counts up to the whole space, so that later steps rule some out,
+    # and a middle candidate that may exceed what remains.
     total = data.draw(st.integers(1, 80))
-    dist = data.draw(open_dists(total))
+    dist = data.draw(open_dists(total, floats=data.draw(st.booleans())))
     open_paths = dist[0][0] if dist[0][1] == 1 else dict(dist)
-    prior = data.draw(st.sampled_from([Fraction(1, 3), Fraction(1, 2), ALMOST_ONE]))
+    prior = data.draw(st.sampled_from([Fraction(1, 3), Fraction(1, 2), ALMOST_ONE, 0.3]))
     source = AnalyticSource(prior, open_paths)
     timecost = data.draw(costs(total))
     chunk = data.draw(st.integers(1, total))
-    config = ControllerConfig(chunk, ACT, timecost, source, (chunk, "full"))
+    wide = data.draw(st.integers(1, 2 * total))
+    config = ControllerConfig(chunk, ACT, timecost, source, (chunk, wide, "full"))
     for closed in sorted(set(data.draw(st.lists(st.integers(0, total - 1), max_size=4)))):
         check_analytic(source, config, total, closed)
+
+
+@pytest.mark.parametrize("cost", [TimeCost.zero(0.01), TimeCost.linear(0.3, 0.01),
+                                  TimeCost.deadline(0.2, -1.0, 0.01)])
+def test_ruled_out_counts_float_weights_and_a_truncated_candidate(cost):
+    # Past 60 - 40 = 20 closed paths only the counts 1 and 7 survive, past 53
+    # only the count 1; the 30-path candidate is cut to what remains from 31.
+    source = AnalyticSource(0.25, {1: 0.5, 7: 0.3, 40: 0.2})
+    config = ControllerConfig(5, ACT, cost, source, (5, 30, "full"))
+    for closed in (0, 19, 20, 21, 31, 53, 54, 58, 59):
+        check_analytic(source, config, 60, closed)
 
 
 @pytest.mark.parametrize("cost", ["zero", "linear", "deadline"])
@@ -253,7 +326,7 @@ def test_profile_source_matches_the_oracle(fractions, unsat, total, data):
         now = fraction_curve_value(fractions, Fraction(closed, total))
         post = fraction_posterior(profile.prior, now)
         got = source.posterior_at(total, closed)
-        assert got == post
+        assert Fraction(*got) == post
         t_now = closed * timecost.tau
         want = []
         for x in config.lookahead_paths(total - closed):

@@ -237,6 +237,17 @@ def test_load_rejects_non_json(tmp_path):
         load(path)
 
 
+def test_load_rejects_an_integer_beyond_the_digit_limit(tmp_path):
+    path = tmp_path / "p.json"
+    save(hand_profile(), path)
+    text = path.read_text()
+    doc = json.loads(text)
+    den = doc["prior"]["den"]
+    path.write_text(text.replace(f'"den": {den}', '"den": 1' + "0" * 9300, 1))
+    with pytest.raises(MalformedProfileError, match="not valid JSON"):
+        load(path)
+
+
 def test_load_rejects_inconsistent_prior(tmp_path):
     path = tmp_path / "p.json"
     save(hand_profile(), path)
