@@ -34,9 +34,9 @@ def main():
     for pct in (0, 1, 2, 5, 10, 20, 50):
         s = Fraction(pct, 100)
         surv = profile.curve.value(s)
-        post = profile.posterior_at(s)
+        num, den = profile.posterior_at(pct, 100)
         print(f"  s={float(s):4.2f}  survival={float(surv):8.6f}  "
-              f"posterior={float(post):8.6f}")
+              f"posterior={num / den:8.6f}")
 
     print("\nfirst lines of the exportable table:")
     for line in export_curve_csv(profile).splitlines()[:4]:

@@ -48,9 +48,8 @@ def main():
     profile = collect(generate_corpus(config, 200))
     print(f"empirical curve from 200 instances (prior {float(profile.prior):.3f}):")
     for pct in (0, 1, 5, 10, 25):
-        s = Fraction(pct, 100)
-        post = profile.posterior_at(s)
-        print(f"  explored {float(s):5.2f} of the space  posterior {float(post):.6f}")
+        num, den = profile.posterior_at(pct, 100)
+        print(f"  explored {pct / 100:5.2f} of the space  posterior {num / den:.6f}")
 
 
 if __name__ == "__main__":

@@ -121,13 +121,11 @@ def _family(args):
 
 
 def _collect(args, corpus, heuristic):
-    """Profile the family's corpus, tagged with the family and heuristic."""
+    """Profile the family's corpus; ``collect`` tags it with the count and heuristic."""
     from .belief import ContextTag
     from .profiles import collect
 
-    context = ContextTag(
-        args.clauses, args.lits, args.alphabet, args.seed, args.count, heuristic.value
-    )
+    context = ContextTag(args.clauses, args.lits, args.alphabet, args.seed)
     return collect(
         corpus, heuristic, context=context, step_cap=args.step_cap, jobs=args.jobs
     )
@@ -198,13 +196,16 @@ def _profile(args) -> int:
 
 
 def _curve(args) -> int:
-    from .profiles import load, write_curve_csv
+    from .profiles import export_curve_csv, load
 
     profile = load(args.profile)
     override = _parse_fraction(args.prior) if args.prior is not None else None
-    write_curve_csv(profile, args.out, override)
+    Path(args.out).write_bytes(export_curve_csv(profile, override).encode("ascii"))
     print(f"wrote curve table to {args.out}")
     return EXIT_OK
+
+
+_DECIDE_FORMS = (("posterior",), ("prior", "survival"), ("profile", "fraction"))
 
 
 def _decide(args) -> int:
@@ -212,12 +213,9 @@ def _decide(args) -> int:
     from .belief import posterior
 
     utilities, timecost = decision.parse_utility_spec(args.utilities)
-    given = [
-        args.posterior is not None,
-        args.prior is not None and args.survival is not None,
-        args.profile is not None and args.fraction is not None,
-    ]
-    if sum(given) != 1:
+    # Exactly one input form, given whole, and no flag of another.
+    given = [[getattr(args, flag) is not None for flag in form] for form in _DECIDE_FORMS]
+    if sum(map(any, given)) != 1 or not any(map(all, given)):
         return _fail(
             "give exactly one of --posterior, --prior with --survival, "
             "or --profile with --fraction"
@@ -230,7 +228,8 @@ def _decide(args) -> int:
         from .profiles import load
 
         profile = load(args.profile)
-        post = profile.posterior_at(_parse_fraction(args.fraction))
+        s = _parse_fraction(args.fraction)
+        post = Fraction(*profile.posterior_at(s.numerator, s.denominator))
     print(f"posterior: {float(post):.6f}")
     try:
         print(f"p*: {decision.threshold(utilities):.6f}")
@@ -254,6 +253,10 @@ def _run(args) -> int:
 
     if (args.profile is None) == (args.analytic is None):
         return _fail("give exactly one of --profile or --analytic (with --prior)")
+    if (args.prior is None) != (args.analytic is None):
+        return _fail("--analytic needs --prior, and --profile takes none (it has its own)")
+    if args.strict and args.profile is None:
+        return _fail("--strict checks a profile's context; it needs --profile")
     if args.profile is not None:
         profile = load(args.profile)
         source = controller.ProfileSource(profile)
@@ -273,8 +276,6 @@ def _run(args) -> int:
                 print("error: context mismatch under --strict", file=sys.stderr)
                 return EXIT_CONTEXT
     else:
-        if args.prior is None:
-            return _fail("--analytic needs --prior")
         source = controller.AnalyticSource(
             _parse_fraction(args.prior), _parse_open_paths(args.analytic)
         )

@@ -169,17 +169,18 @@ class AnalyticSource:
 class ProfileSource:
     """Empirical prior and survival curve from a collected profile.
 
-    Halts are priced at the chunk end (``nevc_two_outcome``).  The curve is
-    read at ``closed / total`` as an exact pair through
-    ``SurvivalCurve.survivors``, which keeps its integer thresholds for the
-    last path-space size, so a run or replay builds them once.  The survival
-    ratios reach the pricing as exact pairs of survivor counts.
+    Halts are priced at the chunk end (``nevc_two_outcome``).  The posterior
+    is the profile's own, ``Profile.posterior_at``.  The curve is read at
+    ``closed / total`` as an exact pair through ``SurvivalCurve.survivors``,
+    which keeps its integer thresholds for the last path-space size, so a run
+    or replay builds them once.  The survival ratios reach the pricing as
+    exact pairs of survivor counts.
     """
 
     profile: Profile
 
     def posterior_at(self, total: int, closed: int) -> tuple[int, int]:
-        return posterior(self.profile.prior, self.profile.curve.survivors(closed, total))
+        return self.profile.posterior_at(closed, total)
 
     def nevc_at(
         self,
@@ -376,7 +377,59 @@ def save_trace(trace: DecisionTrace, path: str | Path) -> None:
     Path(path).write_bytes(("\n".join(lines) + "\n").encode("ascii"))
 
 
+def _count(least: int):
+    return lambda v: type(v) is int and v >= least  # a bool is no int
+
+
+def _number(v: object) -> bool:
+    return type(v) in (int, float)
+
+
+def _text(v: object) -> bool:
+    return type(v) is str
+
+
+# The fields each kind of trace record must carry, in order, with their checks.
+_FIELDS = {
+    "header": {
+        "format_version": lambda v: type(v) is int and v == TRACE_FORMAT_VERSION,
+        "total": _count(0),
+        "chunk": _count(1),
+        "lookaheads": lambda v: type(v) is list
+        and all(x == FULL_LOOKAHEAD or _count(1)(x) for x in v),
+        "source": lambda v: type(v) is dict,
+        "utility_spec": _text,
+    },
+    "step": {
+        "step": _count(0),
+        "fraction": lambda v: type(v) is dict,
+        "posterior": _number,
+        "nevc": lambda v: type(v) is list and all(map(_number, v)),
+        "t": _number,
+    },
+    "final": {
+        "stop_reason": _text,
+        "action": _text,
+        "eu": _number,
+        "posterior": _number,
+        "t": _number,
+    },
+}
+
+
+def _fields(lineno: int, row: dict, kind: str) -> list:
+    """The values of the fields of a ``kind`` record, each checked."""
+    if row.get("kind") != kind:
+        raise MalformedTraceError(f"line {lineno}: expected a {kind} record")
+    for key, ok in _FIELDS[kind].items():
+        if not ok(row.get(key)):
+            raise MalformedTraceError(f"line {lineno}: bad {kind} {key} {row.get(key)!r}")
+    return [row[key] for key in _FIELDS[kind]]
+
+
 def load_trace(path: str | Path) -> DecisionTrace:
+    """The trace in ``path``.  Raises ``MalformedTraceError`` unless a header,
+    the steps and a final record each carry their fields, of their types."""
     rows = []
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         if not line.strip():
@@ -387,53 +440,31 @@ def load_trace(path: str | Path) -> DecisionTrace:
             raise MalformedTraceError(f"line {lineno}: not JSON: {exc}") from exc
         if not isinstance(row, dict):
             raise MalformedTraceError(f"line {lineno}: not a JSON object")
-        rows.append(row)
-    if not rows or rows[0].get("kind") != "header":
-        raise MalformedTraceError("first line must be the header record")
-    if rows[-1].get("kind") != "final":
-        raise MalformedTraceError("last line must be the final record")
-    header, final = rows[0], rows[-1]
-    if header.get("format_version") != TRACE_FORMAT_VERSION:
-        raise MalformedTraceError(
-            f"unsupported trace format_version {header.get('format_version')!r}"
-        )
-    steps = []
-    for row in rows[1:-1]:
-        if row.get("kind") != "step":
-            raise MalformedTraceError(f"unexpected record kind {row.get('kind')!r}")
-        try:
-            steps.append(
-                TraceStep(
-                    row["step"],
-                    rational_from_json(row["fraction"], "fraction"),
-                    float(row["posterior"]),
-                    tuple(float(v) for v in row["nevc"]),
-                    float(row["t"]),
-                )
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise MalformedTraceError(f"bad step record: {exc}") from exc
+        rows.append((lineno, row))
+    if len(rows) < 2:
+        raise MalformedTraceError("a trace needs a header and a final record")
+    _, total, chunk, lookaheads, source, spec = _fields(*rows[0], "header")
+    body = [_fields(*row, "step") for row in rows[1:-1]]
+    reason, action, *final = _fields(*rows[-1], "final")
     try:
-        lookaheads = tuple(
-            x if isinstance(x, int) else str(x) for x in header["lookaheads"]
-        )
-        trace = DecisionTrace(
-            total=header["total"],
-            chunk=header["chunk"],
-            lookaheads=lookaheads,
-            source_desc=header["source"],
-            utility_spec=header["utility_spec"],
-            steps=steps,
-            stop_reason=StopReason(final["stop_reason"]),
-            action=final["action"],
-            eu=float(final["eu"]),
-            final_posterior=float(final["posterior"]),
-            final_elapsed=float(final["t"]),
-            wall_time=float(final.get("wall_time", 0.0)),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MalformedTraceError(f"bad header/final record: {exc}") from exc
-    return trace
+        steps = [
+            TraceStep(
+                step,
+                rational_from_json(fraction, f"step {step} fraction"),
+                float(post),
+                tuple(map(float, nevc)),
+                float(t),
+            )
+            for step, fraction, post, nevc, t in body
+        ]
+        reason = StopReason(reason)
+        eu, post, t, wall_time = map(float, final + [rows[-1][1].get("wall_time", 0.0)])
+    except (OverflowError, TypeError, ValueError) as exc:  # e.g. an int beyond float's range
+        raise MalformedTraceError(f"bad trace record: {exc}") from exc
+    return DecisionTrace(
+        total, chunk, tuple(lookaheads), source, spec, steps, reason, action, eu, post, t,
+        wall_time,
+    )
 
 
 @dataclass(frozen=True)

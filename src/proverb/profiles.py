@@ -15,7 +15,8 @@ File format (JSON, format_version 1):
      "excluded": 0,
      "records": [{"id":0, "sat":true, "frac":{"num":..,"den":..}, "closures":..}, ..]}
 
-The curve is implied by the records (it is rebuilt on load), so nothing in
+The prior and the curve are implied by the records: both are rebuilt on
+load, and a file whose written prior disagrees is refused, so nothing in
 the file can drift out of sync with the data.  Per-instance wall time is
 advisory, in-memory only, and excluded from equality.
 """
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
@@ -51,7 +52,6 @@ __all__ = [
     "save",
     "load",
     "export_curve_csv",
-    "write_curve_csv",
 ]
 
 FORMAT_VERSION = 1
@@ -90,12 +90,16 @@ class InstanceRecord:
 
 @dataclass
 class Profile:
-    """Prior + survival curve for one instance family, with raw records."""
+    """Prior + survival curve for one instance family, with raw records.
+
+    Both are read off the records: the prior is the share of unsatisfiable
+    instances, the curve the discovery fractions of the satisfiable ones.
+    """
 
     context: ContextTag
-    prior: Fraction
     records: tuple[InstanceRecord, ...]
     excluded: int = 0
+    prior: Fraction = field(init=False)
     curve: SurvivalCurve = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -104,26 +108,22 @@ class Profile:
             raise ValueError("a profile needs at least one record")
         if self.excluded < 0:
             raise ValueError("excluded count must be >= 0")
-        unsat = sum(1 for r in self.records if not r.satisfiable)
-        expected = Fraction(unsat, len(self.records))
-        if Fraction(self.prior) != expected:
-            raise ValueError(
-                f"prior {self.prior} inconsistent with records ({expected})"
-            )
-        self.prior = Fraction(self.prior)
+        unsat = sum(not r.satisfiable for r in self.records)
+        self.prior = Fraction(unsat, len(self.records))
         self.curve = SurvivalCurve.from_samples(
             r.discovery_fraction for r in self.records if r.satisfiable
         )
 
-    def posterior_at(self, s) -> Fraction:
-        """Posterior of the claim after surviving to explored fraction ``s``."""
-        return Fraction(*posterior(self.prior, self.curve.value(s)))
+    def posterior_at(self, closed: int, total: int) -> tuple[int, int]:
+        """Posterior of the claim once ``closed`` of ``total`` paths are
+        searched without an open one, as an exact pair (0 <= closed <= total)."""
+        return posterior(self.prior, self.curve.survivors(closed, total))
 
 
-def _run_one(args: tuple[int, Matrix, str, int | None]) -> InstanceRecord | None:
+def _run_one(args: tuple[int, Matrix, Heuristic, int | None]) -> InstanceRecord | None:
     """The instance's record, or None when it hit the closure cap."""
-    instance_id, matrix, heuristic_value, cap = args
-    prepared = Heuristic(heuristic_value).apply(matrix)
+    instance_id, matrix, heuristic, cap = args
+    prepared = heuristic.apply(matrix)
     started = time.perf_counter()
     state = solve(prepared, max_closures=cap)
     elapsed = time.perf_counter() - started
@@ -147,13 +147,15 @@ def collect(
     ``step_cap`` bounds the closures spent per instance; instances that
     exceed it are excluded from the statistics and counted in ``excluded``.
     ``jobs`` > 1 fans instances out to worker processes; outcomes are folded
-    in instance order either way, so the result is identical.
+    in instance order either way, so the result is identical.  The profile's
+    tag is ``context`` (default: an empty one) with its count and heuristic
+    set to the corpus size and the search order run here.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     if not corpus:
         raise ValueError("corpus is empty")
-    work = [(i, m, heuristic.value, step_cap) for i, m in enumerate(corpus)]
+    work = [(i, m, heuristic, step_cap) for i, m in enumerate(corpus)]
     if jobs > 1:
         # Imported here: only a parallel run pays for loading multiprocessing.
         from concurrent.futures import ProcessPoolExecutor
@@ -166,10 +168,8 @@ def collect(
     excluded = len(outcomes) - len(records)
     if not records:
         raise ValueError("every instance exceeded the step cap; no data to profile")
-    if context is None:
-        context = ContextTag(count=len(corpus), heuristic=heuristic.value)
-    unsat = sum(1 for r in records if not r.satisfiable)
-    return Profile(context, Fraction(unsat, len(records)), tuple(records), excluded)
+    context = replace(context or ContextTag(), count=len(corpus), heuristic=heuristic.value)
+    return Profile(context, records, excluded)
 
 
 def save(profile: Profile, path: str | Path) -> None:
@@ -212,7 +212,6 @@ def load(path: str | Path) -> Profile:
         prior = rational_from_json(doc.get("prior"), "prior")
     except ValueError as exc:
         raise MalformedProfileError(str(exc)) from exc
-    _require(0 <= prior <= 1, f"prior {prior} outside [0, 1]")
     excluded = doc.get("excluded", 0)
     _require(type(excluded) is int and excluded >= 0, "bad excluded count")
     raw_records = doc.get("records")
@@ -231,26 +230,17 @@ def load(path: str | Path) -> Profile:
             records.append(InstanceRecord(row["id"], row["sat"], frac, row["closures"]))
         except ValueError as exc:
             raise MalformedProfileError(f"record {i}: {exc}") from exc
-    try:
-        return Profile(context, prior, tuple(records), excluded)
-    except ValueError as exc:
-        raise MalformedProfileError(str(exc)) from exc
+    profile = Profile(context, records, excluded)
+    _require(prior == profile.prior, f"prior {prior} inconsistent with records ({profile.prior})")
+    return profile
 
 
 def export_curve_csv(profile: Profile, prior_override: Fraction | None = None) -> str:
     """101-row CSV (s from 0.00 to 1.00 in 0.01 steps): s, survival, posterior."""
-    prior = Fraction(prior_override) if prior_override is not None else profile.prior
-    if not 0 <= prior <= 1:
-        raise ValueError(f"prior {prior} outside [0, 1]")
+    prior = profile.prior if prior_override is None else prior_override
     lines = ["s,survival,posterior"]
     for i in range(101):
         survivors, samples = profile.curve.survivors(i, 100)
         num, den = posterior(prior, (survivors, samples))
         lines.append(f"{i / 100:.6f},{survivors / samples:.6f},{num / den:.6f}")
     return "\n".join(lines) + "\n"
-
-
-def write_curve_csv(
-    profile: Profile, path: str | Path, prior_override: Fraction | None = None
-) -> None:
-    Path(path).write_bytes(export_curve_csv(profile, prior_override).encode("ascii"))

@@ -220,10 +220,8 @@ def test_decide_from_profile(tmp_path, capsys):
     )
     assert code == 0
     out = capsys.readouterr().out
-    profile = load(prof_path)
-    from fractions import Fraction
-
-    want = float(profile.posterior_at(Fraction(1, 2)))
+    num, den = load(prof_path).posterior_at(1, 2)
+    want = num / den
     got = float(out.splitlines()[0].split()[1])
     assert got == pytest.approx(want, abs=1e-6)
 
@@ -569,6 +567,9 @@ def test_decide_on_a_profile_with_an_integer_beyond_the_digit_limit(tmp_path, ca
     assert captured.err.startswith("error: not valid JSON")
 
 
+DECIDE_FORMS = (
+    "give exactly one of --posterior, --prior with --survival, or --profile with --fraction"
+)
 ANALYTIC_RUN = ("run", "{cnf}", "--utilities", UTIL, "--analytic", "1", "--prior", "1/2")
 TWO_ACTIONS = "actions=a,b; u(a,w)=1; u(a,~w)=0; u(b,w)=0; u(b,~w)=1"
 
@@ -617,6 +618,22 @@ TWO_ACTIONS = "actions=a,b; u(a,w)=1; u(a,~w)=0; u(b,w)=0; u(b,~w)=1"
              "--count", "1", "--out", "{out}"),
             "alphabet_size must be >= 1",
         ),
+        # A flag of an input form not chosen, or a form given incomplete.
+        *(
+            (("decide", "--utilities", UTIL) + flags, DECIDE_FORMS)
+            for flags in [
+                ("--profile", "{profile}", "--fraction", "1/2", "--prior", "0.01"),
+                ("--profile", "{profile}", "--fraction", "1/2", "--survival", "1/2"),
+                ("--posterior", "1/2", "--prior", "0.3"),
+                ("--posterior", "1/2", "--survival", "0.3"),
+            ]
+        ),
+        # A flag the run's belief source would ignore.
+        (
+            ("run", "{cnf}", "--utilities", UTIL, "--profile", "{profile}", "--prior", "1/2"),
+            "--profile takes none",
+        ),
+        (ANALYTIC_RUN + ("--strict",), "--strict checks a profile's context"),
     ],
 )
 def test_bad_input_is_usage_error(argv, error, prior_zero_files, tmp_path, capsys):

@@ -403,6 +403,49 @@ def test_load_trace_rejects_malformed(tmp_path):
         load_trace(truncated)
 
 
+TAMPERED_FIELDS = [
+    (0, "format_version", True),
+    (0, "total", "16"),
+    (0, "total", True),
+    (0, "total", -1),
+    (0, "chunk", "2"),
+    (0, "chunk", 0),
+    (0, "lookaheads", [1.5]),
+    (0, "lookaheads", [True]),
+    (0, "lookaheads", [0]),
+    (0, "lookaheads", ["whole"]),
+    (0, "lookaheads", "full"),
+    (0, "source", 3),
+    (0, "utility_spec", 5),
+    (1, "step", True),
+    (1, "step", "0"),
+    (1, "posterior", "0.5"),
+    (1, "nevc", "12"),
+    (1, "nevc", [True]),
+    (1, "t", True),
+    (-1, "action", 3),
+    (-1, "eu", "1"),
+    (-1, "posterior", 10**400),  # beyond float's range
+]
+
+
+@pytest.mark.parametrize(
+    "line, key, value",
+    TAMPERED_FIELDS,
+    ids=[f"{key}={json.dumps(value)[:8]}" for _, key, value in TAMPERED_FIELDS],
+)
+def test_load_trace_checks_the_type_of_each_field(tmp_path, line, key, value):
+    m = generate(GeneratorConfig(6, 2, 3, seed=1))
+    good = tmp_path / "good.jsonl"
+    save_trace(run(m, analytic_config(chunk=4)), good)
+    rows = [json.loads(text) for text in good.read_text().splitlines()]
+    rows[line][key] = value
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    with pytest.raises(MalformedTraceError):
+        load_trace(bad)
+
+
 def test_load_trace_rejects_an_integer_beyond_the_digit_limit(tmp_path):
     # json reads a 9,300-digit integer with int(), which refuses it with a
     # plain ValueError rather than a JSONDecodeError.

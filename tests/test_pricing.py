@@ -280,7 +280,7 @@ def test_path_space_beyond_2_to_the_64(cost):
 def profile_of(fractions, unsat):
     records = [InstanceRecord(i, True, f, 0) for i, f in enumerate(fractions)]
     records += [InstanceRecord(len(records) + i, False, Fraction(1), 0) for i in range(unsat)]
-    return Profile(ContextTag(), Fraction(unsat, len(records)), tuple(records))
+    return Profile(ContextTag(), tuple(records))
 
 
 @SOURCES

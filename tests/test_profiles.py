@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from proverb.belief import ContextTag, SurvivalCurve
+from oracles import fraction_curve_value, fraction_posterior
+from proverb.belief import ContextTag, SurvivalCurve, posterior
 from proverb.generator import GeneratorConfig, generate_corpus
 from proverb.heuristics import Heuristic
 from proverb.profiles import (
@@ -18,7 +19,6 @@ from proverb.profiles import (
     export_curve_csv,
     load,
     save,
-    write_curve_csv,
 )
 
 
@@ -32,7 +32,7 @@ def hand_profile():
         InstanceRecord(8, True, Fraction(1, 5), 2),
         InstanceRecord(9, True, Fraction(2, 5), 3),
     ]
-    return Profile(ContextTag(n_clauses=4), Fraction(6, 10), tuple(records))
+    return Profile(ContextTag(n_clauses=4), tuple(records))
 
 
 # --- records and profile invariants -----------------------------------------
@@ -47,16 +47,18 @@ def test_record_validation():
         InstanceRecord(0, True, Fraction(1, 2), -1)
 
 
-def test_profile_prior_must_match_records():
+def test_profile_prior_is_the_records_unsat_share():
     records = (InstanceRecord(0, False, Fraction(1), 1),)
-    with pytest.raises(ValueError):
-        Profile(ContextTag(), Fraction(1, 2), records)
-    Profile(ContextTag(), Fraction(1), records)  # consistent
+    assert Profile(ContextTag(), records).prior == 1
+    records += (InstanceRecord(1, True, Fraction(1, 2), 1),) * 2
+    assert Profile(ContextTag(), records).prior == Fraction(1, 3)
+    with pytest.raises(TypeError, match="prior"):
+        Profile(ContextTag(), records, prior=Fraction(1, 3))  # no argument: derived
 
 
 def test_profile_needs_records():
     with pytest.raises(ValueError):
-        Profile(ContextTag(), Fraction(0), ())
+        Profile(ContextTag(), ())
 
 
 def test_hand_profile_statistics():
@@ -67,19 +69,19 @@ def test_hand_profile_statistics():
     assert profile.curve.value(Fraction(3, 10)) == Fraction(1, 4)
     assert profile.curve.value(Fraction(1, 2)) == 0
     # Surviving past every recorded discovery leaves only exhaustion.
-    assert profile.posterior_at(Fraction(1, 2)) == 1
-    assert profile.posterior_at(Fraction(0)) == Fraction(3, 5)
-    assert profile.posterior_at(Fraction(3, 20)) == Fraction(
+    assert Fraction(*profile.posterior_at(1, 2)) == 1
+    assert Fraction(*profile.posterior_at(0, 1)) == Fraction(3, 5)
+    assert Fraction(*profile.posterior_at(3, 20)) == Fraction(
         Fraction(3, 5), Fraction(3, 5) + Fraction(3, 4) * Fraction(2, 5)
     )
 
 
 def test_all_unsat_profile_has_constant_curve():
     records = tuple(InstanceRecord(i, False, Fraction(1), 2) for i in range(5))
-    profile = Profile(ContextTag(), Fraction(1), records)
+    profile = Profile(ContextTag(), records)
     assert profile.curve == SurvivalCurve.from_samples([])
     assert profile.curve.value(Fraction(1, 2)) == 1
-    assert profile.posterior_at(Fraction(9, 10)) == 1
+    assert Fraction(*profile.posterior_at(9, 10)) == 1
 
 
 def test_found_immediately_profile():
@@ -89,10 +91,32 @@ def test_found_immediately_profile():
         InstanceRecord(0, True, Fraction(0), 0),
         InstanceRecord(1, False, Fraction(1), 3),
     )
-    profile = Profile(ContextTag(), Fraction(1, 2), records)
+    profile = Profile(ContextTag(), records)
     assert profile.curve.value(Fraction(1, 100)) == 0
-    assert profile.posterior_at(Fraction(1, 100)) == 1
-    assert profile.posterior_at(Fraction(0)) == Fraction(1, 2)
+    assert Fraction(*profile.posterior_at(1, 100)) == 1
+    assert Fraction(*profile.posterior_at(0, 100)) == Fraction(1, 2)
+
+
+@pytest.mark.parametrize(
+    "sat_fractions, unsat",
+    [
+        ([Fraction(1, 10), Fraction(1, 5), Fraction(1, 5), Fraction(2, 5)], 6),
+        ([Fraction(1, 7), Fraction(3, 4)], 0),  # prior 0
+        ([Fraction(0), Fraction(1, 2)], 1),  # one found before any closure
+        ([], 3),  # prior 1, the constant curve
+    ],
+)
+def test_posterior_at_equals_the_fraction_reader(sat_fractions, unsat):
+    records = tuple(InstanceRecord(i, True, f, 1) for i, f in enumerate(sat_fractions))
+    records += tuple(InstanceRecord(len(records) + i, False, Fraction(1), 1) for i in range(unsat))
+    profile = Profile(ContextTag(), records)
+    # Every s = p/q on a grid, unreduced too, up to 1: past the last discovery.
+    for q in (1, 2, 3, 5, 10, 20, 28, 100):
+        for p in range(q + 1):
+            s = Fraction(p, q)
+            old_reader = Fraction(*posterior(profile.prior, profile.curve.value(s)))
+            oracle = fraction_posterior(profile.prior, fraction_curve_value(sat_fractions, s))
+            assert Fraction(*profile.posterior_at(p, q)) == old_reader == oracle
 
 
 # --- collection --------------------------------------------------------------
@@ -130,9 +154,10 @@ def test_collect_rejects_jobs_below_one():
 
 def test_collect_respects_heuristic_and_context():
     corpus = generate_corpus(GeneratorConfig(9, 2, 4, seed=5), 15)
-    tag = ContextTag(n_clauses=9, heuristic="presort")
+    # The tag's count and heuristic are those of the search collect ran.
+    tag = ContextTag(n_clauses=9, count=99, heuristic="none")
     profile = collect(corpus, Heuristic.PRESORT, context=tag)
-    assert profile.context == tag
+    assert profile.context == ContextTag(n_clauses=9, count=15, heuristic="presort")
     # Reordering literals never changes the verdicts, hence not the prior.
     assert profile.prior == collect(corpus).prior
 
@@ -279,9 +304,3 @@ def test_curve_csv_prior_override():
     assert csv.splitlines()[1] == "0.000000,1.000000,0.000000"
     # A zero prior stays zero whatever the evidence.
     assert csv.splitlines()[50].endswith(",0.000000")
-
-
-def test_write_curve_csv(tmp_path):
-    path = tmp_path / "curve.csv"
-    write_curve_csv(hand_profile(), path)
-    assert path.read_text().splitlines()[0] == "s,survival,posterior"

@@ -1,7 +1,8 @@
 """Property tests: resumable search, its closures, the generator's stream, and
 the trace, utility-spec, DIMACS and profile round trips on random inputs; and
 the command line, which answers malformed input of every kind with exit 2 and
-the cause on stderr.
+the cause on stderr, and writes a trace that replays clean from any value it
+accepts at the digit bound.
 
 Hypothesis runs derandomized, with no example database and a bounded number
 of examples, so the file gives the same verdict on every run and takes a few
@@ -15,12 +16,14 @@ import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_force_sat, reference_closures, reference_generate
+from proverb import controller
 from proverb.belief import ContextTag
 from proverb.cli import main
 from proverb.controller import (
@@ -326,8 +329,7 @@ def profiles(draw):
         InstanceRecord(i, sat, frac if sat else Fraction(1), closures)
         for i, sat, frac, closures in rows
     )
-    prior = Fraction(sum(not r.satisfiable for r in records), len(records))
-    return Profile(draw(contexts), prior, records, draw(st.integers(0, 2**40)))
+    return Profile(draw(contexts), records, draw(st.integers(0, 2**40)))
 
 
 @PROPERTY
@@ -689,3 +691,78 @@ def test_malformed_profile_json_is_usage_error(bad, argv):
         with pytest.raises(MalformedProfileError) as caught:
             load(path)
     assert_usage_error(argv, f"error: {caught.value}\n", bad)
+
+
+BOUND = 4300  # Python's default limit on the digits int() reads and str() writes
+
+
+def digits(n):
+    """A numeral of ``n`` digits: a short pattern repeated, as Hypothesis
+    cannot report an integer beyond the bound."""
+    return st.from_regex(r"\A[1-9][0-9]{0,5}\Z").map(lambda pattern: (pattern * n)[:n])
+
+
+@st.composite
+def values_at_the_digit_bound(draw):
+    """``run`` flags with values at the digit bound or just past it: the utility
+    spec, the flags, and whether every value fits the bound."""
+    fits = True
+    # The prior a/10**e, written with an exponent or as a decimal.
+    a, e = draw(st.integers(1, 9)), draw(st.integers(BOUND - 3, BOUND + 1))
+    text = draw(st.sampled_from([f"{a}e-{e}", f"0.{a:0{e}d}"]))
+    fits &= len(text) <= BOUND and Fraction(a, 10**e).denominator < 10**BOUND
+    flags = ["--prior", text]
+    if draw(st.booleans()):  # two open counts, weighted with k decimals each
+        k = draw(st.integers(BOUND - 4, BOUND - 1))
+        d = int(draw(digits(k)))
+        fits &= k + 2 <= BOUND
+        flags += ["--analytic", f"1:0.{d:0{k}d},5:0.{10**k - d:0{k}d}"]
+    else:
+        flags += ["--analytic", str(draw(st.integers(1, 27)))]
+    # A utility and a cost rate of many digits: floats, whatever their length.
+    n = draw(st.integers(BOUND - 2, BOUND + 2))
+    spec = SPEC.replace("u(a,w)=1", f"u(a,w)=0.{draw(digits(n))}")
+    spec += f"; cost=linear:{draw(st.integers(1, 9))}e-{draw(st.integers(3, BOUND + 2))}"
+    # Path counts of many digits; any number of them exceeds the 27 paths.
+    counts = st.integers(BOUND - 2, BOUND + 1).flatmap(digits)
+    chunk = draw(st.none() | counts)
+    if chunk is not None:
+        fits &= len(chunk) <= BOUND
+        flags += ["--chunk", chunk]
+    lookaheads = draw(st.lists(counts | st.just("full"), max_size=2))
+    if lookaheads:
+        fits &= all(len(x) <= BOUND for x in lookaheads)
+        flags += ["--lookahead", ",".join(lookaheads)]
+    return spec, flags, fits
+
+
+def analytic_source(prior, analytic):
+    """The source that ``--prior`` and ``--analytic`` name, read by ``Fraction``."""
+    if ":" not in analytic:
+        return AnalyticSource(Fraction(prior), int(analytic))
+    pairs = (part.split(":") for part in analytic.split(","))
+    return AnalyticSource(Fraction(prior), {int(c): Fraction(w) for c, w in pairs})
+
+
+@settings(PROPERTY, max_examples=40)
+@given(values_at_the_digit_bound())
+@example((SPEC, ["--prior", "1e-4299", "--analytic", "1:1/3,5:2/3"], True))
+def test_run_at_the_digit_bound_replays_clean_or_refuses_before_the_search(case):
+    spec, flags, fits = case
+    with tempfile.TemporaryDirectory() as tmp:
+        cnf, trace = Path(tmp) / "f.cnf", Path(tmp) / "t.jsonl"
+        cnf.write_text(CNF_TEXT)
+        out, err = io.StringIO(), io.StringIO()
+        argv = ["run", str(cnf), "--utilities", spec, *flags, "--out", str(trace)]
+        with mock.patch.object(controller, "run", wraps=controller.run) as search:
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main(argv)
+        if not fits:
+            assert (code, out.getvalue(), search.called) == (2, "", False), err.getvalue()
+            return
+        assert code == 0, err.getvalue()
+        loaded = load_trace(trace)
+    utilities, timecost = parse_utility_spec(spec)
+    source = analytic_source(flags[1], flags[3])
+    report = replay(loaded, utilities=utilities, timecost=timecost, analytic=source)
+    assert report.ok, report.message
