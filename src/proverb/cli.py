@@ -79,21 +79,11 @@ def _parse_open_paths(text: str):
 def _parse_lookaheads(text: str) -> tuple:
     from .controller import FULL_LOOKAHEAD
 
-    out = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        if part == FULL_LOOKAHEAD:
-            out.append(part)
-        else:
-            value = int(part)
-            if value < 1:
-                raise ValueError("lookaheads must be >= 1")
-            out.append(value)
+    parts = [part.strip() for part in text.split(",")]
+    out = tuple(part if part == FULL_LOOKAHEAD else int(part) for part in parts if part)
     if not out:
         raise ValueError("empty lookahead list")
-    return tuple(out)
+    return out
 
 
 def _instance_context(meta: dict, heuristic):

@@ -46,6 +46,7 @@ computed fresh each step so replay reproduces it bit for bit.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -226,13 +227,14 @@ class ControllerConfig:
     lookaheads: tuple[int | str, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.chunk < 1:
+        # The trace header's own checks, so every run's trace can be read back.
+        if not _positive(self.chunk):
             raise ValueError("chunk must be >= 1")
         for x in self.lookaheads:
             if isinstance(x, str):
                 if x != FULL_LOOKAHEAD:
                     raise ValueError(f"unknown lookahead {x!r}")
-            elif x < 1:
+            elif not _positive(x):
                 raise ValueError("candidate lookaheads must be >= 1")
 
     def candidates(self) -> tuple[int | str, ...]:
@@ -334,69 +336,30 @@ def run(matrix: Matrix, config: ControllerConfig) -> DecisionTrace:
 # Trace persistence (JSON lines) and replay verification.
 
 
-def save_trace(trace: DecisionTrace, path: str | Path) -> None:
-    lines = [
-        json.dumps(
-            {
-                "kind": "header",
-                "format_version": TRACE_FORMAT_VERSION,
-                "total": trace.total,
-                "chunk": trace.chunk,
-                "lookaheads": list(trace.lookaheads),
-                "source": trace.source_desc,
-                "utility_spec": trace.utility_spec,
-            }
-        )
-    ]
-    for s in trace.steps:
-        lines.append(
-            json.dumps(
-                {
-                    "kind": "step",
-                    "step": s.step,
-                    "fraction": rational_to_json(s.fraction),
-                    "posterior": s.posterior,
-                    "nevc": list(s.nevc),
-                    "t": s.elapsed,
-                }
-            )
-        )
-    lines.append(
-        json.dumps(
-            {
-                "kind": "final",
-                "stop_reason": trace.stop_reason.value,
-                "action": trace.action,
-                "eu": trace.eu,
-                "posterior": trace.final_posterior,
-                "t": trace.final_elapsed,
-                "wall_time": trace.wall_time,
-            }
-        )
-    )
-    Path(path).write_bytes(("\n".join(lines) + "\n").encode("ascii"))
-
-
 def _count(least: int):
     return lambda v: type(v) is int and v >= least  # a bool is no int
 
 
+_positive = _count(1)
+
+
 def _number(v: object) -> bool:
-    return type(v) in (int, float)
+    return type(v) is int or (type(v) is float and math.isfinite(v))
 
 
 def _text(v: object) -> bool:
     return type(v) is str
 
 
-# The fields each kind of trace record must carry, in order, with their checks.
+# The fields each kind of trace record carries, in order, with their checks:
+# ``save_trace`` writes them and ``load_trace`` reads them back.
 _FIELDS = {
     "header": {
         "format_version": lambda v: type(v) is int and v == TRACE_FORMAT_VERSION,
         "total": _count(0),
-        "chunk": _count(1),
+        "chunk": _positive,
         "lookaheads": lambda v: type(v) is list
-        and all(x == FULL_LOOKAHEAD or _count(1)(x) for x in v),
+        and all(x == FULL_LOOKAHEAD or _positive(x) for x in v),
         "source": lambda v: type(v) is dict,
         "utility_spec": _text,
     },
@@ -415,6 +378,35 @@ _FIELDS = {
         "t": _number,
     },
 }
+
+
+_ENCODER = json.JSONEncoder(allow_nan=False)  # json.dumps would build one per call
+
+
+def _record(kind: str, *values, **advisory) -> str:
+    row = {"kind": kind}
+    row.update(zip(_FIELDS[kind], values, strict=True))
+    row.update(advisory)
+    return _ENCODER.encode(row)
+
+
+def save_trace(trace: DecisionTrace, path: str | Path) -> None:
+    lines = [
+        _record(
+            "header", TRACE_FORMAT_VERSION, trace.total, trace.chunk,
+            list(trace.lookaheads), trace.source_desc, trace.utility_spec,
+        )
+    ]
+    for s in trace.steps:
+        fraction = rational_to_json(s.fraction)
+        lines.append(_record("step", s.step, fraction, s.posterior, list(s.nevc), s.elapsed))
+    lines.append(
+        _record(
+            "final", trace.stop_reason.value, trace.action, trace.eu,
+            trace.final_posterior, trace.final_elapsed, wall_time=trace.wall_time,
+        )
+    )
+    Path(path).write_bytes(("\n".join(lines) + "\n").encode("ascii"))
 
 
 def _fields(lineno: int, row: dict, kind: str) -> list:

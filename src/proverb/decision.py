@@ -8,37 +8,43 @@ deadline kind collapses every utility to a flat penalty once ``t`` passes
 the deadline.  Model time is proportional to
 paths examined: ``t(j) = t0 + j * tau``.
 
-The second half prices continued search, all of a step's candidate
-lookaheads in one call, with acting now priced once.  ``nevc_multi``
-computes the net expected value of examining x more paths before acting:
-with probability ``(1-p) * p(j)`` the search halts at path j with a disproof
-(act under certainty, at time t(j)), where ``p(j)`` is the urn's first-open
-probability; otherwise the posterior drifts up by the survival ratio and the
-best action is taken at t(x).  The net value subtracts the utility of acting
-immediately.  The sums over j follow from the survival ``S`` of the next x
-paths alone (``l`` paths remain, ``O`` of them open):
+The second half prices continued search by one rule, all of a step's
+candidate lookaheads in one call.  The net expected value of examining x
+more paths is the halt term plus the no-halt mass times the best utility at
+the drifted posterior and t(x), minus the utility of acting now, which is
+priced once.  With survival ``S`` of the claim's negation so far and
+``S_x`` after x more paths, the no-halt mass is ``p + (1-p) * S_x / S`` and
+the drifted posterior ``p / (p + (1-p) * S_x / S)``.  At a certain
+posterior search carries no information, and the value is pure delay.  The
+two belief sources differ only in the survival pair and the halt term:
 
-    sum_{j<=x} p(j) = 1 - S,   sum_{j<=x} j*p(j) = ((l+1) - S*(l+1+x*O)) / (O+1)
+* ``nevc_multi`` (urn model): with probability ``(1-p) * p(j)`` the search
+  halts at path j with a disproof, acted on under certainty at t(j), where
+  ``p(j)`` is the urn's first-open probability.  The sums over j follow
+  from the survival ``S`` of the next x paths alone (``l`` paths remain,
+  ``O`` of them open):
 
-``tests/oracles.py`` writes both sums out and pins them to the literal sum
-of ``p(j)``.  The pricer takes the urn model and the paths searched so far,
-not a conditioned distribution.  The model's joint terms
-``J(o) = scale(o) * P(l, o)`` (count o's weight times its survival, over
-one common denominator) give the conditional weight ``J(o) / sum J`` and
-count o's survival of the next x paths, ``J'(o) / J(o)`` with ``J'`` the
-terms x paths on.  So the halt mass over the mixture is the exact pair
-``(sum J - sum J', sum J)``: two survival sums, with no conditional
-``Fraction`` built and no product of the counts' denominators.  Every
-probability is carried as an unreduced integer pair (numerator,
+      sum_{j<=x} p(j) = 1 - S,   sum_{j<=x} j*p(j) = ((l+1) - S*(l+1+x*O)) / (O+1)
+
+  ``tests/oracles.py`` writes both sums out and pins them to the literal
+  sum of ``p(j)``.  The model's joint terms ``J(o) = scale(o) * P(l, o)``
+  (count o's weight times its survival, over one common denominator) give
+  the conditional weight ``J(o) / sum J`` and count o's survival of the
+  next x paths, ``J'(o) / J(o)`` with ``J'`` the terms x paths on.  So the
+  survival pair over the mixture is ``(sum J', sum J)``, with no
+  conditional ``Fraction`` built and no product of the counts'
+  denominators.  A lookahead of millions of paths costs one
+  falling-factorial product per open count (two under a deadline).
+* ``nevc_two_outcome`` (empirical curve): the pair is the ratio of survivor
+  counts, and the halt is valued at the chunk end -- a step curve says
+  nothing about where inside the chunk the find lands, and under
+  nondecreasing costs end-pricing never overprices search (stops err
+  early, not late).
+
+Every probability is carried as an unreduced integer pair (numerator,
 denominator), a float input at its exact rational value, and becomes a float
 through one correctly rounded ``int / int`` where it meets a utility, so
-each float is the one the reduced ``Fraction`` gives.  A lookahead of
-millions of paths costs one falling-factorial product per open count (two
-under a deadline).
-
-``nevc_two_outcome`` is the empirical-curve variant used when only a step
-curve is known: the halt branch is valued at the chunk end, which under
-nondecreasing costs never overprices search (stops err early, not late).
+each float is the one the reduced ``Fraction`` gives.
 """
 
 from __future__ import annotations
@@ -47,7 +53,7 @@ import math
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .belief import AnalyticModel, ModelError, Probability, probability_pair
 
@@ -134,17 +140,40 @@ class TimeCost:
         return base
 
     def paths_in_time(self, t0: float, limit: int) -> int:
-        """Largest j <= limit with t0 + j*tau within the deadline (float-robust)."""
+        """Largest j <= limit with t0 + j*tau within the deadline (float-robust).
+
+        The float test is monotone in j.  Unless ``limit`` passes it, the
+        answer is found by galloping and bisecting from (deadline - t0) / tau.
+        """
         if self.kind is not CostKind.DEADLINE:
             return limit
-        if t0 > self.deadline_at:
+        deadline, tau = self.deadline_at, self.tau
+
+        def fits(j: int) -> bool:
+            return t0 + j * tau <= deadline
+
+        if t0 > deadline:
             return 0
-        j = int((self.deadline_at - t0) / self.tau)
-        while j > 0 and t0 + j * self.tau > self.deadline_at:
-            j -= 1
-        while j < limit and t0 + (j + 1) * self.tau <= self.deadline_at:
-            j += 1
-        return min(j, limit)
+        if fits(limit):
+            return limit
+        # The float quotient is a first guess only: it may overflow, and far
+        # from zero it may be off by many paths.
+        j = int(min((deadline - t0) / tau, limit))
+        lo, hi, step = 0, limit, 1  # fits(lo), and not fits(hi)
+        if fits(j):
+            lo = j
+            while lo + step < hi and fits(lo + step):
+                lo, step = lo + step, step * 2
+            hi = min(hi, lo + step)
+        else:
+            hi = j
+            while hi - step > lo and not fits(hi - step):
+                hi, step = hi - step, step * 2
+            lo = max(lo, hi - step)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if fits(mid) else (lo, mid)
+        return lo
 
 
 ZERO_COST = TimeCost()
@@ -235,68 +264,44 @@ def threshold(utilities: UtilityModel) -> float:
     return gain_false / (gain_false + gain_true)
 
 
-def _act_value(
-    p: Probability,
-    utilities: UtilityModel,
-    timecost: TimeCost,
-    paths: int,
-    t0: float,
-) -> float:
-    """Best expected utility of acting on ``p`` after ``paths`` more examinations."""
-    return best_action(p, utilities, timecost, t0 + paths * timecost.tau)[1]
-
-
 def _check_lookaheads(lookaheads: Sequence[int], what: str) -> None:
     for x in lookaheads:
         if x < 1:
             raise LookaheadError(f"{what} {x} must be >= 1")
 
 
-def _halt_branch_value(
-    model: AnalyticModel,
-    searched: int,
-    now: tuple[int, ...],
-    total_now: int,
-    x: int,
+def _net_values(
+    p_num: int,
+    p_den: int,
     utilities: UtilityModel,
     timecost: TimeCost,
+    lookaheads: Sequence[int],
     t0: float,
-) -> tuple[float, int]:
-    """sum_j pmf(j) * u_halt(t(j)) for j = 1..x, per-(1-p), and sum J'.
+    branches: Callable[[int], Iterator[tuple[int, int, float]]] | None,
+) -> tuple[float, ...]:
+    """The pricing rule both belief sources share.
 
-    ``now`` holds the joint terms J at ``searched`` and ``total_now`` their
-    sum; J' are those at ``searched + x``, and a deadline adds those at its
-    last in-time path.  Each count's float term divides the same rationals
-    as its survival product P(l-x, o) / P(l, o), whatever the common
-    denominator.
+    ``branches(q_num)``, with ``q_num / p_den = 1 - p``, yields per lookahead
+    the survival pair ``(S_x, S)`` of the claim's negation and the halt term.
+    Over the denominator ``p_den * S`` the no-halt mass is
+    ``p_num * S + q_num * S_x``, whose numerator also divides the drifted
+    posterior.  ``branches`` is None when no search remains to inform.
     """
-    remaining = model.total - searched
-    max_false = max(utilities.when_false)
-    kind = timecost.kind
-    if kind is CostKind.LINEAR:
-        level = max_false - timecost.rate * t0
-        slope = timecost.rate * timecost.tau
-    elif kind is CostKind.DEADLINE:
-        in_time = model.joint(searched + timecost.paths_in_time(t0, x))
-    after = model.joint(searched + x)
-    value = 0.0
-    for k, ((o, _), t) in enumerate(zip(model.open_paths, now)):
-        if not t:  # ruled out by the survival so far
-            continue
-        u = after[k]
-        if kind is CostKind.ZERO:
-            value += (t - u) / total_now * max_false
-        elif kind is CostKind.LINEAR:
-            mean = (remaining + 1) * t - u * (remaining + 1 + x * o)
-            value += t / total_now * (
-                level * ((t - u) / t) - slope * (mean / (t * (o + 1)))
-            )
-        else:  # deadline: step split at the last in-time path index
-            ok = in_time[k]
-            value += t / total_now * (
-                max_false * ((t - ok) / t) + timecost.penalty * ((ok - u) / t)
-            )
-    return value, sum(after)
+
+    def act(p: float, paths: int) -> float:  # the best utility after ``paths``
+        return best_action(p, utilities, timecost, t0 + paths * timecost.tau)[1]
+
+    p = p_num / p_den
+    act_now = act(p, 0)
+    if branches is None or p_num == 0 or p_num == p_den:
+        return tuple(act(p, x) - act_now for x in lookaheads)
+    q_num = p_den - p_num
+    values = []
+    for x, (s_x, s, halt_term) in zip(lookaheads, branches(q_num)):
+        stay = p_num * s
+        no_halt = stay + q_num * s_x
+        values.append(halt_term + no_halt / (p_den * s) * act(stay / no_halt, x) - act_now)
+    return tuple(values)
 
 
 def nevc_multi(
@@ -313,47 +318,56 @@ def nevc_multi(
     ``model`` is the urn model of the whole search and ``searched`` the
     paths closed so far without an open one; the remaining paths are
     ``model.total - searched``, and the open count among them is conditioned
-    on that survival here.  ``posterior_w`` may be an exact pair.
-
-    Exactly: sum over halt positions j of p(halt at j) * best-disproof
-    utility at t(j), plus the no-halt mass times the best utility at the
-    drifted posterior and t(lookahead), minus the best utility of acting
-    now, which is priced once for all candidates.  At a posterior already
-    certain (or an empty remainder) search carries no information and the
-    value is the pure delay cost.
+    on that survival here.  ``posterior_w`` may be an exact pair.  Each halt
+    is valued at its own path's time; an empty remainder, like a certain
+    posterior, leaves only the pure delay cost.
     """
     _check_lookaheads(lookaheads, "lookahead")
     p_num, p_den = probability_pair(posterior_w, "posterior")
-    p = p_num / p_den
-    act_now = _act_value(p, utilities, timecost, 0, t0)
     remaining = model.total - searched
-    if p_num == 0 or p_num == p_den or remaining == 0:
-        return tuple(
-            _act_value(p, utilities, timecost, x, t0) - act_now for x in lookaheads
-        )
-    for x in lookaheads:
-        if x > remaining:
-            raise LookaheadError(f"lookahead {x} exceeds remaining paths {remaining}")
-    now = model.joint(searched)
-    total_now = sum(now)
-    if total_now == 0:
-        raise ModelError(f"no open count fits the {remaining} remaining paths")
-    # Over the denominator p_den * S: the no-halt mass 1 - (1-p) * (S - S_x) / S
-    # is (p * S + (1-p) * S_x) / S, whose numerator also divides the drifted
-    # posterior p / (p + (1-p) * S_x / S).
-    q_num = p_den - p_num
-    stay_num, den = p_num * total_now, p_den * total_now
-    values = []
-    for x in lookaheads:
-        halt_value, total_after = _halt_branch_value(
-            model, searched, now, total_now, x, utilities, timecost, t0
-        )
-        no_halt = stay_num + q_num * total_after
-        act_after = _act_value(stay_num / no_halt, utilities, timecost, x, t0)
-        values.append(
-            q_num / p_den * halt_value + no_halt / den * act_after - act_now
-        )
-    return tuple(values)
+
+    def branches(q_num: int) -> Iterator[tuple[int, int, float]]:
+        # J are the joint terms at ``searched``, J' those x paths on, and a
+        # deadline adds those at its last in-time path.  Each count's float
+        # term divides the same rationals as its survival product
+        # P(l-x, o) / P(l, o), whatever the common denominator.
+        for x in lookaheads:
+            if x > remaining:
+                raise LookaheadError(f"lookahead {x} exceeds remaining paths {remaining}")
+        now = model.joint(searched)
+        total_now = sum(now)
+        if total_now == 0:
+            raise ModelError(f"no open count fits the {remaining} remaining paths")
+        max_false = max(utilities.when_false)
+        kind = timecost.kind
+        level = max_false - timecost.rate * t0  # the linear cost's line
+        slope = timecost.rate * timecost.tau
+        for x in lookaheads:
+            if kind is CostKind.DEADLINE:
+                in_time = model.joint(searched + timecost.paths_in_time(t0, x))
+            after = model.joint(searched + x)
+            value = 0.0  # sum_j pmf(j) * u_halt(t(j)) for j = 1..x, per (1-p)
+            for k, ((o, _), t) in enumerate(zip(model.open_paths, now)):
+                if not t:  # ruled out by the survival so far
+                    continue
+                u = after[k]
+                if kind is CostKind.ZERO:
+                    value += (t - u) / total_now * max_false
+                elif kind is CostKind.LINEAR:
+                    mean = (remaining + 1) * t - u * (remaining + 1 + x * o)
+                    value += t / total_now * (
+                        level * ((t - u) / t) - slope * (mean / (t * (o + 1)))
+                    )
+                else:  # deadline: step split at the last in-time path index
+                    ok = in_time[k]
+                    value += t / total_now * (
+                        max_false * ((t - ok) / t) + timecost.penalty * ((ok - u) / t)
+                    )
+            yield sum(after), total_now, q_num / p_den * value
+
+    return _net_values(
+        p_num, p_den, utilities, timecost, lookaheads, t0, branches if remaining else None
+    )
 
 
 def nevc_two_outcome(
@@ -371,35 +385,21 @@ def nevc_two_outcome(
     not-w and survival so far.  Ratios and posterior may be exact pairs.
     The halt branch is valued at the chunk end t(paths) -- a step curve says
     nothing about where inside the chunk the find lands, and end-pricing
-    never overprices search under nondecreasing cost.  Acting now is priced
-    once for all candidates.
+    never overprices search under nondecreasing cost.
     """
     _check_lookaheads(lookaheads, "paths")
     p_num, p_den = probability_pair(posterior_w, "posterior")
     ratios = [probability_pair(r, "survival ratio") for r in survival_ratios]
     if len(ratios) != len(lookaheads):
         raise ValueError("need one survival ratio per lookahead")
-    p = p_num / p_den
-    act_now = _act_value(p, utilities, timecost, 0, t0)
-    if p_num == 0 or p_num == p_den:
-        return tuple(
-            _act_value(p, utilities, timecost, x, t0) - act_now for x in lookaheads
-        )
-    # Over the denominator p_den * r_den: p_halt = (1-p) * (1-ratio).
-    q_num = p_den - p_num
     max_false = max(utilities.when_false)
-    values = []
-    for paths, (r_num, r_den) in zip(lookaheads, ratios):
-        halt_num, den = q_num * (r_den - r_num), p_den * r_den
-        drift_num = p_num * r_den
-        drifted = drift_num / (drift_num + r_num * q_num)
-        u_halt = timecost.utility_at(max_false, t0 + paths * timecost.tau)
-        values.append(
-            halt_num / den * u_halt
-            + (den - halt_num) / den * _act_value(drifted, utilities, timecost, paths, t0)
-            - act_now
-        )
-    return tuple(values)
+
+    def branches(q_num: int) -> Iterator[tuple[int, int, float]]:
+        for paths, (r_num, r_den) in zip(lookaheads, ratios):
+            u_halt = timecost.utility_at(max_false, t0 + paths * timecost.tau)
+            yield r_num, r_den, q_num * (r_den - r_num) / (p_den * r_den) * u_halt
+
+    return _net_values(p_num, p_den, utilities, timecost, lookaheads, t0, branches)
 
 
 # ---------------------------------------------------------------------------

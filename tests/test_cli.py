@@ -433,6 +433,38 @@ def prior_zero_files(tmp_path_factory):
     return profile, cnf
 
 
+def test_run_to_a_far_deadline_stops_at_once(tmp_path, capsys):
+    # 3^60 paths and a deadline 1e26 paths away, where (j+1)*tau no longer
+    # changes with j: counting paths one at a time never reached it.  A
+    # subprocess, so that a hang fails the test instead of stalling the suite.
+    import proverb
+
+    assert run_cli(
+        "gen", "--clauses", "60", "--lits", "3", "--alphabet", "12",
+        "--seed", "1", "--count", "1", "--out", str(tmp_path),
+    ) == 0
+    capsys.readouterr()
+    src = str(Path(proverb.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [
+            sys.executable, "-m", "proverb.cli", "run", str(tmp_path / "matrix_0.cnf"),
+            "--analytic", "1", "--prior", "1/2",
+            "--utilities", TWO_ACTIONS + "; cost=deadline:1e20:-1; tau=1e-6",
+        ],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("stop: deadline_forced after 1 steps")
+
+
+def test_run_at_the_float_range_deadline_runs(prior_zero_files, capsys):
+    # The deadline's distance in paths, 1e600, overflowed a float.
+    _, cnf = prior_zero_files
+    spec = TWO_ACTIONS + "; cost=deadline:1e300:-1; tau=1e-300"
+    assert run_cli("run", str(cnf), "--analytic", "1", "--prior", "1/2", "--utilities", spec) == 0
+    assert capsys.readouterr().out.startswith("stop: ")
+
+
 def test_run_prior_zero_profile_past_last_discovery(prior_zero_files, tmp_path, capsys):
     # A deadline penalty above every utility keeps the search going past the
     # profile's last discovery; the posterior must stay 0 there.

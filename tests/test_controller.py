@@ -1,6 +1,7 @@
 """Stopping controller: terminal proofs, forced stops, traces, and replay."""
 
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -42,6 +43,16 @@ def test_config_validation():
         analytic_config(lookaheads=(0,))
     with pytest.raises(ValueError):
         analytic_config(lookaheads=("sideways",))
+    # Each of these ran, and load_trace refused the trace it wrote (or, for
+    # chunk=2.5, the search died mid-run).
+    for kw, error in [
+        (dict(chunk=True), "chunk must be >= 1"),
+        (dict(chunk=2.5), "chunk must be >= 1"),
+        (dict(lookaheads=(True, "full")), "candidate lookaheads must be >= 1"),
+        (dict(lookaheads=(2.5,)), "candidate lookaheads must be >= 1"),
+    ]:
+        with pytest.raises(ValueError, match=error):
+            analytic_config(**kw)
     assert analytic_config(lookaheads=(3, "full")).candidates() == (3, "full")
     assert analytic_config(chunk=7).candidates() == (7,)
 
@@ -426,6 +437,14 @@ TAMPERED_FIELDS = [
     (-1, "action", 3),
     (-1, "eu", "1"),
     (-1, "posterior", 10**400),  # beyond float's range
+    # json reads NaN and Infinity, and no tolerance test fails on a NaN.
+    (1, "posterior", math.nan),
+    (1, "nevc", [math.nan]),
+    (1, "t", math.nan),
+    (1, "t", math.inf),
+    (-1, "eu", -math.inf),
+    (-1, "posterior", math.nan),
+    (-1, "t", math.nan),
 ]
 
 
@@ -444,6 +463,14 @@ def test_load_trace_checks_the_type_of_each_field(tmp_path, line, key, value):
     bad.write_text("".join(json.dumps(row) + "\n" for row in rows))
     with pytest.raises(MalformedTraceError):
         load_trace(bad)
+
+
+def test_save_trace_refuses_a_non_finite_number(tmp_path):
+    m = generate(GeneratorConfig(6, 2, 3, seed=1))
+    trace = run(m, analytic_config(chunk=4))
+    trace.eu = math.inf
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        save_trace(trace, tmp_path / "t.jsonl")
 
 
 def test_load_trace_rejects_an_integer_beyond_the_digit_limit(tmp_path):

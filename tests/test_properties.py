@@ -1,8 +1,9 @@
-"""Property tests: resumable search, its closures, the generator's stream, and
-the trace, utility-spec, DIMACS and profile round trips on random inputs; and
-the command line, which answers malformed input of every kind with exit 2 and
-the cause on stderr, and writes a trace that replays clean from any value it
-accepts at the digit bound.
+"""Property tests: resumable search, its closures, the generator's stream, the
+paths that fit before a deadline, and the trace, utility-spec, DIMACS and
+profile round trips on random inputs; and the command line, which answers
+malformed input of every kind with exit 2 and the cause on stderr, and
+writes a trace that replays clean from any value it accepts at the digit
+bound.
 
 Hypothesis runs derandomized, with no example database and a bounded number
 of examples, so the file gives the same verdict on every run and takes a few
@@ -275,6 +276,22 @@ time_costs = st.one_of(
 @given(utility_models(), time_costs)
 def test_utility_spec_round_trips(utilities, timecost):
     assert parse_utility_spec(format_utility_spec(utilities, timecost)) == (utilities, timecost)
+
+
+@PROPERTY
+@given(nonnegative, nonnegative, positive, st.integers(0, 2**80))
+# Deadlines 1e26 and 1e600 paths away: stepping one path at a time never
+# reached the first, and the second overflows a float.
+@example(0.0, 1e20, 1e-6, 3**60)
+@example(0.0, 1e300, 1e-300, 3**60)
+def test_paths_in_time_is_the_last_path_within_the_deadline(t0, at, tau, limit):
+    j = TimeCost.deadline(at, -1.0, tau).paths_in_time(t0, limit)
+    assert 0 <= j <= limit
+    if t0 > at:
+        assert j == 0
+    else:
+        assert t0 + j * tau <= at
+        assert j == limit or t0 + (j + 1) * tau > at
 
 
 metadata = st.dictionaries(
