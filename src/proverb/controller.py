@@ -22,8 +22,8 @@ never asking which source they hold:
 * ``posterior_at(total, closed)`` -- the posterior on the claim once
   ``closed`` of ``total`` paths are closed without an open one, as an exact
   pair;
-* ``nevc_at(config, total, closed, post, t_now)`` -- the net expected value
-  of each candidate lookahead at that point, all priced in one call;
+* ``nevc_at(config, total, closed, post)`` -- the net expected value of
+  each candidate lookahead at that point, all priced in one call;
 * ``describe()`` -- the JSON object the trace header records for the source.
 
 A misspecified analytic model can drive the posterior to 1 while the search
@@ -40,7 +40,10 @@ record's posterior and model time must be where the run stopped: the last
 step's after a verdict, 1 and ``total * tau`` after ``proof_of_w``, 0 and no
 earlier than the last step after ``proof_of_not_w``.  Wall-clock time is
 recorded as advisory and never checked.  Model time is ``closed * tau``,
-computed fresh each step so replay reproduces it bit for bit.
+exact and rounded once (``TimeCost.time_of``), so replay reproduces it bit
+for bit.  Before any search, ``run`` and ``replay`` refuse a path space
+whose utilities the clock cannot score: a full search's model time beyond
+float's range, or utilities over the run that span beyond it.
 """
 
 from __future__ import annotations
@@ -138,7 +141,6 @@ class AnalyticSource:
         total: int,
         closed: int,
         post: tuple[int, int],
-        t_now: float,
     ) -> tuple[float, ...]:
         return nevc_multi(
             post,
@@ -147,7 +149,6 @@ class AnalyticSource:
             config.utilities,
             config.timecost,
             config.lookahead_paths(total - closed),
-            t_now,
         )
 
     def describe(self) -> dict:
@@ -189,7 +190,6 @@ class ProfileSource:
         total: int,
         closed: int,
         post: tuple[int, int],
-        t_now: float,
     ) -> tuple[float, ...]:
         curve = self.profile.curve
         now = curve.survivors(closed, total)[0]
@@ -199,7 +199,7 @@ class ProfileSource:
             for x in lookaheads
         ]
         return nevc_two_outcome(
-            post, ratios, config.utilities, config.timecost, lookaheads, t_now
+            post, ratios, config.utilities, config.timecost, lookaheads, closed
         )
 
     def describe(self) -> dict:
@@ -286,16 +286,37 @@ def _deliberate(
     posterior reaches the pricing as its exact pair and comes back as the
     float of that pair.
     """
-    source = config.source
-    timecost = config.timecost
-    t_now = closed * timecost.tau
-    post = source.posterior_at(total, closed)
+    t_now = config.timecost.time_of(closed)
+    post = config.source.posterior_at(total, closed)
     chunk = min(config.chunk, total - closed)
-    if timecost.paths_in_time(t_now, chunk) < chunk:
+    if config.timecost.paths_in_time(closed, chunk) < chunk:
         return post[0] / post[1], (), t_now, StopReason.DEADLINE_FORCED
-    nevcs = source.nevc_at(config, total, closed, post, t_now)
+    nevcs = config.source.nevc_at(config, total, closed, post)
     verdict = StopReason.NONPOSITIVE_EVC if max(nevcs) <= 0 else None
     return post[0] / post[1], nevcs, t_now, verdict
+
+
+def _check_scoreable(config: ControllerConfig, total: int) -> None:
+    """Refuse a search of ``total`` paths whose utilities cannot all be scored.
+
+    The utilities a run meets lie between their values at time 0 and at the
+    full search's model time, ``time_of(total)``: each must be a float, and
+    all within float's range of each other.
+    """
+    timecost, paths = config.timecost, f"2**{total.bit_length() - 1} or more paths"
+    try:
+        end = timecost.time_of(total)
+    except OverflowError:
+        end = math.inf
+    if end == math.inf:
+        raise ValueError(
+            f"a full search of {paths} at tau {timecost.tau!r} ends beyond "
+            "float's range of model time"
+        )
+    values = [*config.utilities.when_true, *config.utilities.when_false]
+    values += [timecost.utility_at(u, end) for u in values]
+    if not math.isfinite(max(values) - min(values)):
+        raise ValueError(f"utilities over a search of {paths} span beyond float's range")
 
 
 def run(matrix: Matrix, config: ControllerConfig) -> DecisionTrace:
@@ -303,6 +324,7 @@ def run(matrix: Matrix, config: ControllerConfig) -> DecisionTrace:
     wall_started = time.perf_counter()
     state = init_search(matrix)
     total = state.total
+    _check_scoreable(config, total)
     steps: list[TraceStep] = []
     verdict = None
     while verdict is None and state.status is SearchStatus.RUNNING:
@@ -314,7 +336,7 @@ def run(matrix: Matrix, config: ControllerConfig) -> DecisionTrace:
     if verdict is None:  # the search ended in a proof
         proved = state.status is SearchStatus.EXHAUSTED
         verdict = StopReason.PROOF_OF_W if proved else StopReason.PROOF_OF_NOT_W
-        post, t_now = float(proved), state.closed * config.timecost.tau
+        post, t_now = float(proved), config.timecost.time_of(state.closed)
     action, eu = best_action(post, config.utilities, config.timecost, t_now)
     return DecisionTrace(
         total=total,
@@ -534,6 +556,7 @@ def replay(
         source=source,
         lookaheads=trace.lookaheads,
     )
+    _check_scoreable(config, total)
 
     checked = 0
     last_fraction = None
@@ -583,7 +606,7 @@ def replay(
     if verdict is not None:
         final = (trace.steps[-1].posterior, last_t)
     elif trace.stop_reason is StopReason.PROOF_OF_W:
-        final = (1.0, total * timecost.tau)
+        final = (1.0, timecost.time_of(total))
     else:  # the open path turned up within the last chunk searched
         final = (0.0, max(last_t, trace.final_elapsed))
     for fld, expected, actual in (

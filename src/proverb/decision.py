@@ -5,8 +5,8 @@ the claim, and the indifference threshold p* between two actions.  Time
 enters through a ``TimeCost``: utilities are additive-separable,
 ``u(A, outcome, t) = base - cost(t)`` for the zero/linear kinds, while the
 deadline kind collapses every utility to a flat penalty once ``t`` passes
-the deadline.  Model time is proportional to
-paths examined: ``t(j) = t0 + j * tau``.
+the deadline.  Model time is a function of the paths examined alone,
+``t(w) = w * tau``, exact and rounded once (``TimeCost.time_of``).
 
 The second half prices continued search by one rule, all of a step's
 candidate lookaheads in one call.  The net expected value of examining x
@@ -117,6 +117,12 @@ class TimeCost:
             raise ValueError("linear rate must be >= 0")
         if self.kind is CostKind.DEADLINE and self.deadline_at < 0:
             raise ValueError("deadline must be >= 0")
+        # The clock's constants: tau as an exact ratio, and the last path
+        # count whose time is within the deadline (see ``paths_in_time``); m
+        # is the deadline in units of its last place.
+        (n, d), ulp = self.tau.as_integer_ratio(), math.ulp(self.deadline_at)
+        m, (c, e) = int(self.deadline_at / ulp), ulp.as_integer_ratio()
+        self.__dict__.update(_ratio=(n, d), _last=((2 * m + 1) * c * d - m % 2) // (2 * e * n))
 
     @classmethod
     def zero(cls, tau: float = 1.0) -> "TimeCost":
@@ -139,41 +145,27 @@ class TimeCost:
             return base - self.rate * t
         return base
 
-    def paths_in_time(self, t0: float, limit: int) -> int:
-        """Largest j <= limit with t0 + j*tau within the deadline (float-robust).
+    def time_of(self, paths: int, per: int = 1) -> float:
+        """The model time of ``paths / per`` examined paths, ``tau`` times
+        that, exact and rounded once.  Beyond float's range it is inf below
+        2**53 paths, where it is the float product, and raises
+        ``OverflowError`` above."""
+        if per == 1 and paths <= 2**53:  # float(paths) is exact: one rounding
+            return paths * self.tau
+        n, d = self._ratio
+        return paths * n / (d * per)
 
-        The float test is monotone in j.  Unless ``limit`` passes it, the
-        answer is found by galloping and bisecting from (deadline - t0) / tau.
+    def paths_in_time(self, searched: int, limit: int) -> int:
+        """Largest j <= limit with ``time_of(searched + j)`` within the
+        deadline, or 0 when there is none.
+
+        ``time_of(w) <= deadline_at`` exactly when ``w * tau`` lies below the
+        midpoint between ``deadline_at`` and the next float up, or on it when
+        that tie rounds down, to an even ``deadline_at``.
         """
         if self.kind is not CostKind.DEADLINE:
             return limit
-        deadline, tau = self.deadline_at, self.tau
-
-        def fits(j: int) -> bool:
-            return t0 + j * tau <= deadline
-
-        if t0 > deadline:
-            return 0
-        if fits(limit):
-            return limit
-        # The float quotient is a first guess only: it may overflow, and far
-        # from zero it may be off by many paths.
-        j = int(min((deadline - t0) / tau, limit))
-        lo, hi, step = 0, limit, 1  # fits(lo), and not fits(hi)
-        if fits(j):
-            lo = j
-            while lo + step < hi and fits(lo + step):
-                lo, step = lo + step, step * 2
-            hi = min(hi, lo + step)
-        else:
-            hi = j
-            while hi - step > lo and not fits(hi - step):
-                hi, step = hi - step, step * 2
-            lo = max(lo, hi - step)
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            lo, hi = (mid, hi) if fits(mid) else (lo, mid)
-        return lo
+        return max(0, min(limit, self._last - searched))
 
 
 ZERO_COST = TimeCost()
@@ -197,9 +189,11 @@ class UtilityModel:
             raise ValueError("action names must be distinct")
         if not (len(self.actions) == len(self.when_true) == len(self.when_false)):
             raise ValueError("utility rows must match the action list")
-        for v in (*self.when_true, *self.when_false):
-            if not math.isfinite(v):
-                raise ValueError("utilities must be finite")
+        values = (*self.when_true, *self.when_false)
+        if not all(map(math.isfinite, values)):
+            raise ValueError("utilities must be finite")
+        if not math.isfinite(max(values) - min(values)):
+            raise ValueError("utilities must span less than float's range")
 
     @classmethod
     def from_pairs(cls, pairs: Mapping[str, tuple[float, float]]) -> "UtilityModel":
@@ -276,10 +270,10 @@ def _net_values(
     utilities: UtilityModel,
     timecost: TimeCost,
     lookaheads: Sequence[int],
-    t0: float,
+    searched: int,
     branches: Callable[[int], Iterator[tuple[int, int, float]]] | None,
 ) -> tuple[float, ...]:
-    """The pricing rule both belief sources share.
+    """The pricing rule both belief sources share, ``searched`` paths in.
 
     ``branches(q_num)``, with ``q_num / p_den = 1 - p``, yields per lookahead
     the survival pair ``(S_x, S)`` of the claim's negation and the halt term.
@@ -289,7 +283,7 @@ def _net_values(
     """
 
     def act(p: float, paths: int) -> float:  # the best utility after ``paths``
-        return best_action(p, utilities, timecost, t0 + paths * timecost.tau)[1]
+        return best_action(p, utilities, timecost, timecost.time_of(searched + paths))[1]
 
     p = p_num / p_den
     act_now = act(p, 0)
@@ -311,7 +305,6 @@ def nevc_multi(
     utilities: UtilityModel,
     timecost: TimeCost = ZERO_COST,
     lookaheads: Sequence[int] = (1,),
-    t0: float = 0.0,
 ) -> tuple[float, ...]:
     """Net expected value of examining each of ``lookaheads`` more paths.
 
@@ -340,11 +333,11 @@ def nevc_multi(
             raise ModelError(f"no open count fits the {remaining} remaining paths")
         max_false = max(utilities.when_false)
         kind = timecost.kind
-        level = max_false - timecost.rate * t0  # the linear cost's line
-        slope = timecost.rate * timecost.tau
+        rate, time_of = timecost.rate, timecost.time_of
+        level = max_false - rate * time_of(searched)  # the linear cost's line
         for x in lookaheads:
             if kind is CostKind.DEADLINE:
-                in_time = model.joint(searched + timecost.paths_in_time(t0, x))
+                in_time = model.joint(searched + timecost.paths_in_time(searched, x))
             after = model.joint(searched + x)
             value = 0.0  # sum_j pmf(j) * u_halt(t(j)) for j = 1..x, per (1-p)
             for k, ((o, _), t) in enumerate(zip(model.open_paths, now)):
@@ -356,7 +349,7 @@ def nevc_multi(
                 elif kind is CostKind.LINEAR:
                     mean = (remaining + 1) * t - u * (remaining + 1 + x * o)
                     value += t / total_now * (
-                        level * ((t - u) / t) - slope * (mean / (t * (o + 1)))
+                        level * ((t - u) / t) - rate * time_of(mean, t * (o + 1))
                     )
                 else:  # deadline: step split at the last in-time path index
                     ok = in_time[k]
@@ -366,7 +359,7 @@ def nevc_multi(
             yield sum(after), total_now, q_num / p_den * value
 
     return _net_values(
-        p_num, p_den, utilities, timecost, lookaheads, t0, branches if remaining else None
+        p_num, p_den, utilities, timecost, lookaheads, searched, branches if remaining else None
     )
 
 
@@ -376,16 +369,17 @@ def nevc_two_outcome(
     utilities: UtilityModel,
     timecost: TimeCost = ZERO_COST,
     lookaheads: Sequence[int] = (1,),
-    t0: float = 0.0,
+    searched: int = 0,
 ) -> tuple[float, ...]:
     """Chunk-level net value of each of ``lookaheads`` from an empirical curve.
 
     ``survival_ratios[k]`` is curve(s') / curve(s) for ``lookaheads[k]``: the
     chance that a chunk of that many more examinations stays unfound given
-    not-w and survival so far.  Ratios and posterior may be exact pairs.
-    The halt branch is valued at the chunk end t(paths) -- a step curve says
-    nothing about where inside the chunk the find lands, and end-pricing
-    never overprices search under nondecreasing cost.
+    not-w and survival over the ``searched`` paths so far.  Ratios and
+    posterior may be exact pairs.  The halt branch is valued at the chunk end
+    t(searched + paths) -- a step curve says nothing about where inside the
+    chunk the find lands, and end-pricing never overprices search under
+    nondecreasing cost.
     """
     _check_lookaheads(lookaheads, "paths")
     p_num, p_den = probability_pair(posterior_w, "posterior")
@@ -396,10 +390,10 @@ def nevc_two_outcome(
 
     def branches(q_num: int) -> Iterator[tuple[int, int, float]]:
         for paths, (r_num, r_den) in zip(lookaheads, ratios):
-            u_halt = timecost.utility_at(max_false, t0 + paths * timecost.tau)
+            u_halt = timecost.utility_at(max_false, timecost.time_of(searched + paths))
             yield r_num, r_den, q_num * (r_den - r_num) / (p_den * r_den) * u_halt
 
-    return _net_values(p_num, p_den, utilities, timecost, lookaheads, t0, branches)
+    return _net_values(p_num, p_den, utilities, timecost, lookaheads, searched, branches)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,10 @@ are the bit-for-bit oracle of the package's integer-pair pricing.
 all of a step's candidates at once, for one candidate in the oracles'
 signatures.
 
+Model time is ``float(Fraction(tau) * work)``, the exact time of ``work``
+paths rounded once, and the paths that fit before a deadline are found by
+bisection on that time.
+
 ``SplitMix64`` is the generator's random stream as a class, and
 ``reference_generate`` draws an instance from it the plain way, one method
 call per draw and one new literal per literal: the reference that
@@ -109,7 +113,6 @@ def nevc_one(
     open_dist,
     utilities: UtilityModel,
     timecost: TimeCost = ZERO_COST,
-    t0: float = 0.0,
 ) -> float:
     """Net expected value of examining exactly one more path before acting.
 
@@ -117,8 +120,8 @@ def nevc_one(
     probability O/l, else act under the drifted posterior), as the oracle for
     ``nevc_multi`` at lookahead 1.  Takes the same belief arguments.
     """
-    t1 = t0 + timecost.tau
-    act_now = best_action(p, utilities, timecost, t0)[1]
+    t1 = _time(timecost, 1)
+    act_now = best_action(p, utilities, timecost, 0.0)[1]
     if p <= 0 or p >= 1 or remaining == 0:
         return best_action(p, utilities, timecost, t1)[1] - act_now
     pmf1 = sum(weight * Fraction(o, remaining) for o, weight in open_dist)
@@ -313,12 +316,33 @@ def fraction_conditional(total: int, open_dist, searched: int):
     return tuple((o, w / norm) for o, w in weighted if w)
 
 
-def _act_value(p, utilities, timecost, paths, t0):
+def _time(timecost, work):
+    """The model time of ``work`` examined paths, an int or a ``Fraction``."""
+    return float(Fraction(timecost.tau) * work)
+
+
+def _paths_in_time(timecost, searched, limit):
+    """Largest j <= limit whose time, ``searched + j`` paths in, meets the
+    deadline, else 0; by bisection."""
+    if timecost.kind is not CostKind.DEADLINE:
+        return limit
+
+    def fits(j):
+        return _time(timecost, searched + j) <= timecost.deadline_at
+
+    lo, hi = 0, limit + 1  # hi is past the answer
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if fits(mid) else (lo, mid)
+    return lo
+
+
+def _act_value(p, utilities, timecost, paths, searched):
     """Best expected utility of acting on ``p`` after ``paths`` more examinations."""
-    return best_action(p, utilities, timecost, t0 + paths * timecost.tau)[1]
+    return best_action(p, utilities, timecost, _time(timecost, searched + paths))[1]
 
 
-def _halt_branch_value(dist, remaining, x, utilities, timecost, t0):
+def _halt_branch_value(dist, remaining, x, utilities, timecost, searched):
     """(sum_j pmf(j) * u_halt(t(j)), sum_j pmf(j)) for j = 1..x, per-(1-p).
 
     Exact closed forms per open count; mixture-averaged over ``dist``.
@@ -334,11 +358,11 @@ def _halt_branch_value(dist, remaining, x, utilities, timecost, t0):
         elif timecost.kind is CostKind.LINEAR:
             mean_j = first_open_mean_within(remaining, o, x)
             value += weight * (
-                (max_false - timecost.rate * t0) * mass
-                - timecost.rate * timecost.tau * mean_j
+                (max_false - timecost.rate * _time(timecost, searched)) * mass
+                - timecost.rate * _time(timecost, mean_j)
             )
         else:  # deadline: step split at the last in-time path index
-            j_ok = timecost.paths_in_time(t0, x)
+            j_ok = _paths_in_time(timecost, searched, x)
             early = first_open_cdf(remaining, o, j_ok) if j_ok > 0 else Fraction(0)
             value += weight * (max_false * early + timecost.penalty * (mass - early))
     return value, halt_mass
@@ -351,28 +375,30 @@ def fraction_nevc_multi(
     utilities: UtilityModel,
     timecost: TimeCost = ZERO_COST,
     lookahead: int = 1,
-    t0: float = 0.0,
+    searched: int = 0,
 ) -> float:
-    """Net expected value of examining ``lookahead`` more paths before acting."""
+    """Net expected value of examining ``lookahead`` more paths before acting,
+    ``searched`` paths in; ``open_dist`` is the open count's distribution over
+    the ``remaining`` paths."""
     if lookahead < 1:
         raise LookaheadError(f"lookahead {lookahead} must be >= 1")
     p = posterior_w
     if not 0 <= p <= 1:
         raise ValueError(f"posterior {p} outside [0, 1]")
-    act_now = _act_value(p, utilities, timecost, 0, t0)
+    act_now = _act_value(p, utilities, timecost, 0, searched)
     if p <= 0 or p >= 1 or remaining == 0:
-        return _act_value(p, utilities, timecost, lookahead, t0) - act_now
+        return _act_value(p, utilities, timecost, lookahead, searched) - act_now
     if lookahead > remaining:
         raise LookaheadError(
             f"lookahead {lookahead} exceeds remaining paths {remaining}"
         )
     halt_value, halt_mass = _halt_branch_value(
-        open_dist, remaining, lookahead, utilities, timecost, t0
+        open_dist, remaining, lookahead, utilities, timecost, searched
     )
     survival = 1 - halt_mass
     p_halt = (1 - p) * halt_mass
     drifted = p / (p + survival * (1 - p))
-    act_after = _act_value(drifted, utilities, timecost, lookahead, t0)
+    act_after = _act_value(drifted, utilities, timecost, lookahead, searched)
     return float((1 - p) * halt_value + (1 - p_halt) * act_after - act_now)
 
 
@@ -382,7 +408,7 @@ def fraction_nevc_two_outcome(
     utilities: UtilityModel,
     timecost: TimeCost = ZERO_COST,
     paths: int = 1,
-    t0: float = 0.0,
+    searched: int = 0,
 ) -> float:
     """Chunk-level net value from an empirical curve, halts priced at the chunk end."""
     if paths < 1:
@@ -392,17 +418,17 @@ def fraction_nevc_two_outcome(
         raise ValueError(f"posterior {p} outside [0, 1]")
     if not 0 <= survival_ratio <= 1:
         raise ValueError(f"survival ratio {survival_ratio} outside [0, 1]")
-    act_now = _act_value(p, utilities, timecost, 0, t0)
+    act_now = _act_value(p, utilities, timecost, 0, searched)
     if p <= 0 or p >= 1:
-        return _act_value(p, utilities, timecost, paths, t0) - act_now
+        return _act_value(p, utilities, timecost, paths, searched) - act_now
     p_halt = (1 - p) * (1 - survival_ratio)
     drifted = p / (p + survival_ratio * (1 - p))
     u_halt = timecost.utility_at(
-        max(utilities.when_false), t0 + paths * timecost.tau
+        max(utilities.when_false), _time(timecost, searched + paths)
     )
     return float(
         p_halt * u_halt
-        + (1 - p_halt) * _act_value(drifted, utilities, timecost, paths, t0)
+        + (1 - p_halt) * _act_value(drifted, utilities, timecost, paths, searched)
         - act_now
     )
 
@@ -414,7 +440,6 @@ def one_lookahead(
     utilities: UtilityModel,
     timecost: TimeCost = ZERO_COST,
     lookahead: int = 1,
-    t0: float = 0.0,
 ) -> float:
     """``nevc_multi`` at one lookahead, in ``fraction_nevc_multi``'s signature.
 
@@ -422,7 +447,7 @@ def one_lookahead(
     paths, so the urn model starts there with none searched.
     """
     model = AnalyticModel(remaining, dict(open_dist))
-    return nevc_multi(p, model, 0, utilities, timecost, (lookahead,), t0)[0]
+    return nevc_multi(p, model, 0, utilities, timecost, (lookahead,))[0]
 
 
 def one_chunk(
@@ -431,7 +456,7 @@ def one_chunk(
     utilities: UtilityModel,
     timecost: TimeCost = ZERO_COST,
     paths: int = 1,
-    t0: float = 0.0,
+    searched: int = 0,
 ) -> float:
     """``nevc_two_outcome`` at one chunk, in ``fraction_nevc_two_outcome``'s signature."""
-    return nevc_two_outcome(p, (survival_ratio,), utilities, timecost, (paths,), t0)[0]
+    return nevc_two_outcome(p, (survival_ratio,), utilities, timecost, (paths,), searched)[0]

@@ -606,6 +606,52 @@ ANALYTIC_RUN = ("run", "{cnf}", "--utilities", UTIL, "--analytic", "1", "--prior
 TWO_ACTIONS = "actions=a,b; u(a,w)=1; u(a,~w)=0; u(b,w)=0; u(b,~w)=1"
 
 
+WIDE = "actions=a,b; u(a,w)=1e308; u(a,~w)=-1e308; u(b,w)=-1e308; u(b,~w)=1e308"
+
+
+@pytest.mark.parametrize(
+    "huge, utilities, prior, error",
+    [
+        # 2**1100 or more paths: a full search at tau 1 takes longer than any float.
+        (True, TWO_ACTIONS, "1/2",
+         "a full search of 2**1100 or more paths at tau 1.0 ends beyond float's range"),
+        # Finite utilities 2e308 apart: at prior 0 the bet scored 0 * inf = nan.
+        (False, WIDE, "0", "utilities must span less than float's range"),
+    ],
+    ids=["time", "utilities"],
+)
+def test_run_refuses_what_it_cannot_score_before_the_search(
+    huge, utilities, prior, error, prior_zero_files, tmp_path, capsys, monkeypatch
+):
+    from proverb import controller
+
+    def search(*_args):
+        raise AssertionError("the search ran")
+
+    monkeypatch.setattr(controller, "step_search", search)
+    cnf = prior_zero_files[1]
+    if huge:
+        assert run_cli(
+            "gen", "--clauses", "1100", "--lits", "2", "--alphabet", "3000",
+            "--seed", "1", "--count", "1", "--out", str(tmp_path),
+        ) == 0
+        cnf = tmp_path / "matrix_0.cnf"
+    capsys.readouterr()
+    trace = tmp_path / "t.jsonl"
+    argv = ("run", str(cnf), "--analytic", "1", "--prior", prior, "--utilities", utilities)
+    assert run_cli(*argv, "--out", str(trace)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not trace.exists()
+    assert error in captured.err
+
+
+def test_decide_refuses_utilities_it_cannot_score(capsys):
+    assert run_cli("decide", "--posterior", "0", "--utilities", WIDE) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "utilities must span less than float's range" in captured.err
+
+
 @pytest.mark.parametrize(
     "argv, error",
     [

@@ -6,10 +6,12 @@ from fractions import Fraction
 
 import pytest
 
+from proverb import controller
 from proverb.belief import ContextTag
 from proverb.controller import (
     AnalyticSource,
     ControllerConfig,
+    DecisionTrace,
     MalformedTraceError,
     ProfileSource,
     StopReason,
@@ -18,8 +20,9 @@ from proverb.controller import (
     replay,
     run,
     save_trace,
+    _deliberate,
 )
-from proverb.decision import TimeCost, UtilityModel, ZERO_COST, best_action
+from proverb.decision import TimeCost, UtilityModel, ZERO_COST, best_action, format_utility_spec
 from proverb.generator import GeneratorConfig, generate, generate_corpus
 from proverb.matrix import Matrix, literals, solve, total_paths, SearchStatus
 from proverb.profiles import collect
@@ -140,6 +143,68 @@ def test_elapsed_time_is_closed_paths_times_tau():
     trace = run(m, config)
     for step in trace.steps:
         assert step.elapsed == float(step.fraction * total_paths(m)) * tau
+
+
+HUGE = 2**1100  # paths: beyond float's range, as no path count ever is made a float
+
+
+@pytest.mark.parametrize(
+    "cost",
+    [TimeCost.zero(1e-300), TimeCost.linear(1e-40, 1e-300), TimeCost.deadline(1e30, -1.0, 1e-300)],
+    ids=["zero", "linear", "deadline"],
+)
+def test_a_space_beyond_float_range_is_priced_where_its_time_is_not(cost):
+    # A full search takes about 1.4e31 time units.  Only step 0 is priced: the
+    # search itself would never end.
+    chunk = HUGE // 100
+    source = AnalyticSource(Fraction(1, 2), {1: Fraction(1, 2), 8: Fraction(1, 2)})
+    config = analytic_config(chunk=chunk, timecost=cost, source=source, lookaheads=(chunk, "full"))
+    post, nevcs, t_now, verdict = _deliberate(config, HUGE, 0)
+    assert (post, t_now, verdict) == (0.5, 0.0, None)
+    assert len(nevcs) == 2 and all(map(math.isfinite, nevcs))
+    assert nevcs[0] > 0
+
+
+def test_a_small_space_whose_time_is_beyond_float_range_is_refused():
+    # 256 paths of 1e307 time units each: the float product is inf.
+    m = generate(GeneratorConfig(8, 2, 4, seed=10))
+    with pytest.raises(ValueError, match="ends beyond float's range of model time"):
+        run(m, analytic_config(timecost=TimeCost.zero(1e307)))
+
+
+def huge_trace(utilities, timecost):
+    """A proof of the claim over ``HUGE`` paths, recorded with no step."""
+    return DecisionTrace(
+        HUGE, 1, (1,), HALF.describe(), format_utility_spec(utilities, timecost), [],
+        StopReason.PROOF_OF_W, "act_w", 1.0, 1.0, 1.0,
+    )
+
+
+@pytest.mark.parametrize(
+    "utilities, timecost, error",
+    [
+        (ACT, ZERO_COST, "ends beyond float's range of model time"),
+        # Every utility drops by up to rate * time_of(total) = 1e308 * 2**1100 * 1e-300.
+        (ACT, TimeCost.linear(1e308, 1e-300), "utilities over a search of 2[*][*]1100"),
+        # Past the deadline a bet of 1e308 becomes a penalty of -1e308.
+        (UtilityModel.from_pairs({"act_w": (1e308, 0.0), "act_not_w": (0.0, 1e308)}),
+         TimeCost.deadline(1.0, -1e308, 1e-300), "utilities over a search of 2[*][*]1100"),
+    ],
+    ids=["time", "linear", "deadline"],
+)
+def test_run_and_replay_refuse_what_they_cannot_score(utilities, timecost, error, monkeypatch):
+    def search(*_args):
+        raise AssertionError("the search ran")
+
+    monkeypatch.setattr(controller, "step_search", search)
+    # Two literals of fresh symbols per clause: 2**1100 paths and no closure.
+    matrix = Matrix(tuple(literals(2 * i, 2 * i + 1) for i in range(1100)), 2200)
+    config = analytic_config(utilities=utilities, timecost=timecost)
+    with pytest.raises(ValueError, match=error):
+        run(matrix, config)
+    with pytest.raises(ValueError, match=error):
+        replay(huge_trace(utilities, timecost), utilities=utilities, timecost=timecost,
+               analytic=HALF)
 
 
 def test_linear_rate_stop_fraction_is_monotone():
@@ -291,16 +356,15 @@ def stopped_config():
 def step_after(trace, config):
     """The step record ``run`` would write one chunk past the trace's last step."""
     closed = int(trace.steps[-1].fraction * trace.total) + config.chunk
-    t_now = closed * config.timecost.tau
     post = config.source.posterior_at(trace.total, closed)
-    nevc = config.source.nevc_at(config, trace.total, closed, post, t_now)
+    nevc = config.source.nevc_at(config, trace.total, closed, post)
     return {
         "kind": "step",
         "step": len(trace.steps),
         "fraction": {"num": closed, "den": trace.total},
         "posterior": post[0] / post[1],
         "nevc": list(nevc),
-        "t": t_now,
+        "t": config.timecost.time_of(closed),
     }
 
 

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from oracles import first_open_pmf, fraction_survival, nevc_one, one_chunk, one_lookahead
+from proverb.belief import AnalyticModel
 from proverb.decision import (
     CostKind,
     DominanceError,
@@ -18,6 +19,7 @@ from proverb.decision import (
     ZERO_COST,
     best_action,
     format_utility_spec,
+    nevc_multi,
     parse_utility_spec,
     threshold,
 )
@@ -25,12 +27,12 @@ from proverb.decision import (
 ACT = UtilityModel.from_pairs({"act_w": (1.0, 0.0), "act_not_w": (0.0, 1.0)})
 
 
-def oracle_nevc(p, remaining, open_dist, utilities, timecost, x, t0=0.0):
+def oracle_nevc(p, remaining, open_dist, utilities, timecost, x):
     """Independent lookahead value by full placement enumeration.
 
     Policy: examine up to x paths; an open path proves the negation and the
     best disproof action is taken on the spot; otherwise act at the end under
-    the drifted posterior.  Baseline: act immediately at t0.
+    the drifted posterior.  Baseline: act immediately, at time 0.
     """
     p = Fraction(p)
 
@@ -47,7 +49,7 @@ def oracle_nevc(p, remaining, open_dist, utilities, timecost, x, t0=0.0):
             for wt, wf in zip(utilities.when_true, utilities.when_false)
         )
 
-    t_end = t0 + x * timecost.tau
+    t_end = float(Fraction(timecost.tau) * x)
     # Survival mass after x examinations, mixed over the open-count model.
     survival = Fraction(0)
     halt_terms = []  # (probability, time-of-halt) under not-w
@@ -57,7 +59,7 @@ def oracle_nevc(p, remaining, open_dist, utilities, timecost, x, t0=0.0):
         for c in placements:
             j = min(c) + 1
             if j <= x:
-                halt_terms.append((w_each, t0 + j * timecost.tau))
+                halt_terms.append((w_each, float(Fraction(timecost.tau) * j)))
             else:
                 survival += w_each
     drifted = p / (p + survival * (1 - p)) if survival > 0 or p > 0 else p
@@ -66,7 +68,7 @@ def oracle_nevc(p, remaining, open_dist, utilities, timecost, x, t0=0.0):
     value = p * act_value(drifted, t_end)
     value += (1 - p) * survival * act_value(drifted, t_end)
     value += (1 - p) * sum(w * at(max_false, t) for w, t in halt_terms)
-    return float(value - act_value(p, t0))
+    return float(value - act_value(p, 0.0))
 
 
 # --- action choice --------------------------------------------------------------
@@ -152,6 +154,12 @@ def test_utility_model_validation():
         UtilityModel(("a", "b"), (1.0,), (0.0, 1.0))
     with pytest.raises(ValueError):
         UtilityModel(("a", "b"), (math.inf, 0.0), (0.0, 1.0))
+    # Every utility finite, but their differences are not: the expected
+    # utility at posterior 0 would be 0 * inf = nan.
+    with pytest.raises(ValueError, match="utilities must span less than float's range"):
+        UtilityModel(("a", "b"), (1e308, -1e308), (-1e308, 1e308))
+    wide = UtilityModel(("a", "b"), (8e307, -8e307), (-8e307, 8e307))
+    assert best_action(0.0, wide) == ("b", 8e307)
 
 
 # --- one-step lookahead ----------------------------------------------------------
@@ -416,32 +424,35 @@ def test_timecost_validation():
         for kind in CostKind:
             with pytest.raises(ValueError, match=f"{name} must be finite"):
                 TimeCost(kind, **{name: value})
-    # Model time is never negative, whether given directly or as a start.
+    # Model time is never negative.
     for cost in (ZERO_COST, TimeCost.linear(0.1), TimeCost.deadline(1.0, -1.0)):
         with pytest.raises(ValueError, match="t must be >= 0"):
             cost.utility_at(1.0, -0.5)
-        with pytest.raises(ValueError, match="t must be >= 0"):
-            one_lookahead(0.5, 3, ((1, 1),), ACT, cost, 1, t0=-1.0)
-        with pytest.raises(ValueError, match="t must be >= 0"):
-            one_chunk(0.5, Fraction(1, 2), ACT, cost, 1, t0=-1.0)
 
 
 def test_timecost_schedules():
     cost = TimeCost.linear(0.5, tau=2.0)
     assert cost.utility_at(10.0, 4.0) == 8.0
-    # At certainty search only delays: 3 paths from t0 = 1 end at t = 7,
+    # At certainty search only delays: 3 paths from 1 searched end at t = 8,
     # and waiting 6 time units at rate 0.5 costs 3.
-    assert one_lookahead(1.0, 5, ((1, 1),), ACT, cost, 3, t0=1.0) == -3.0
-    assert one_chunk(1.0, Fraction(1, 2), ACT, cost, 3, t0=1.0) == -3.0
+    assert nevc_multi(1.0, AnalyticModel(6, 1), 1, ACT, cost, (3,)) == (-3.0,)
+    assert one_chunk(1.0, Fraction(1, 2), ACT, cost, 3, searched=1) == -3.0
     assert ZERO_COST.utility_at(10.0, 4.0) == 10.0
     late = TimeCost.deadline(at=3.0, penalty=-7.0)
     assert late.utility_at(10.0, 3.0) == 10.0
     assert late.utility_at(10.0, 3.5) == -7.0
-    # Paths that still finish in time: t0 + j*tau <= deadline, at most limit.
-    assert late.paths_in_time(0.0, 10) == 3
-    assert late.paths_in_time(1.5, 10) == 1
-    assert late.paths_in_time(0.0, 2) == 2
-    assert late.paths_in_time(3.5, 10) == 0
-    assert cost.paths_in_time(1e9, 10) == 10
-    # Float-robust: 3 * 0.1 exceeds 0.3, so only two paths fit.
-    assert TimeCost.deadline(at=0.3, penalty=0.0, tau=0.1).paths_in_time(0.0, 5) == 2
+    # Paths that still finish in time: time_of(searched + j) <= deadline, at
+    # most limit.
+    assert late.paths_in_time(0, 10) == 3
+    assert late.paths_in_time(2, 10) == 1
+    assert late.paths_in_time(0, 2) == 2
+    assert late.paths_in_time(4, 10) == 0
+    assert cost.paths_in_time(10**9, 10) == 10
+    # Exact: 3 * 0.1 rounds once to 0.30000000000000004, above 0.3, so only
+    # two paths fit.
+    assert TimeCost.deadline(at=0.3, penalty=0.0, tau=0.1).paths_in_time(0, 5) == 2
+    # One rounding, where float arithmetic would round twice.
+    assert TimeCost(tau=0.1).time_of(3) == 0.30000000000000004
+    assert TimeCost(tau=1.0).time_of(2**53 + 1) == 2.0**53
+    assert (2**53 + 1) * 0.1 == 900719925474099.2
+    assert TimeCost(tau=0.1).time_of(2**53 + 1) == 900719925474099.4

@@ -80,6 +80,12 @@ def costs(remaining):
     )
 
 
+def searched_by(timecost):
+    """Paths already searched, putting the time at 0, near 0.5 or near 3:
+    before, inside or past each deadline ``costs`` draws."""
+    return st.sampled_from([0.0, 0.5, 3.0]).map(lambda t: round(t / timecost.tau))
+
+
 @st.composite
 def open_dists(draw, remaining, floats=False):
     """One to three distinct open counts with Fraction (or int 1) weights, or
@@ -110,13 +116,16 @@ def test_nevc_multi_matches_the_fraction_oracle(data):
         min_size=1, max_size=3,
     ))
     timecost = data.draw(costs(remaining))
-    # t0 = 0, somewhere inside, or past every deadline drawn above.
-    t0 = data.draw(st.sampled_from([0.0, 0.5, 3.0]))
+    searched = data.draw(searched_by(timecost))
     utilities = data.draw(UTILITIES)
-    model = AnalyticModel(remaining, dict(dist))
-    got = outcome(nevc_multi, p, model, 0, utilities, timecost, tuple(xs), t0)
+    # The model's counts survive the searched paths; the oracle gets their
+    # weights conditioned on that survival.
+    total = searched + remaining
+    model = AnalyticModel(total, dict(dist))
+    cond = fraction_conditional(total, dist, searched)
+    got = outcome(nevc_multi, p, model, searched, utilities, timecost, tuple(xs))
     want = [
-        outcome(fraction_nevc_multi, as_exact(p), remaining, dist, utilities, timecost, x, t0)
+        outcome(fraction_nevc_multi, as_exact(p), remaining, cond, utilities, timecost, x, searched)
         for x in xs
     ]
     assert got == want
@@ -125,13 +134,15 @@ def test_nevc_multi_matches_the_fraction_oracle(data):
 @PRICING
 @given(probabilities(), st.lists(st.tuples(st.one_of(probabilities(), exact_pairs()),
                                            st.integers(1, 100)), min_size=1, max_size=3),
-       UTILITIES, costs(100), st.sampled_from([0.0, 0.5, 3.0]))
-def test_nevc_two_outcome_matches_the_fraction_oracle(p, candidates, utilities, timecost, t0):
+       UTILITIES, costs(100).flatmap(lambda cost: st.tuples(st.just(cost), searched_by(cost))))
+def test_nevc_two_outcome_matches_the_fraction_oracle(p, candidates, utilities, cost_searched):
+    timecost, searched = cost_searched
     ratios = tuple(ratio for ratio, _ in candidates)
     paths = tuple(x for _, x in candidates)
-    got = outcome(nevc_two_outcome, p, ratios, utilities, timecost, paths, t0)
+    got = outcome(nevc_two_outcome, p, ratios, utilities, timecost, paths, searched)
     want = [
-        outcome(fraction_nevc_two_outcome, as_exact(p), as_exact(ratio), utilities, timecost, x, t0)
+        outcome(fraction_nevc_two_outcome, as_exact(p), as_exact(ratio), utilities, timecost, x,
+                searched)
         for ratio, x in candidates
     ]
     assert got == want
@@ -160,6 +171,14 @@ def test_bad_input_raises_as_the_oracle_does(p, remaining, dist, x):
     got = outcome(one_lookahead, p, *args)
     assert got == outcome(fraction_nevc_multi, p, *args)
     assert isinstance(got, tuple)
+
+
+def test_the_linear_halt_term_reads_the_mean_halt_time_off_the_clock():
+    # The mean halt time is tau times the mean halt path, rounded once; the
+    # rate times tau, times that path, rounds twice and gives
+    # -0.5000000000000001 here.
+    args = (Fraction(1, 2), 5, ((1, 1),), ACT, TimeCost.linear(3.0, 1 / 5), 1)
+    assert repr(one_lookahead(*args)) == repr(fraction_nevc_multi(*args)) == "-0.5"
 
 
 @pytest.mark.parametrize("dist", [
@@ -214,9 +233,8 @@ def analytic_oracle(source, config, total, closed):
     post = fraction_analytic_posterior(Fraction(source.prior), total, dist, closed)
     remaining = total - closed
     cond = fraction_conditional(total, dist, closed)
-    t_now = closed * config.timecost.tau
     nevcs = tuple(
-        fraction_nevc_multi(post, remaining, cond, config.utilities, config.timecost, x, t_now)
+        fraction_nevc_multi(post, remaining, cond, config.utilities, config.timecost, x, closed)
         for x in config.lookahead_paths(remaining)
     )
     return post, nevcs
@@ -226,8 +244,7 @@ def check_analytic(source, config, total, closed):
     post, nevcs = analytic_oracle(source, config, total, closed)
     num, den = source.posterior_at(total, closed)
     assert Fraction(num, den) == post and repr(num / den) == repr(float(post))
-    t_now = closed * config.timecost.tau
-    got_nevcs = source.nevc_at(config, total, closed, (num, den), t_now)
+    got_nevcs = source.nevc_at(config, total, closed, (num, den))
     assert list(map(repr, got_nevcs)) == list(map(repr, nevcs))
 
 
@@ -327,10 +344,9 @@ def test_profile_source_matches_the_oracle(fractions, unsat, total, data):
         post = fraction_posterior(profile.prior, now)
         got = source.posterior_at(total, closed)
         assert Fraction(*got) == post
-        t_now = closed * timecost.tau
         want = []
         for x in config.lookahead_paths(total - closed):
             nxt = fraction_curve_value(fractions, Fraction(closed + x, total))
             ratio = nxt / now if now > 0 else Fraction(1)
-            want.append(repr(fraction_nevc_two_outcome(post, ratio, ACT, timecost, x, t_now)))
-        assert list(map(repr, source.nevc_at(config, total, closed, got, t_now))) == want
+            want.append(repr(fraction_nevc_two_outcome(post, ratio, ACT, timecost, x, closed)))
+        assert list(map(repr, source.nevc_at(config, total, closed, got))) == want

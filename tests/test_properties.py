@@ -13,6 +13,8 @@ seconds.
 import io
 import itertools
 import json
+import math
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
@@ -262,7 +264,10 @@ action_name = st.from_regex(r"\A[A-Za-z_][A-Za-z0-9_+-]{0,6}\Z")
 def utility_models(draw):
     names = draw(st.lists(action_name, min_size=2, max_size=4, unique=True))
     rows = st.lists(finite, min_size=len(names), max_size=len(names))
-    return UtilityModel(tuple(names), tuple(draw(rows)), tuple(draw(rows)))
+    when_true, when_false = draw(rows), draw(rows)
+    values = when_true + when_false
+    assume(math.isfinite(max(values) - min(values)))  # a wider table is refused
+    return UtilityModel(tuple(names), tuple(when_true), tuple(when_false))
 
 
 time_costs = st.one_of(
@@ -279,19 +284,34 @@ def test_utility_spec_round_trips(utilities, timecost):
 
 
 @PROPERTY
-@given(nonnegative, nonnegative, positive, st.integers(0, 2**80))
+@given(st.integers(0, 2**80), nonnegative, positive, st.integers(0, 2**80))
 # Deadlines 1e26 and 1e600 paths away: stepping one path at a time never
 # reached the first, and the second overflows a float.
-@example(0.0, 1e20, 1e-6, 3**60)
-@example(0.0, 1e300, 1e-300, 3**60)
-def test_paths_in_time_is_the_last_path_within_the_deadline(t0, at, tau, limit):
-    j = TimeCost.deadline(at, -1.0, tau).paths_in_time(t0, limit)
+@example(0, 1e20, 1e-6, 3**60)
+@example(0, 1e300, 1e-300, 3**60)
+# A tie: 2**53 + 1 paths take 2**53 + 1 time units, which round to 2**53.
+@example(0, 2.0**53, 1.0, 2**60)
+# 3 * 0.1 rounds above 0.3.
+@example(0, 0.3, 0.1, 5)
+# The last path within the largest float, whose midpoint rounds up.
+@example(0, sys.float_info.max, 1.0, 2**1024)
+@example(2**1000, sys.float_info.max, 2.0**-3, 2**1030)
+def test_paths_in_time_is_the_last_path_within_the_deadline(searched, at, tau, limit):
+    cost = TimeCost.deadline(at, -1.0, tau)
+
+    def late(paths):
+        try:
+            return cost.time_of(paths) > at
+        except OverflowError:  # beyond every float, so past the deadline
+            return True
+
+    j = cost.paths_in_time(searched, limit)
     assert 0 <= j <= limit
-    if t0 > at:
+    if late(searched):
         assert j == 0
     else:
-        assert t0 + j * tau <= at
-        assert j == limit or t0 + (j + 1) * tau > at
+        assert not late(searched + j)
+        assert j == limit or late(searched + j + 1)
 
 
 metadata = st.dictionaries(
@@ -532,7 +552,9 @@ def test_malformed_open_paths_or_lookaheads_are_usage_errors(case):
 def bad_specs(draw):
     """A malformed utility spec and its cause."""
     chunks = SPEC.split("; ")
-    kind = draw(st.sampled_from(["key", "pair", "value", "missing", "action", "cost", "tau"]))
+    kind = draw(
+        st.sampled_from(["key", "pair", "value", "missing", "action", "span", "cost", "tau"])
+    )
     if kind == "key":
         key = draw(word.filter(lambda w: w not in ("actions", "cost", "tau")))
         chunks.append(f"{key}=1")
@@ -550,6 +572,10 @@ def bad_specs(draw):
         name = draw(st.from_regex(r"\A[0-9+-][a-z0-9]{0,3}\Z"))
         chunks[0] = f"actions=a,{name}"
         cause = f"bad action name {name!r}"
+    elif kind == "span":  # finite utilities whose difference is not
+        big = draw(st.floats(9e307, 1.7e308))
+        chunks[1], chunks[3] = f"u(a,w)={big!r}", f"u(b,w)={-big!r}"
+        cause = "utilities must span less than float's range"
     elif kind == "cost":
         cost = draw(
             word.filter(lambda w: w != "zero")
