@@ -326,8 +326,6 @@ class AnalyticModel:
         and more open paths than remain could not be priced.
         """
         dist = self.open_paths
-        if len(dist) == 1:
-            return ((dist[0][0], Fraction(1)),)
         terms = self.joint(searched)
         norm = sum(terms)
         if norm == 0:

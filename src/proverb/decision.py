@@ -33,8 +33,13 @@ two belief sources differ only in the survival pair and the halt term:
   next x paths, ``J'(o) / J(o)`` with ``J'`` the terms x paths on.  So the
   survival pair over the mixture is ``(sum J', sum J)``, with no
   conditional ``Fraction`` built and no product of the counts'
-  denominators.  A lookahead of millions of paths costs one
-  falling-factorial product per open count (two under a deadline).
+  denominators.  The halt mass ``(sum J - sum J') / sum J``, the in-time
+  mass (the same with J at the deadline's last path) and the mean halt
+  path ``sum ((l+1)*J - J'*(l+1+x*O)) * L/(O+1)`` over ``sum J * L``, with
+  ``L`` the least common multiple of the counts' ``O+1``, are exact sums
+  over the counts, each rounded once: one count prices as a one-point
+  mixture.  A lookahead of millions of paths costs one falling-factorial
+  product per open count (two under a deadline).
 * ``nevc_two_outcome`` (empirical curve): the pair is the ratio of survivor
   counts, and the halt is valued at the chunk end -- a step curve says
   nothing about where inside the chunk the find lands, and under
@@ -312,7 +317,9 @@ def nevc_multi(
     paths closed so far without an open one; the remaining paths are
     ``model.total - searched``, and the open count among them is conditioned
     on that survival here.  ``posterior_w`` may be an exact pair.  Each halt
-    is valued at its own path's time; an empty remainder, like a certain
+    is valued at its own path's time: the halt mass, the in-time mass and
+    the mean halt path are exact sums over the open counts, each rounded
+    once where it meets a utility.  An empty remainder, like a certain
     posterior, leaves only the pure delay cost.
     """
     _check_lookaheads(lookaheads, "lookahead")
@@ -321,9 +328,9 @@ def nevc_multi(
 
     def branches(q_num: int) -> Iterator[tuple[int, int, float]]:
         # J are the joint terms at ``searched``, J' those x paths on, and a
-        # deadline adds those at its last in-time path.  Each count's float
-        # term divides the same rationals as its survival product
-        # P(l-x, o) / P(l, o), whatever the common denominator.
+        # deadline adds those at its last in-time path.  Each halt quantity
+        # is an exact sum over the counts, a ruled-out count adding 0, that
+        # meets a float once; L is the least common multiple of the O+1.
         for x in lookaheads:
             if x > remaining:
                 raise LookaheadError(f"lookahead {x} exceeds remaining paths {remaining}")
@@ -332,31 +339,28 @@ def nevc_multi(
         if total_now == 0:
             raise ModelError(f"no open count fits the {remaining} remaining paths")
         max_false = max(utilities.when_false)
-        kind = timecost.kind
-        rate, time_of = timecost.rate, timecost.time_of
+        kind, rate, time_of = timecost.kind, timecost.rate, timecost.time_of
         level = max_false - rate * time_of(searched)  # the linear cost's line
+        lcm_o = math.lcm(*(o + 1 for o, _ in model.open_paths))
         for x in lookaheads:
             if kind is CostKind.DEADLINE:
-                in_time = model.joint(searched + timecost.paths_in_time(searched, x))
+                in_time = sum(model.joint(searched + timecost.paths_in_time(searched, x)))
             after = model.joint(searched + x)
-            value = 0.0  # sum_j pmf(j) * u_halt(t(j)) for j = 1..x, per (1-p)
-            for k, ((o, _), t) in enumerate(zip(model.open_paths, now)):
-                if not t:  # ruled out by the survival so far
-                    continue
-                u = after[k]
-                if kind is CostKind.ZERO:
-                    value += (t - u) / total_now * max_false
-                elif kind is CostKind.LINEAR:
-                    mean = (remaining + 1) * t - u * (remaining + 1 + x * o)
-                    value += t / total_now * (
-                        level * ((t - u) / t) - rate * time_of(mean, t * (o + 1))
-                    )
-                else:  # deadline: step split at the last in-time path index
-                    ok = in_time[k]
-                    value += t / total_now * (
-                        max_false * ((t - ok) / t) + timecost.penalty * ((ok - u) / t)
-                    )
-            yield sum(after), total_now, q_num / p_den * value
+            total_after = sum(after)
+            halt = (total_now - total_after) / total_now
+            if kind is CostKind.ZERO:
+                value = halt * max_false
+            elif kind is CostKind.LINEAR:  # the mean halt path over total_now * L
+                mean = sum(
+                    ((remaining + 1) * t - u * (remaining + 1 + x * o)) * (lcm_o // (o + 1))
+                    for (o, _), t, u in zip(model.open_paths, now, after)
+                )
+                value = level * halt - rate * time_of(mean, total_now * lcm_o)
+            else:  # deadline: step split at the last in-time path index
+                value = max_false * ((total_now - in_time) / total_now) + timecost.penalty * (
+                    (in_time - total_after) / total_now
+                )
+            yield total_after, total_now, q_num / p_den * value
 
     return _net_values(
         p_num, p_den, utilities, timecost, lookaheads, searched, branches if remaining else None

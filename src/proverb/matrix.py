@@ -288,11 +288,13 @@ def solve(matrix: Matrix, *, max_closures: int | None = None) -> SearchState:
     """Run the search to termination (or until ``max_closures`` closures).
 
     Returns the final state; ``state.status`` stays RUNNING when the closure
-    cap was hit first.
+    cap was hit first, or at once under a cap of 0.
     """
+    if max_closures is not None and max_closures < 0:
+        raise ValueError(f"max_closures must be >= 0 when given, got {max_closures}")
     state = init_search(matrix)
     # A budget of the whole space stops only at termination or at the cap.
-    if state.status is SearchStatus.RUNNING and (max_closures is None or max_closures > 0):
+    if state.status is SearchStatus.RUNNING and max_closures != 0:
         step_search(state, state.total, event_cap=max_closures)
     return state
 

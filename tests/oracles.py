@@ -345,27 +345,22 @@ def _act_value(p, utilities, timecost, paths, searched):
 def _halt_branch_value(dist, remaining, x, utilities, timecost, searched):
     """(sum_j pmf(j) * u_halt(t(j)), sum_j pmf(j)) for j = 1..x, per-(1-p).
 
-    Exact closed forms per open count; mixture-averaged over ``dist``.
+    The mixture's halt mass, mean halt path and in-time mass are exact
+    averages over ``dist`` of each count's closed forms, and each meets a
+    float once.
     """
     max_false = max(utilities.when_false)
-    halt_mass = 0
-    value = 0
-    for o, weight in dist:
-        mass = first_open_cdf(remaining, o, x)
-        halt_mass += weight * mass
-        if timecost.kind is CostKind.ZERO:
-            value += weight * mass * max_false
-        elif timecost.kind is CostKind.LINEAR:
-            mean_j = first_open_mean_within(remaining, o, x)
-            value += weight * (
-                (max_false - timecost.rate * _time(timecost, searched)) * mass
-                - timecost.rate * _time(timecost, mean_j)
-            )
-        else:  # deadline: step split at the last in-time path index
-            j_ok = _paths_in_time(timecost, searched, x)
-            early = first_open_cdf(remaining, o, j_ok) if j_ok > 0 else Fraction(0)
-            value += weight * (max_false * early + timecost.penalty * (mass - early))
-    return value, halt_mass
+    halt_mass = sum(weight * first_open_cdf(remaining, o, x) for o, weight in dist)
+    if timecost.kind is CostKind.ZERO:
+        return halt_mass * max_false, halt_mass
+    if timecost.kind is CostKind.LINEAR:
+        mean_j = sum(weight * first_open_mean_within(remaining, o, x) for o, weight in dist)
+        level = max_false - timecost.rate * _time(timecost, searched)
+        return level * halt_mass - timecost.rate * _time(timecost, mean_j), halt_mass
+    # deadline: step split at the last in-time path index
+    j_ok = _paths_in_time(timecost, searched, x)
+    early = sum(weight * first_open_cdf(remaining, o, j_ok) for o, weight in dist)
+    return max_false * early + timecost.penalty * (halt_mass - early), halt_mass
 
 
 def fraction_nevc_multi(

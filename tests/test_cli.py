@@ -696,6 +696,11 @@ def test_decide_refuses_utilities_it_cannot_score(capsys):
              "--count", "1", "--out", "{out}"),
             "alphabet_size must be >= 1",
         ),
+        (
+            ("profile", "--clauses", "6", "--lits", "2", "--alphabet", "3", "--seed", "1",
+             "--count", "2", "--step-cap", "-1", "--out", "{out}"),
+            "max_closures must be >= 0 when given, got -1",
+        ),
         # A flag of an input form not chosen, or a form given incomplete.
         *(
             (("decide", "--utilities", UTIL) + flags, DECIDE_FORMS)

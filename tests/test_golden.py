@@ -3,12 +3,12 @@
 Each test writes a file through the public API and compares its sha256
 digest with a recorded constant.  A refactor that keeps these digests keeps
 the profile, curve, compare and trace formats byte for byte; a deliberate
-format change must update the constant alongside the code.  Trace files are
-compared with the advisory ``wall_time`` removed, because it is the only
-value that differs between two runs.  The five scripts under ``demos/`` are
-deterministic, so their stdout is pinned the same way, and so is one scripted
-command-line session: every subcommand's exit code, stdout, stderr and
-written files.
+change of format, or of the values computed, must update the constant
+alongside the code.  Trace files are compared with the advisory
+``wall_time`` removed, because it is the only value that differs between
+two runs.  The five scripts under ``demos/`` are deterministic, so their
+stdout is pinned the same way, and so is one scripted command-line session:
+every subcommand's exit code, stdout, stderr and written files.
 """
 
 import hashlib
@@ -49,7 +49,7 @@ CURVE = "119f69797d4c94d04c0ea9d70472d80eea48a81670fc7b13a33c41d55b5c0813"
 CURVE_PRIOR_OVERRIDE = "319928a559d028385d91f5239f9676fe5164a073f92df2038a6492b656ad252b"
 COMPARE_CSV = "f25e808fd76d50660affd43113c1ca179c50bc2f9ffb8f59b25cfee0f2223881"
 TRACE_ANALYTIC = "98ed41cbbcd198047d593dcdbb9d4228369e160bb05ff6c691ed3df92690afa1"
-TRACE_MIXTURE = "a1a63ea2befd73d541df1d82754a1f9eaafb7a48a34aca5dccf1b4bb108b872c"
+TRACE_MIXTURE = "0a89890f70957401b9a168934628f31dbc54f1e3d6bf2ae202d65e61a22062f8"
 TRACE_PROFILE = "441405c6bfaa870a34039386279384c76c4cf49e1b896bb3d1ef7cd16424284b"
 CLI_SESSION = "47dd0c9f046fd4f39f999bab6410689c14bac7d08cf9a1b8295392013921baaa"
 

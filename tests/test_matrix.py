@@ -357,9 +357,16 @@ def test_max_closures_cap_leaves_state_running():
     m = Matrix((literals(0), literals((0, True), 1), literals((1, True), 2)), 3)
     full = solve(m)
     assert full.closure_count >= 2
-    capped = solve(m, max_closures=1)
-    assert capped.status is SearchStatus.RUNNING
-    assert capped.closure_count == 1
+    for cap in (1, 0):
+        capped = solve(m, max_closures=cap)
+        assert capped.status is SearchStatus.RUNNING
+        assert capped.closure_count == cap
+
+
+def test_negative_max_closures_is_refused():
+    m = Matrix((literals(0), literals((0, True), 1), literals((1, True), 2)), 3)
+    with pytest.raises(ValueError, match="max_closures must be >= 0 when given, got -1"):
+        solve(m, max_closures=-1)
 
 
 def test_total_paths_matches_math_prod():

@@ -88,9 +88,9 @@ def searched_by(timecost):
 
 @st.composite
 def open_dists(draw, remaining, floats=False):
-    """One to three distinct open counts with Fraction (or int 1) weights, or
+    """One to five distinct open counts with Fraction (or int 1) weights, or
     with float weights that sum to 1 only within rounding."""
-    counts = draw(st.lists(st.integers(1, remaining), min_size=1, max_size=3, unique=True))
+    counts = draw(st.lists(st.integers(1, remaining), min_size=1, max_size=5, unique=True))
     if len(counts) == 1 and draw(st.booleans()):
         return ((counts[0], 1),)
     raw = draw(st.lists(st.integers(1, 9), min_size=len(counts), max_size=len(counts)))
