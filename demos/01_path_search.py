@@ -8,9 +8,9 @@ is proved; one open path is a countermodel and disproves w.
 
 from proverb.matrix import (
     Matrix,
+    SearchState,
     SearchStatus,
     fraction_explored,
-    init_search,
     literals,
     solve,
     step_search,
@@ -41,7 +41,7 @@ def main():
     # two wide here: tails[c] of them, so the pruned count names the clause.
     n = matrix.n_clauses
     tails = [2 ** (n - c) for c in range(n + 1)]
-    state = init_search(matrix)
+    state = SearchState(matrix)
     while state.status is SearchStatus.RUNNING:
         before = state.closed
         step_search(state, 1)  # a budget of one path stops after one closure

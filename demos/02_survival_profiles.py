@@ -34,7 +34,7 @@ def main():
     for pct in (0, 1, 2, 5, 10, 20, 50):
         s = Fraction(pct, 100)
         surv = profile.curve.value(s)
-        num, den = profile.posterior_at(pct, 100)
+        num, den = profile.posterior_at(100, pct)
         print(f"  s={float(s):4.2f}  survival={float(surv):8.6f}  "
               f"posterior={num / den:8.6f}")
 

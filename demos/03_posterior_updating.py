@@ -48,7 +48,7 @@ def main():
     profile = collect(generate_corpus(config, 200))
     print(f"empirical curve from 200 instances (prior {float(profile.prior):.3f}):")
     for pct in (0, 1, 5, 10, 25):
-        num, den = profile.posterior_at(pct, 100)
+        num, den = profile.posterior_at(100, pct)
         print(f"  explored {pct / 100:5.2f} of the space  posterior {num / den:.6f}")
 
 

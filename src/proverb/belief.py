@@ -142,29 +142,25 @@ def context_mismatches(expected: ContextTag, actual: ContextTag) -> list[str]:
 class SurvivalCurve:
     """Nonincreasing step function s -> p(search passes fraction s unfound | not-w).
 
-    Built by ``from_samples(fractions)`` from the discovery fractions of the
-    satisfiable instances of a corpus; the value at ``s > 0`` is the strict
-    count ``#{fraction > s} / n``.  The value at exactly 0 is pinned to 1
-    (every search trivially begins unfound), which only matters when some
-    instance was discovered after zero closures.  Zero samples give the
-    constant-1 (uninformative) curve.
+    ``SurvivalCurve(fractions)`` takes the discovery fractions of the
+    satisfiable instances of a corpus, each in [0, 1), and keeps them
+    sorted; the value at ``s > 0`` is the strict count
+    ``#{fraction > s} / n``.  The value at exactly 0 is pinned to 1 (every
+    search trivially begins unfound), which only matters when some instance
+    was discovered after zero closures.  Zero samples give the constant-1
+    (uninformative) curve.  A curve defines no ``==``: compare two curves by
+    what ``survivors`` answers.
     """
 
     __slots__ = ("_samples", "_counts")
 
-    def __init__(self) -> None:
-        raise TypeError("use SurvivalCurve.from_samples")
-
-    @classmethod
-    def from_samples(cls, fractions: Iterable[Probability]) -> "SurvivalCurve":
+    def __init__(self, fractions: Iterable[Probability]) -> None:
         samples = sorted(Fraction(f) for f in fractions)
         for f in samples:
             if not 0 <= f < 1:
                 raise ValueError(f"discovery fraction {f} outside [0, 1)")
-        obj = object.__new__(cls)
-        obj._samples = samples
-        obj._counts = (None, ())
-        return obj
+        self._samples = samples
+        self._counts = (None, ())
 
     def value(self, s: Probability) -> Fraction:
         """Right-continuous evaluation at ``s`` in [0, 1]."""
@@ -192,13 +188,8 @@ class SurvivalCurve:
             self._counts = (total, counts)
         return n - bisect_right(counts, closed), n
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SurvivalCurve):
-            return NotImplemented
-        return self._samples == other._samples
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"SurvivalCurve.from_samples(<{len(self._samples)} fractions>)"
+        return f"SurvivalCurve(<{len(self._samples)} fractions>)"
 
 
 def probability_pair(

@@ -140,10 +140,10 @@ def _gen(args) -> int:
 
 
 def _prove(args) -> int:
-    from .matrix import SearchStatus, init_search, step_search
+    from .matrix import SearchState, SearchStatus, step_search
 
     matrix, _meta, _heuristic = _read_instance(args)
-    state = init_search(matrix)
+    state = SearchState(matrix)
     if state.status is SearchStatus.RUNNING:
         step_search(state, state.total if args.budget is None else args.budget)
 
@@ -219,7 +219,7 @@ def _decide(args) -> int:
 
         profile = load(args.profile)
         s = _parse_fraction(args.fraction)
-        post = Fraction(*profile.posterior_at(s.numerator, s.denominator))
+        post = Fraction(*profile.posterior_at(s.denominator, s.numerator))
     print(f"posterior: {float(post):.6f}")
     try:
         print(f"p*: {decision.threshold(utilities):.6f}")

@@ -21,9 +21,10 @@ never asking which source they hold:
 
 * ``posterior_at(total, closed)`` -- the posterior on the claim once
   ``closed`` of ``total`` paths are closed without an open one, as an exact
-  pair;
+  pair (``Profile.posterior_at`` takes the same order);
 * ``nevc_at(config, total, closed, post)`` -- the net expected value of
-  each candidate lookahead at that point, all priced in one call;
+  each of the config's ``lookaheads`` at that point, all priced in one
+  call (a myopic config's only candidate is its chunk);
 * ``describe()`` -- the JSON object the trace header records for the source.
 
 A misspecified analytic model can drive the posterior to 1 while the search
@@ -74,7 +75,7 @@ from .decision import (
     nevc_multi,
     nevc_two_outcome,
 )
-from .matrix import Matrix, SearchStatus, init_search, step_search
+from .matrix import Matrix, SearchState, SearchStatus, step_search
 from .profiles import Profile
 
 __all__ = [
@@ -182,7 +183,7 @@ class ProfileSource:
     profile: Profile
 
     def posterior_at(self, total: int, closed: int) -> tuple[int, int]:
-        return self.profile.posterior_at(closed, total)
+        return self.profile.posterior_at(total, closed)
 
     def nevc_at(
         self,
@@ -214,10 +215,11 @@ class ProfileSource:
 class ControllerConfig:
     """chunk size, utilities, time cost, belief source, candidate lookaheads.
 
-    ``lookaheads`` empty means myopic (the chunk itself is the only
-    candidate); entries are path counts or the string "full" (the whole
-    remaining space, resolved per step).  Candidates larger than the
-    remaining space are truncated to it.
+    ``lookaheads`` are path counts or the string "full" (the whole remaining
+    space, resolved per step); given empty, the config is myopic and stores
+    ``(chunk,)``, so ``lookaheads`` always names the candidates a run
+    prices and its trace records.  Candidates larger than the remaining
+    space are truncated to it.
     """
 
     chunk: int
@@ -236,15 +238,14 @@ class ControllerConfig:
                     raise ValueError(f"unknown lookahead {x!r}")
             elif not _positive(x):
                 raise ValueError("candidate lookaheads must be >= 1")
-
-    def candidates(self) -> tuple[int | str, ...]:
-        return self.lookaheads if self.lookaheads else (self.chunk,)
+        if not self.lookaheads:
+            object.__setattr__(self, "lookaheads", (self.chunk,))
 
     def lookahead_paths(self, remaining: int) -> list[int]:
         """The candidates in paths, each truncated to ``remaining``."""
         return [
             remaining if cand == FULL_LOOKAHEAD else min(cand, remaining)
-            for cand in self.candidates()
+            for cand in self.lookaheads
         ]
 
 
@@ -322,7 +323,7 @@ def _check_scoreable(config: ControllerConfig, total: int) -> None:
 def run(matrix: Matrix, config: ControllerConfig) -> DecisionTrace:
     """Deliberate over one matrix until proof, worthlessness, or deadline."""
     wall_started = time.perf_counter()
-    state = init_search(matrix)
+    state = SearchState(matrix)
     total = state.total
     _check_scoreable(config, total)
     steps: list[TraceStep] = []
@@ -341,7 +342,7 @@ def run(matrix: Matrix, config: ControllerConfig) -> DecisionTrace:
     return DecisionTrace(
         total=total,
         chunk=config.chunk,
-        lookaheads=config.candidates(),
+        lookaheads=config.lookaheads,
         source_desc=config.source.describe(),
         utility_spec=format_utility_spec(config.utilities, config.timecost),
         steps=steps,

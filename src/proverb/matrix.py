@@ -31,7 +31,6 @@ __all__ = [
     "SearchState",
     "InvalidStateError",
     "total_paths",
-    "init_search",
     "step_search",
     "solve",
     "fraction_explored",
@@ -113,7 +112,9 @@ class SearchStatus(Enum):
 class SearchState:
     """Resumable cursor into the depth-first walk of one matrix's path tree.
 
-    Single-owner and mutated in place by :func:`step_search`.  Public fields:
+    ``SearchState(matrix)`` starts a fresh walk, terminal at once when the
+    matrix has an empty clause or no clauses.  Single-owner and mutated in
+    place by :func:`step_search`.  Public fields:
 
     ``matrix``         the matrix being searched (unchanged)
     ``closed``         exact count of complete paths pruned so far
@@ -130,8 +131,7 @@ class SearchState:
         "status",
         "witness",
         "closure_count",
-        "_lits",
-        "_tails",
+        "_levels",
         "_on_path",
         "_stack",
         "_cursor",
@@ -140,18 +140,18 @@ class SearchState:
     def __init__(self, matrix: Matrix) -> None:
         self.matrix = matrix
         n = matrix.n_clauses
-        # Literal codes: 2 * symbol + negated, so a literal's complement is
+        # Per depth: the clause's literal codes, its width, and the paths one
+        # closure there prunes (every completion through the later clauses).
+        # A code is 2 * symbol + negated, so a literal's complement is
         # code ^ 1 and _on_path[code] counts its occurrences on the subpath.
-        self._lits = [
-            [2 * lit.symbol_id + lit.negated for lit in cl] for cl in matrix.clauses
-        ]
-        # _tails[d] = number of complete paths below one node at depth d,
-        # i.e. the product of clause widths from clause d (0-based) on.
-        tails = [1] * (n + 1)
-        for i in range(n - 1, -1, -1):
-            tails[i] = tails[i + 1] * len(self._lits[i])
-        self._tails = tails
-        self.total = tails[0]
+        levels = []
+        below = 1
+        for cl in reversed(matrix.clauses):
+            levels.append(([2 * lit.symbol_id + lit.negated for lit in cl], len(cl), below))
+            below *= len(cl)
+        levels.reverse()
+        self._levels = levels
+        self.total = below
         self.closed = 0
         self.closure_count = 0
         self.witness: tuple[Literal, ...] | None = None
@@ -184,11 +184,6 @@ def total_paths(matrix: Matrix) -> int:
     return math.prod(len(cl) for cl in matrix.clauses)
 
 
-def init_search(matrix: Matrix) -> SearchState:
-    """Fresh search state; terminal immediately for degenerate matrices."""
-    return SearchState(matrix)
-
-
 def step_search(
     state: SearchState, budget: int, *, event_cap: int | None = None
 ) -> None:
@@ -217,14 +212,10 @@ def step_search(
     if event_cap is not None and event_cap < 1:
         raise ValueError("event_cap must be >= 1 when given")
 
-    clauses = state._lits
-    tails = state._tails
+    levels = state._levels
     on_path = state._on_path
     stack = state._stack
-    n = len(clauses)
-    # Per depth: the clause's literal codes, its width, and the paths pruned
-    # by one closure there (every completion through the later clauses).
-    levels = list(zip(clauses, map(len, clauses), tails[1:]))
+    n = len(levels)
     total = state.total
     cursor = state._cursor
     closed = state.closed
@@ -292,7 +283,7 @@ def solve(matrix: Matrix, *, max_closures: int | None = None) -> SearchState:
     """
     if max_closures is not None and max_closures < 0:
         raise ValueError(f"max_closures must be >= 0 when given, got {max_closures}")
-    state = init_search(matrix)
+    state = SearchState(matrix)
     # A budget of the whole space stops only at termination or at the cap.
     if state.status is SearchStatus.RUNNING and max_closures != 0:
         step_search(state, state.total, event_cap=max_closures)

@@ -110,13 +110,16 @@ class Profile:
             raise ValueError("excluded count must be >= 0")
         unsat = sum(not r.satisfiable for r in self.records)
         self.prior = Fraction(unsat, len(self.records))
-        self.curve = SurvivalCurve.from_samples(
+        self.curve = SurvivalCurve(
             r.discovery_fraction for r in self.records if r.satisfiable
         )
 
-    def posterior_at(self, closed: int, total: int) -> tuple[int, int]:
+    def posterior_at(self, total: int, closed: int) -> tuple[int, int]:
         """Posterior of the claim once ``closed`` of ``total`` paths are
-        searched without an open one, as an exact pair (0 <= closed <= total)."""
+        searched without an open one, as an exact pair.  The order is the
+        belief sources' own; ``closed`` outside [0, total] is refused."""
+        if not 0 <= closed <= total:
+            raise ValueError(f"closed {closed} outside [0, total {total}]")
         return posterior(self.prior, self.curve.survivors(closed, total))
 
 
@@ -153,6 +156,8 @@ def collect(
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
+    if step_cap is not None and step_cap < 0:
+        raise ValueError(f"step_cap must be >= 0 when given, got {step_cap}")
     if not corpus:
         raise ValueError("corpus is empty")
     work = [(i, m, heuristic, step_cap) for i, m in enumerate(corpus)]

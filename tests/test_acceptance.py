@@ -36,8 +36,8 @@ from proverb.decision import (
 from proverb.generator import GeneratorConfig, generate, generate_corpus
 from proverb.heuristics import presort
 from proverb.matrix import (
+    SearchState,
     SearchStatus,
-    init_search,
     solve,
     step_search,
 )
@@ -121,7 +121,7 @@ def test_criterion_04_closure_conservation(mixed_corpus):
                 tails[idx] = math.prod(lengths[idx:])
             reference = reference_closures(matrix)
             taken = reference_closed = 0
-            state = init_search(matrix)
+            state = SearchState(matrix)
             budget = max(1, state.total // 7)
             while state.status is SearchStatus.RUNNING:
                 step_search(state, budget)
@@ -234,7 +234,7 @@ def test_criterion_08_cost_pressure_stops_earlier():
     with criterion(8, "stop fraction falls as the linear rate rises; deadline 0 stops at once"):
         matrix = generate(GeneratorConfig(10, 2, 4, seed=5))
         assert solve(matrix).status is SearchStatus.EXHAUSTED
-        total = init_search(matrix).total
+        total = SearchState(matrix).total
         fractions = []
         for rate in (0.0, 0.01, 0.1, 1.0):
             config = ControllerConfig(

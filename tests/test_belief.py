@@ -148,6 +148,10 @@ def test_mixture_validation():
         AnalyticModel(4, {5: Fraction(1)}).survival(1)
     with pytest.raises(ModelError):
         AnalyticModel(4, {1: Fraction(1, 2)}).survival(1)  # sums to 1/2
+    with pytest.raises(ModelError, match="must be >= 0"):
+        AnalyticModel(4, {1: Fraction(3, 2), 2: Fraction(-1, 2)})
+    with pytest.raises(ModelError, match="sums to 0.9, not 1"):
+        AnalyticModel(4, {1: 0.5, 2: 0.4})  # float weights, beyond FLOAT_TOL
     assert Fraction(*AnalyticModel(4, {1: 0.5, 2: 0.5}).survival(2)) == pytest.approx(1 / 3)
 
 
@@ -271,8 +275,8 @@ def test_first_open_mean_full_support_is_expectation():
 # --- survival curves ---------------------------------------------------------
 
 
-def test_curve_from_samples_counts_strictly_later_discoveries():
-    curve = SurvivalCurve.from_samples(
+def test_curve_counts_strictly_later_discoveries():
+    curve = SurvivalCurve(
         [Fraction(1, 10), Fraction(1, 5), Fraction(1, 5), Fraction(2, 5)]
     )
     assert curve.value(Fraction(0)) == 1
@@ -282,32 +286,33 @@ def test_curve_from_samples_counts_strictly_later_discoveries():
     assert curve.value(Fraction(1, 2)) == 0
     assert curve.value(1) == 0
     # All four samples are kept, the tied pair included, in any input order.
-    assert curve == SurvivalCurve.from_samples(
+    shuffled = SurvivalCurve(
         [Fraction(2, 5), Fraction(1, 5), Fraction(1, 10), Fraction(1, 5)]
     )
-    assert curve != SurvivalCurve.from_samples(
-        [Fraction(1, 10), Fraction(1, 5), Fraction(2, 5)]
-    )
+    untied = SurvivalCurve([Fraction(1, 10), Fraction(1, 5), Fraction(2, 5)])
+    grid = range(11)  # closed counts of a 10-path space
+    assert [shuffled.survivors(c, 10) for c in grid] == [curve.survivors(c, 10) for c in grid]
+    assert [untied.survivors(c, 10) for c in grid] != [curve.survivors(c, 10) for c in grid]
 
 
 def test_curve_value_zero_is_pinned_to_one():
-    curve = SurvivalCurve.from_samples([Fraction(0)])
+    curve = SurvivalCurve([Fraction(0)])
     # A discovery logged at fraction 0 still cannot lower the s=0 value.
     assert curve.value(Fraction(0)) == 1
     assert curve.value(Fraction(1, 1000)) == 0
 
 
 def test_empty_curve_is_uninformative():
-    curve = SurvivalCurve.from_samples([])
+    curve = SurvivalCurve([])
     for s in (Fraction(0), Fraction(1, 2), Fraction(1)):
         assert curve.value(s) == 1
-    assert curve != SurvivalCurve.from_samples([Fraction(1, 2)])
+    assert curve.survivors(1, 2) != SurvivalCurve([Fraction(1, 2)]).survivors(1, 2)
 
 
 def test_curve_is_nonincreasing_and_right_continuous():
     rng = random.Random(12)
     samples = [Fraction(rng.randint(0, 99), 100) for _ in range(30)]
-    curve = SurvivalCurve.from_samples(samples)
+    curve = SurvivalCurve(samples)
     grid = [Fraction(k, 200) for k in range(201)]
     values = [curve.value(s) for s in grid]
     for earlier, later in zip(values, values[1:]):
@@ -320,7 +325,7 @@ def test_curve_is_nonincreasing_and_right_continuous():
 def test_curve_value_matches_the_fraction_bisect():
     rng = random.Random(3)
     samples = [Fraction(rng.randint(0, 59), 60) for _ in range(25)] + [Fraction(0)]
-    curve = SurvivalCurve.from_samples(samples)
+    curve = SurvivalCurve(samples)
     grid = [Fraction(k, d) for d in (7, 60, 97) for k in range(d + 1)]
     for s in grid + [0.25, 0.5, 1e-9, 1.0]:
         assert curve.value(s) == fraction_curve_value(samples, s)
@@ -328,13 +333,13 @@ def test_curve_value_matches_the_fraction_bisect():
 
 def test_curve_sample_validation():
     with pytest.raises(ValueError):
-        SurvivalCurve.from_samples([Fraction(1)])  # discovery at 1 impossible
+        SurvivalCurve([Fraction(1)])  # discovery at 1 impossible
     with pytest.raises(ValueError):
-        SurvivalCurve.from_samples([Fraction(-1, 2)])
+        SurvivalCurve([Fraction(-1, 2)])
 
 
 def test_curve_value_range_check():
-    curve = SurvivalCurve.from_samples([Fraction(1, 2)])
+    curve = SurvivalCurve([Fraction(1, 2)])
     with pytest.raises(ValueError):
         curve.value(Fraction(3, 2))
 
@@ -342,7 +347,7 @@ def test_curve_value_range_check():
 def test_posterior_along_curve_never_decreases():
     rng = random.Random(5)
     samples = [Fraction(rng.randint(0, 49), 50) for _ in range(25)]
-    curve = SurvivalCurve.from_samples(samples)
+    curve = SurvivalCurve(samples)
     prior = Fraction(3, 10)
     posts = [
         Fraction(*posterior(prior, curve.value(Fraction(k, 100))))

@@ -220,7 +220,7 @@ def test_decide_from_profile(tmp_path, capsys):
     )
     assert code == 0
     out = capsys.readouterr().out
-    num, den = load(prof_path).posterior_at(1, 2)
+    num, den = load(prof_path).posterior_at(2, 1)
     want = num / den
     got = float(out.splitlines()[0].split()[1])
     assert got == pytest.approx(want, abs=1e-6)
@@ -699,7 +699,7 @@ def test_decide_refuses_utilities_it_cannot_score(capsys):
         (
             ("profile", "--clauses", "6", "--lits", "2", "--alphabet", "3", "--seed", "1",
              "--count", "2", "--step-cap", "-1", "--out", "{out}"),
-            "max_closures must be >= 0 when given, got -1",
+            "step_cap must be >= 0 when given, got -1",
         ),
         # A flag of an input form not chosen, or a form given incomplete.
         *(

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from proverb import controller
-from proverb.belief import ContextTag
+from proverb.belief import ContextTag, rational_to_json
 from proverb.controller import (
     AnalyticSource,
     ControllerConfig,
@@ -25,7 +25,7 @@ from proverb.controller import (
 from proverb.decision import TimeCost, UtilityModel, ZERO_COST, best_action, format_utility_spec
 from proverb.generator import GeneratorConfig, generate, generate_corpus
 from proverb.matrix import Matrix, literals, solve, total_paths, SearchStatus
-from proverb.profiles import collect
+from proverb.profiles import InstanceRecord, Profile, collect
 
 ACT = UtilityModel.from_pairs({"act_w": (1.0, 0.0), "act_not_w": (0.0, 1.0)})
 HALF = AnalyticSource(Fraction(1, 2), 1)
@@ -46,6 +46,8 @@ def test_config_validation():
         analytic_config(lookaheads=(0,))
     with pytest.raises(ValueError):
         analytic_config(lookaheads=("sideways",))
+    with pytest.raises(ValueError, match=r"prior 3/2 outside \[0, 1\]"):
+        AnalyticSource(Fraction(3, 2), 1)
     # Each of these ran, and load_trace refused the trace it wrote (or, for
     # chunk=2.5, the search died mid-run).
     for kw, error in [
@@ -56,8 +58,8 @@ def test_config_validation():
     ]:
         with pytest.raises(ValueError, match=error):
             analytic_config(**kw)
-    assert analytic_config(lookaheads=(3, "full")).candidates() == (3, "full")
-    assert analytic_config(chunk=7).candidates() == (7,)
+    assert analytic_config(lookaheads=(3, "full")).lookaheads == (3, "full")
+    assert analytic_config(chunk=7).lookaheads == (7,)
 
 
 def test_unsat_matrix_proves_the_claim():
@@ -247,6 +249,21 @@ def test_profile_source_run(tmp_path):
     assert report.ok, report.message
 
 
+def test_profile_and_its_source_read_total_then_closed():
+    # Prior 1/4; after 20 of 100 paths two of the three discoveries remain.
+    records = [InstanceRecord(0, False, Fraction(1), 1)] + [
+        InstanceRecord(i, True, f, 1)
+        for i, f in enumerate((Fraction(1, 10), Fraction(1, 2), Fraction(3, 4)), start=1)
+    ]
+    profile = Profile(ContextTag(), records)
+    assert Fraction(*ProfileSource(profile).posterior_at(100, 20)) == Fraction(1, 3)
+    assert Fraction(*profile.posterior_at(100, 20)) == Fraction(1, 3)
+    # The closed count first, as this reader once took it, is refused.
+    for total, closed in [(20, 100), (100, -1)]:
+        with pytest.raises(ValueError, match=r"outside \[0, total"):
+            profile.posterior_at(total, closed)
+
+
 def test_posteriors_rise_while_search_survives():
     m = Matrix(
         tuple(literals((i % 4, bool(i % 2))) for i in range(1)) * 0
@@ -403,6 +420,52 @@ def first_step_dropped(trace, rows):
         row["step"] = k
 
 
+def time_nudged(trace, rows):
+    rows[2]["t"] += 1e-6
+
+
+def second_value_nudged(trace, rows):
+    rows[2]["nevc"][1] += 1e-6
+
+
+def action_swapped(trace, rows):
+    rows[-1]["action"] = "act_w" if rows[-1]["action"] == "act_not_w" else "act_not_w"
+
+
+def eu_nudged(trace, rows):
+    rows[-1]["eu"] += 1e-6
+
+
+def fraction_between_paths(trace, rows):
+    # Still rising and inside [0, 1), but half a path past a whole count.
+    middle = rows[len(rows) // 2]
+    moved = Fraction(middle["fraction"]["num"], middle["fraction"]["den"])
+    middle["fraction"] = rational_to_json(moved + Fraction(1, 2 * trace.total))
+
+
+def profile_header(trace, rows):
+    rows[0]["source"] = {"kind": "profile"}
+
+
+def oracle_header(trace, rows):
+    rows[0]["source"] = {"kind": "oracle"}
+
+
+def replay_tampered(tmp_path, tamper):
+    """The replay of a stopped run's trace once ``tamper`` has edited its rows."""
+    trace = run(generate(GeneratorConfig(8, 2, 4, seed=10)), stopped_config())
+    assert trace.stop_reason is StopReason.NONPOSITIVE_EVC
+    assert len(trace.steps) >= 3
+    path = tmp_path / "trace.jsonl"
+    save_trace(trace, path)
+    rows = [json.loads(line) for line in path.read_text().splitlines()]
+    tamper(trace, rows)
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    return replay(
+        load_trace(path), utilities=ACT, timecost=STOP_COST, analytic=THREE_OPEN
+    )
+
+
 @pytest.mark.parametrize(
     "tamper, field",
     [
@@ -413,22 +476,25 @@ def first_step_dropped(trace, rows):
         (last_step_at_the_end, "fraction"),
         (final_moved, "posterior"),
         (first_step_dropped, "fraction"),
+        (time_nudged, "t"),
+        (second_value_nudged, "nevc[1]"),
+        (action_swapped, "action"),
+        (eu_nudged, "eu"),
+        (fraction_between_paths, "fraction"),
     ],
 )
 def test_replay_rejects_a_trace_run_could_not_write(tmp_path, tamper, field):
-    trace = run(generate(GeneratorConfig(8, 2, 4, seed=10)), stopped_config())
-    assert trace.stop_reason is StopReason.NONPOSITIVE_EVC
-    assert len(trace.steps) >= 3
-    path = tmp_path / "trace.jsonl"
-    save_trace(trace, path)
-    rows = [json.loads(line) for line in path.read_text().splitlines()]
-    tamper(trace, rows)
-    path.write_text("".join(json.dumps(row) + "\n" for row in rows))
-    report = replay(
-        load_trace(path), utilities=ACT, timecost=STOP_COST, analytic=THREE_OPEN
-    )
+    report = replay_tampered(tmp_path, tamper)
     assert report.kind == "inconsistency", report.message
     assert report.field == field
+
+
+def test_replay_asks_for_the_source_its_header_names(tmp_path):
+    report = replay_tampered(tmp_path, profile_header)
+    assert report.kind == "parameter_mismatch"
+    assert "pass profile=" in report.message
+    with pytest.raises(MalformedTraceError, match="unknown source kind 'oracle'"):
+        replay_tampered(tmp_path, oracle_header)
 
 
 def test_replay_accepts_a_deadline_stop(tmp_path):

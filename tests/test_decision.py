@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from oracles import first_open_pmf, fraction_survival, nevc_one, one_chunk, one_lookahead
-from proverb.belief import AnalyticModel
+from proverb.belief import AnalyticModel, ModelError
 from proverb.decision import (
     CostKind,
     DominanceError,
@@ -84,6 +84,8 @@ def test_best_action_worked_values():
 def test_best_action_with_linear_cost():
     cost = TimeCost.linear(0.1)
     assert best_action(0.6, ACT, cost, t=2.0) == ("act_w", pytest.approx(0.4))
+    with pytest.raises(ValueError, match="t must be >= 0"):
+        best_action(0.6, ACT, cost, t=-1.0)
 
 
 def test_best_action_tie_takes_lowest_index():
@@ -281,6 +283,9 @@ def test_nevc_multi_lookahead_validation():
         one_lookahead(1.5, 3, ((1, 1),), ACT)
     with pytest.raises(ValueError):
         one_lookahead(-0.1, 3, ((1, 1),), ACT)
+    # All four paths open, yet one searched path closed: no count survives.
+    with pytest.raises(ModelError, match="no open count fits the 3 remaining paths"):
+        nevc_multi(0.5, AnalyticModel(4, 4), 1, ACT, ZERO_COST, (1,))
     # At certainty the remaining-paths cap does not apply: pure delay value.
     assert one_lookahead(1.0, 3, ((1, 1),), ACT, lookahead=9) == 0.0
 

@@ -45,6 +45,8 @@ def test_instance_seed_spreads_indices():
     assert len(seeds) == 100
     assert instance_seed(7, 0) == instance_seed(7, 0)
     assert instance_seed(7, 0) != instance_seed(8, 0)
+    with pytest.raises(ValueError, match="index must be >= 0"):
+        instance_seed(1, -1)
 
 
 def test_config_validation():

@@ -15,9 +15,9 @@ from proverb.matrix import (
     InvalidStateError,
     Literal,
     Matrix,
+    SearchState,
     SearchStatus,
     fraction_explored,
-    init_search,
     literals,
     solve,
     step_search,
@@ -75,6 +75,8 @@ def test_matrix_validation():
         Matrix((literals(3),), 3)  # symbol 3 needs alphabet >= 4
     with pytest.raises(ValueError):
         Matrix((), -1)
+    with pytest.raises(TypeError, match="not a Literal: 1"):
+        Matrix(((Literal(0), 1),), 2)
     m = Matrix([literals(0), literals(1)], 2)
     assert isinstance(m.clauses, tuple)
     assert m.n_clauses == 2
@@ -113,7 +115,7 @@ def test_fraction_after_first_closure_of_nine_paths():
         (literals(0, 1, 2), literals((0, True), 3, 4)),
         5,
     )
-    state = init_search(m)
+    state = SearchState(m)
     step_search(state, 1)
     assert state.total == 9
     assert (state.closed, state.closure_count) == (1, 1)
@@ -154,9 +156,11 @@ def test_tautological_clause_keeps_paths_open():
 
 
 def test_step_budget_validation():
-    state = init_search(Matrix((literals(0, 1),), 2))
+    state = SearchState(Matrix((literals(0, 1),), 2))
     with pytest.raises(ValueError):
         step_search(state, 0)
+    with pytest.raises(ValueError, match="event_cap must be >= 1 when given"):
+        step_search(state, 1, event_cap=0)
 
 
 def test_stepping_terminal_state_raises():
@@ -170,7 +174,7 @@ def test_single_closure_may_overshoot_budget():
     clauses = [literals(0, 1, 2), literals((0, True), 1, 2)]
     clauses += [literals(3, 4, 5)] * 5
     m = Matrix(clauses, 6)
-    state = init_search(m)
+    state = SearchState(m)
     step_search(state, 5)
     assert state.closure_count == 1
     assert state.closed == 3**5
@@ -179,7 +183,7 @@ def test_single_closure_may_overshoot_budget():
 
 def test_event_cap_pauses_before_budget():
     m = Matrix((literals(0), literals((0, True), 1), literals((1, True), 2)), 3)
-    state = init_search(m)
+    state = SearchState(m)
     step_search(state, state.total, event_cap=1)
     assert state.closure_count == 1
     assert state.closed < state.total
@@ -191,7 +195,7 @@ def test_cumulative_closed_matches_running_total():
     m = generate(config)
     reference = [pruned for _clause, pruned in reference_closures(m)]
     running_total = list(itertools.accumulate(reference, initial=0))
-    state = init_search(m)
+    state = SearchState(m)
     while state.status is SearchStatus.RUNNING:
         step_search(state, 3)
         assert state.closed == running_total[state.closure_count]
@@ -218,7 +222,7 @@ def test_closure_conservation_on_random_matrices():
     rng = random.Random(0xC0FFEE)
     for _ in range(60):
         m = random_matrix(rng, rng.randint(1, 6), 3, rng.randint(1, 5))
-        state = init_search(m)
+        state = SearchState(m)
         while state.status is SearchStatus.RUNNING:
             before = state.closed
             step_search(state, 7)
@@ -240,7 +244,7 @@ def deep_unsat_state():
     """
     wide = literals(2, 3, 4)
     m = Matrix((literals(0, 1), literals((0, True)), literals((1, True))) + (wide,) * 7, 5)
-    state = init_search(m)
+    state = SearchState(m)
     step_search(state, 1)
     assert (state.status, state.closed, state.total) == (SearchStatus.RUNNING, 3**7, 2 * 3**7)
     return state
@@ -268,7 +272,7 @@ def test_search_memory_follows_the_symbols_used():
     matrix, _meta = parse_dimacs("p cnf 1000000 1\n1 0\n")
     tracemalloc.start()
     try:
-        state = init_search(matrix)
+        state = SearchState(matrix)
         step_search(state, 1)
         _current, peak = tracemalloc.get_traced_memory()
     finally:
@@ -324,7 +328,7 @@ def test_search_is_deterministic_under_any_budget_split():
     running_total = list(itertools.accumulate(reference, initial=0))
 
     def run(budget):
-        state = init_search(m)
+        state = SearchState(m)
         while state.status is SearchStatus.RUNNING:
             step_search(state, budget)
             assert state.closed == running_total[state.closure_count]
@@ -382,7 +386,7 @@ def test_unsatisfiable_space_beyond_64_bits_is_counted_exactly():
     tail = [literals(1, 2, 3)] * 45
     m = Matrix((literals(0), literals((0, True)), *tail), 4)
     assert total_paths(m) == 3**45 > 2**64
-    state = init_search(m)
+    state = SearchState(m)
     step_search(state, 1)
     assert state.status is SearchStatus.EXHAUSTED
     assert state.closed == state.total == 3**45
@@ -394,7 +398,7 @@ def test_unsatisfiable_space_beyond_64_bits_is_counted_exactly():
     m = Matrix((literals(0, 0), literals(*[(0, True)] * 3), *tail), 4)
     assert total_paths(m) == 6 * 3**45
     for budget in (3**45, 3**45 - 1):
-        state = init_search(m)
+        state = SearchState(m)
         for k in range(1, 7):
             step_search(state, budget)
             assert state.closure_count == k
@@ -403,7 +407,7 @@ def test_unsatisfiable_space_beyond_64_bits_is_counted_exactly():
             assert state.status is (
                 SearchStatus.EXHAUSTED if k == 6 else SearchStatus.RUNNING
             )
-    state = init_search(m)
+    state = SearchState(m)
     step_search(state, 2 * 3**45 + 1)
     assert (state.closure_count, state.closed) == (3, 3 * 3**45)
     step_search(state, 2 * 3**45 + 1)
@@ -423,7 +427,7 @@ def test_satisfiable_space_beyond_64_bits_finds_its_last_path():
     running_total = list(itertools.accumulate(reference, initial=0))
     assert len(reference) == 91
     for budget in (1, 3**43, 3**45, total):
-        state = init_search(m)
+        state = SearchState(m)
         while state.status is SearchStatus.RUNNING:
             step_search(state, budget)
             assert state.closed == running_total[state.closure_count]

@@ -59,6 +59,8 @@ def test_profile_prior_is_the_records_unsat_share():
 def test_profile_needs_records():
     with pytest.raises(ValueError):
         Profile(ContextTag(), ())
+    with pytest.raises(ValueError, match="excluded count must be >= 0"):
+        Profile(ContextTag(), (InstanceRecord(0, False, Fraction(1), 1),), excluded=-1)
 
 
 def test_hand_profile_statistics():
@@ -69,9 +71,9 @@ def test_hand_profile_statistics():
     assert profile.curve.value(Fraction(3, 10)) == Fraction(1, 4)
     assert profile.curve.value(Fraction(1, 2)) == 0
     # Surviving past every recorded discovery leaves only exhaustion.
-    assert Fraction(*profile.posterior_at(1, 2)) == 1
-    assert Fraction(*profile.posterior_at(0, 1)) == Fraction(3, 5)
-    assert Fraction(*profile.posterior_at(3, 20)) == Fraction(
+    assert Fraction(*profile.posterior_at(2, 1)) == 1
+    assert Fraction(*profile.posterior_at(1, 0)) == Fraction(3, 5)
+    assert Fraction(*profile.posterior_at(20, 3)) == Fraction(
         Fraction(3, 5), Fraction(3, 5) + Fraction(3, 4) * Fraction(2, 5)
     )
 
@@ -79,9 +81,9 @@ def test_hand_profile_statistics():
 def test_all_unsat_profile_has_constant_curve():
     records = tuple(InstanceRecord(i, False, Fraction(1), 2) for i in range(5))
     profile = Profile(ContextTag(), records)
-    assert profile.curve == SurvivalCurve.from_samples([])
+    assert profile.curve.survivors(1, 2) == SurvivalCurve([]).survivors(1, 2) == (1, 1)
     assert profile.curve.value(Fraction(1, 2)) == 1
-    assert Fraction(*profile.posterior_at(9, 10)) == 1
+    assert Fraction(*profile.posterior_at(10, 9)) == 1
 
 
 def test_found_immediately_profile():
@@ -93,8 +95,8 @@ def test_found_immediately_profile():
     )
     profile = Profile(ContextTag(), records)
     assert profile.curve.value(Fraction(1, 100)) == 0
-    assert Fraction(*profile.posterior_at(1, 100)) == 1
-    assert Fraction(*profile.posterior_at(0, 100)) == Fraction(1, 2)
+    assert Fraction(*profile.posterior_at(100, 1)) == 1
+    assert Fraction(*profile.posterior_at(100, 0)) == Fraction(1, 2)
 
 
 @pytest.mark.parametrize(
@@ -116,7 +118,7 @@ def test_posterior_at_equals_the_fraction_reader(sat_fractions, unsat):
             s = Fraction(p, q)
             old_reader = Fraction(*posterior(profile.prior, profile.curve.value(s)))
             oracle = fraction_posterior(profile.prior, fraction_curve_value(sat_fractions, s))
-            assert Fraction(*profile.posterior_at(p, q)) == old_reader == oracle
+            assert Fraction(*profile.posterior_at(q, p)) == old_reader == oracle
 
 
 # --- collection --------------------------------------------------------------
@@ -187,7 +189,8 @@ def test_save_load_round_trip(tmp_path):
     save(profile, path)
     loaded = load(path)
     assert loaded == profile
-    assert loaded.curve == profile.curve
+    grid = range(11)  # closed counts of a 10-path space
+    assert [loaded.curve.survivors(c, 10) for c in grid] == [profile.curve.survivors(c, 10) for c in grid]
     assert loaded.context == profile.context
     assert loaded.excluded == profile.excluded
 
