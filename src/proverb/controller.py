@@ -34,17 +34,25 @@ the honest reading of the model it was given.
 Every run yields a ``DecisionTrace``; ``save_trace``/``load_trace`` move it
 through JSON lines and ``replay`` re-derives every recorded quantity from
 the fractions alone, reporting the first divergence if any.  It also checks
-the numbering (0, 1, 2, ...), that step 0 sits at fraction 0, and each
-step's stop verdict: no step may follow a verdict, and the recorded stop
-reason must be the last verdict, or a proof when there is none.  The final
-record's posterior and model time must be where the run stopped: the last
-step's after a verdict, 1 and ``total * tau`` after ``proof_of_w``, 0 and no
-earlier than the last step after ``proof_of_not_w``.  Wall-clock time is
-recorded as advisory and never checked.  Model time is ``closed * tau``,
-exact and rounded once (``TimeCost.time_of``), so replay reproduces it bit
-for bit.  Before any search, ``run`` and ``replay`` refuse a path space
-whose utilities the clock cannot score: a full search's model time beyond
-float's range, or utilities over the run that span beyond it.
+the numbering (0, 1, 2, ...) and each step's stop verdict: no step may
+follow a verdict, and the recorded stop reason must be the last verdict, or
+a proof when there is none.  Every closed count it reads must be one the
+last chunk could reach, the one rule ``run`` follows: after a step at ``c``
+the chunk is ``b = min(chunk, total - c)`` (``_deliberate`` returns it), the
+next step lies at a whole count in ``[c + b, total - 1]``, a disproof at a
+count in ``[c, c + b - 1]``, so at a model time in ``[time_of(c),
+time_of(c + b - 1)]``, and a proof of w at ``total``.  The first step lies
+at 0; a trace with no step stopped before any search, by ``proof_of_w`` on a
+0-path space or ``proof_of_not_w`` on the 1-path empty matrix, at time 0.
+The final record's posterior and model time must be where the run stopped:
+the last step's after a verdict, 1 and ``time_of(total)`` after
+``proof_of_w``, 0 and a time in reach after ``proof_of_not_w``.  Wall-clock
+time is recorded as advisory: ``load_trace`` requires a finite number and
+replay never reads it.  Model time is ``closed * tau``, exact and rounded
+once (``TimeCost.time_of``), so replay reproduces it bit for bit.  Before
+any search, ``run`` and ``replay`` refuse a path space whose utilities the
+clock cannot score: a full search's model time beyond float's range, or
+utilities over the run that span beyond it.
 """
 
 from __future__ import annotations
@@ -278,12 +286,13 @@ class DecisionTrace:
 
 def _deliberate(
     config: ControllerConfig, total: int, closed: int
-) -> tuple[float, tuple[float, ...], float, StopReason | None]:
+) -> tuple[float, tuple[float, ...], float, StopReason | None, int]:
     """The stop rule at one step, ``closed`` of ``total`` paths closed.
 
     Returns the posterior, the candidate values (empty when the deadline
-    forces the stop), the model time ``closed * tau``, and the verdict:
-    ``DEADLINE_FORCED``, ``NONPOSITIVE_EVC``, or None to search on.  The
+    forces the stop), the model time ``closed * tau``, the verdict:
+    ``DEADLINE_FORCED``, ``NONPOSITIVE_EVC``, or None to search on; and the
+    chunk the next search takes, truncated to the paths left.  The
     posterior reaches the pricing as its exact pair and comes back as the
     float of that pair.
     """
@@ -291,10 +300,10 @@ def _deliberate(
     post = config.source.posterior_at(total, closed)
     chunk = min(config.chunk, total - closed)
     if config.timecost.paths_in_time(closed, chunk) < chunk:
-        return post[0] / post[1], (), t_now, StopReason.DEADLINE_FORCED
+        return post[0] / post[1], (), t_now, StopReason.DEADLINE_FORCED, chunk
     nevcs = config.source.nevc_at(config, total, closed, post)
     verdict = StopReason.NONPOSITIVE_EVC if max(nevcs) <= 0 else None
-    return post[0] / post[1], nevcs, t_now, verdict
+    return post[0] / post[1], nevcs, t_now, verdict, chunk
 
 
 def _check_scoreable(config: ControllerConfig, total: int) -> None:
@@ -330,10 +339,10 @@ def run(matrix: Matrix, config: ControllerConfig) -> DecisionTrace:
     verdict = None
     while verdict is None and state.status is SearchStatus.RUNNING:
         closed = state.closed
-        post, nevcs, t_now, verdict = _deliberate(config, total, closed)
+        post, nevcs, t_now, verdict, chunk = _deliberate(config, total, closed)
         steps.append(TraceStep(len(steps), Fraction(closed, total), post, nevcs, t_now))
         if verdict is None:
-            step_search(state, min(config.chunk, total - closed))
+            step_search(state, chunk)
     if verdict is None:  # the search ended in a proof
         proved = state.status is SearchStatus.EXHAUSTED
         verdict = StopReason.PROOF_OF_W if proved else StopReason.PROOF_OF_NOT_W
@@ -461,6 +470,9 @@ def load_trace(path: str | Path) -> DecisionTrace:
     _, total, chunk, lookaheads, source, spec = _fields(*rows[0], "header")
     body = [_fields(*row, "step") for row in rows[1:-1]]
     reason, action, *final = _fields(*rows[-1], "final")
+    lineno, wall_time = rows[-1][0], rows[-1][1].get("wall_time", 0.0)
+    if not _number(wall_time):  # advisory, but finite like every number
+        raise MalformedTraceError(f"line {lineno}: bad final wall_time {wall_time!r}")
     try:
         steps = [
             TraceStep(
@@ -473,7 +485,7 @@ def load_trace(path: str | Path) -> DecisionTrace:
             for step, fraction, post, nevc, t in body
         ]
         reason = StopReason(reason)
-        eu, post, t, wall_time = map(float, final + [rows[-1][1].get("wall_time", 0.0)])
+        eu, post, t, wall_time = map(float, final + [wall_time])
     except (OverflowError, TypeError, ValueError) as exc:  # e.g. an int beyond float's range
         raise MalformedTraceError(f"bad trace record: {exc}") from exc
     return DecisionTrace(
@@ -559,8 +571,13 @@ def replay(
     )
     _check_scoreable(config, total)
 
+    # The closed counts in reach of the last step, as ``run`` moves: the
+    # next step in [low, high] and below total, a proof of w at total in
+    # [low, high], a disproof in ``found``.  Before any step that is step 0,
+    # or a stop before any search: a proof of w on a 0-path space, or the
+    # open empty path of the 1-path empty matrix.
+    low, high, found = 0, 0, (0, 0 if total == 1 else -1)
     checked = 0
-    last_fraction = None
     verdict = None
     for s in trace.steps:
         if verdict is not None:
@@ -569,23 +586,15 @@ def replay(
             )
         if s.step != checked:
             return _diverged(s.step, "step", checked, s.step, checked)
-        closed_exact = s.fraction * total
-        if checked == 0 and s.fraction != 0:
-            return _diverged(s.step, "fraction", Fraction(0), s.fraction, checked)
-        if not 0 <= closed_exact < total:
-            return _diverged(s.step, "fraction", "within [0, 1)", s.fraction, checked)
-        if last_fraction is not None and s.fraction <= last_fraction:
-            return _diverged(
-                s.step, "fraction", f"> {last_fraction}", s.fraction, checked
-            )
-        last_fraction = s.fraction
-        if closed_exact.denominator != 1:
-            return _diverged(
-                s.step, "fraction", "a multiple of 1/total", s.fraction, checked
-            )
-        post, nevcs, t_now, verdict = _deliberate(
-            config, total, closed_exact.numerator
-        )
+        exact, top = s.fraction * total, min(high, total - 1)
+        if exact.denominator != 1 or not low <= exact <= top:
+            expected = f"a whole count of paths in [{low}, {top}]"
+            return _diverged(s.step, "fraction", expected, s.fraction, checked)
+        closed = exact.numerator
+        post, nevcs, t_now, verdict, chunk = _deliberate(config, total, closed)
+        # The chunk searched from here closes at least ``chunk`` paths
+        # before the next step; an open path turns up before it has.
+        low, high, found = closed + chunk, total, (closed, closed + chunk - 1)
         if abs(t_now - s.elapsed) > FLOAT_TOL:
             return _diverged(s.step, "t", t_now, s.elapsed, checked)
         if abs(post - s.posterior) > FLOAT_TOL:
@@ -597,22 +606,26 @@ def replay(
                 return _diverged(s.step, f"nevc[{k}]", a, b, checked)
         checked += 1
 
-    # Without a verdict the search went on, so only a proof can have ended it.
-    proofs = (StopReason.PROOF_OF_W, StopReason.PROOF_OF_NOT_W)
-    if trace.stop_reason not in ((verdict,) if verdict else proofs):
-        expected = verdict.value if verdict else "a proof"
-        return _diverged(None, "stop_reason", expected, trace.stop_reason.value, checked)
-    # The run acts at the belief and time it stopped at.
-    last_t = trace.steps[-1].elapsed if trace.steps else 0.0
+    # The run stops at the last step's verdict, or else at a proof in reach:
+    # each end is a posterior and the closed counts it may lie at, the
+    # proof of w's [total, total] cut to [low, high].  The run acts at that
+    # belief and at the model time of one of those counts.
     if verdict is not None:
-        final = (trace.steps[-1].posterior, last_t)
-    elif trace.stop_reason is StopReason.PROOF_OF_W:
-        final = (1.0, timecost.time_of(total))
-    else:  # the open path turned up within the last chunk searched
-        final = (0.0, max(last_t, trace.final_elapsed))
+        ends = {verdict: (post, closed, closed)}
+    else:
+        ends = {
+            StopReason.PROOF_OF_W: (1.0, max(low, total), min(high, total)),
+            StopReason.PROOF_OF_NOT_W: (0.0, *found),
+        }
+    ends = {reason: end for reason, end in ends.items() if end[1] <= end[2]}
+    if trace.stop_reason not in ends:
+        expected = " or ".join(r.value for r in ends) or "a step at 0 first"
+        return _diverged(None, "stop_reason", expected, trace.stop_reason.value, checked)
+    final_post, first, last = ends[trace.stop_reason]
+    t = min(max(trace.final_elapsed, timecost.time_of(first)), timecost.time_of(last))
     for fld, expected, actual in (
-        ("posterior", final[0], trace.final_posterior),
-        ("t", final[1], trace.final_elapsed),
+        ("posterior", final_post, trace.final_posterior),
+        ("t", t, trace.final_elapsed),
     ):
         if abs(expected - actual) > FLOAT_TOL:
             return _diverged(None, fld, expected, actual, checked)

@@ -86,12 +86,14 @@ def test_zero_path_matrix_is_an_instant_proof():
     assert trace.stop_reason is StopReason.PROOF_OF_W
     assert trace.steps == []
     assert trace.total == 0
+    assert replay(trace, utilities=ACT, timecost=ZERO_COST, analytic=HALF).ok
 
 
 def test_empty_matrix_is_an_instant_disproof():
     trace = run(Matrix((), 0), analytic_config())
     assert trace.stop_reason is StopReason.PROOF_OF_NOT_W
     assert trace.final_elapsed == 0.0
+    assert replay(trace, utilities=ACT, timecost=ZERO_COST, analytic=HALF).ok
 
 
 def test_zero_cost_full_lookahead_runs_to_proof():
@@ -161,7 +163,7 @@ def test_a_space_beyond_float_range_is_priced_where_its_time_is_not(cost):
     chunk = HUGE // 100
     source = AnalyticSource(Fraction(1, 2), {1: Fraction(1, 2), 8: Fraction(1, 2)})
     config = analytic_config(chunk=chunk, timecost=cost, source=source, lookaheads=(chunk, "full"))
-    post, nevcs, t_now, verdict = _deliberate(config, HUGE, 0)
+    post, nevcs, t_now, verdict, _chunk = _deliberate(config, HUGE, 0)
     assert (post, t_now, verdict) == (0.5, 0.0, None)
     assert len(nevcs) == 2 and all(map(math.isfinite, nevcs))
     assert nevcs[0] > 0
@@ -370,19 +372,23 @@ def stopped_config():
     )
 
 
+def step_record(config, total, closed, step):
+    """The step record ``run`` would write at ``closed`` of ``total`` paths."""
+    post, nevc, t, _verdict, _chunk = _deliberate(config, total, closed)
+    fraction = rational_to_json(Fraction(closed, total))
+    return {"kind": "step", "step": step, "fraction": fraction, "posterior": post,
+            "nevc": list(nevc), "t": t}
+
+
+def renumber(rows):
+    for k, row in enumerate(rows[1:-1]):
+        row["step"] = k
+
+
 def step_after(trace, config):
     """The step record ``run`` would write one chunk past the trace's last step."""
     closed = int(trace.steps[-1].fraction * trace.total) + config.chunk
-    post = config.source.posterior_at(trace.total, closed)
-    nevc = config.source.nevc_at(config, trace.total, closed, post)
-    return {
-        "kind": "step",
-        "step": len(trace.steps),
-        "fraction": {"num": closed, "den": trace.total},
-        "posterior": post[0] / post[1],
-        "nevc": list(nevc),
-        "t": config.timecost.time_of(closed),
-    }
+    return step_record(config, trace.total, closed, len(trace.steps))
 
 
 def drop_middle_values(trace, rows):
@@ -416,8 +422,16 @@ def final_moved(trace, rows):
 def first_step_dropped(trace, rows):
     # Run always deliberates first with nothing closed.
     del rows[1]
-    for k, row in enumerate(rows[1:-1]):
-        row["step"] = k
+    renumber(rows)
+
+
+def step_closer_than_a_chunk(trace, rows):
+    # Rising, whole and priced as run prices it, but the chunk searched
+    # after the step before closes at least 8 paths first.
+    before, after = (int(s.fraction * trace.total) for s in trace.steps[1:3])
+    assert before + 1 < after
+    rows.insert(3, step_record(stopped_config(), trace.total, before + 1, 0))
+    renumber(rows)
 
 
 def time_nudged(trace, rows):
@@ -451,19 +465,24 @@ def oracle_header(trace, rows):
     rows[0]["source"] = {"kind": "oracle"}
 
 
-def replay_tampered(tmp_path, tamper):
-    """The replay of a stopped run's trace once ``tamper`` has edited its rows."""
-    trace = run(generate(GeneratorConfig(8, 2, 4, seed=10)), stopped_config())
-    assert trace.stop_reason is StopReason.NONPOSITIVE_EVC
-    assert len(trace.steps) >= 3
+def replay_edited(tmp_path, trace, tamper, timecost, source):
+    """The replay of ``trace``, clean as run wrote it, once ``tamper`` has
+    edited its rows."""
+    assert replay(trace, utilities=ACT, timecost=timecost, analytic=source).ok
     path = tmp_path / "trace.jsonl"
     save_trace(trace, path)
     rows = [json.loads(line) for line in path.read_text().splitlines()]
     tamper(trace, rows)
     path.write_text("".join(json.dumps(row) + "\n" for row in rows))
-    return replay(
-        load_trace(path), utilities=ACT, timecost=STOP_COST, analytic=THREE_OPEN
-    )
+    return replay(load_trace(path), utilities=ACT, timecost=timecost, analytic=source)
+
+
+def replay_tampered(tmp_path, tamper):
+    """The replay of a stopped run's trace once ``tamper`` has edited its rows."""
+    trace = run(generate(GeneratorConfig(8, 2, 4, seed=10)), stopped_config())
+    assert trace.stop_reason is StopReason.NONPOSITIVE_EVC
+    assert len(trace.steps) >= 3
+    return replay_edited(tmp_path, trace, tamper, STOP_COST, THREE_OPEN)
 
 
 @pytest.mark.parametrize(
@@ -481,12 +500,51 @@ def replay_tampered(tmp_path, tamper):
         (action_swapped, "action"),
         (eu_nudged, "eu"),
         (fraction_between_paths, "fraction"),
+        (step_closer_than_a_chunk, "fraction"),
     ],
 )
 def test_replay_rejects_a_trace_run_could_not_write(tmp_path, tamper, field):
     report = replay_tampered(tmp_path, tamper)
     assert report.kind == "inconsistency", report.message
     assert report.field == field
+
+
+DISPROOF_COST = TimeCost.linear(0.001)
+
+
+def disproof_late(trace, rows):
+    # The open path turned up within the chunk after the last step, at 128
+    # paths: by 135 paths, model time 135.
+    action, eu = best_action(0.0, ACT, DISPROOF_COST, 1000.0)
+    rows[-1].update(t=1000.0, action=action, eu=eu)
+
+
+def proof_without_search(trace, rows):
+    # Only a 0-path space is proved before step 0.
+    del rows[1:-1]
+    t = DISPROOF_COST.time_of(trace.total)
+    action, eu = best_action(1.0, ACT, DISPROOF_COST, t)
+    rows[-1].update(stop_reason="proof_of_w", posterior=1.0, t=t, action=action, eu=eu)
+
+
+@pytest.mark.parametrize(
+    "tamper, field", [(disproof_late, "t"), (proof_without_search, "stop_reason")]
+)
+def test_replay_rejects_a_disproof_run_could_not_write(tmp_path, tamper, field):
+    config = analytic_config(chunk=8, timecost=DISPROOF_COST)
+    trace = run(generate(GeneratorConfig(8, 2, 4, seed=0)), config)
+    assert trace.stop_reason is StopReason.PROOF_OF_NOT_W
+    assert trace.steps[-1].fraction * trace.total == 128
+    report = replay_edited(tmp_path, trace, tamper, DISPROOF_COST, HALF)
+    assert report.kind == "inconsistency", report.message
+    assert report.field == field
+
+
+def test_replay_finds_no_step_in_reach_of_a_0_path_space():
+    trace = run(Matrix((literals(0), ()), 1), analytic_config())
+    trace.steps.append(TraceStep(0, Fraction(0), 0.5, (), 0.0))
+    report = replay(trace, utilities=ACT, timecost=ZERO_COST, analytic=HALF)
+    assert (report.kind, report.field, report.step) == ("inconsistency", "fraction", 0)
 
 
 def test_replay_asks_for_the_source_its_header_names(tmp_path):
@@ -575,6 +633,10 @@ TAMPERED_FIELDS = [
     (-1, "eu", -math.inf),
     (-1, "posterior", math.nan),
     (-1, "t", math.nan),
+    # The advisory wall time, when present, is a finite number too.
+    (-1, "wall_time", "nan"),
+    (-1, "wall_time", True),
+    (-1, "wall_time", "12"),
 ]
 
 

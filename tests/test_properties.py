@@ -33,6 +33,8 @@ from proverb.controller import (
     AnalyticSource,
     ControllerConfig,
     ProfileSource,
+    TraceStep,
+    _deliberate,
     load_trace,
     replay,
     run,
@@ -232,26 +234,52 @@ def sources(draw, total):
     return source, {"analytic": source}
 
 
+@st.composite
+def configs(draw, total, least_chunk=1):
+    """A run's config for ``total`` paths and the keyword ``replay`` needs."""
+    source, kw = draw(sources(total))
+    utilities = draw(UTILITIES)
+    timecost = draw(costs(total))
+    chunk = draw(st.integers(least_chunk, max(least_chunk, total // 4)))
+    lookahead = st.one_of(st.integers(1, total), st.just("full"))
+    lookaheads = tuple(draw(st.lists(lookahead, max_size=3)))
+    return ControllerConfig(chunk, utilities, timecost, source, lookaheads), kw
+
+
 @PROPERTY
 @given(matrices(3, 1), st.data())
 def test_run_save_load_replay_is_clean(matrix, data):
-    total = total_paths(matrix)
-    source, kw = data.draw(sources(total))
-    utilities = data.draw(UTILITIES)
-    timecost = data.draw(costs(total))
-    chunk = data.draw(st.integers(1, max(1, total // 4)))
-    lookahead = st.one_of(st.integers(1, total), st.just("full"))
-    lookaheads = tuple(data.draw(st.lists(lookahead, max_size=3)))
-    config = ControllerConfig(chunk, utilities, timecost, source, lookaheads)
+    config, kw = data.draw(configs(total_paths(matrix)))
     trace = run(matrix, config)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "trace.jsonl"
         save_trace(trace, path)
         loaded = load_trace(path)
     assert loaded == trace
-    report = replay(loaded, utilities=utilities, timecost=timecost, **kw)
+    report = replay(loaded, utilities=config.utilities, timecost=config.timecost, **kw)
     assert report.ok, report.message
     assert report.steps_checked == len(trace.steps)
+
+
+@PROPERTY
+@given(long_walks, st.data())
+def test_replay_refuses_a_step_closer_than_a_chunk(matrix, data):
+    # Each step after the first lies a whole chunk or more past the one
+    # before: move one nearer, priced as run would price it there.  A long
+    # walk gives about half the runs two steps a chunk of 2 or more apart.
+    total = total_paths(matrix)
+    config, kw = data.draw(configs(total, least_chunk=2))
+    trace = run(matrix, config)
+    counts = [int(s.fraction * total) for s in trace.steps]
+    chunks = [_deliberate(config, total, c)[-1] for c in counts[:-1]]
+    movable = [k for k in range(1, len(counts)) if chunks[k - 1] > 1]
+    assume(movable)
+    k = data.draw(st.sampled_from(movable))
+    closed = data.draw(st.integers(counts[k - 1] + 1, counts[k - 1] + chunks[k - 1] - 1))
+    post, nevc, t, _verdict, _chunk = _deliberate(config, total, closed)
+    trace.steps[k] = TraceStep(k, Fraction(closed, total), post, nevc, t)
+    report = replay(trace, utilities=config.utilities, timecost=config.timecost, **kw)
+    assert (report.kind, report.field, report.step) == ("inconsistency", "fraction", k)
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
