@@ -27,7 +27,10 @@ probability given as a float is taken at its exact rational value.  The
 survival and the posterior come back as exact pairs (numerator,
 denominator), unreduced, so the controller's step builds no ``Fraction``;
 ``Fraction(*pair)`` gives the reduced value.  Floats are only introduced by
-the caller.
+the caller.  An ``AnalyticModel`` keeps the joint terms of the last searched
+count beside their sum, the survival's numerator, so the posterior and
+``decision.nevc_multi`` at one step share one sum; and it builds once the
+constants of the pricing's mean halt path.
 """
 
 from __future__ import annotations
@@ -286,29 +289,45 @@ class AnalyticModel:
         # denominator itself when the weights sum to 1, and the exact
         # normalization of float weights that sum to 1 only within FLOAT_TOL.
         terms = tuple(scale * perm(self.total, o) for o, scale in scales)
-        object.__setattr__(self, "_scales", scales)
-        object.__setattr__(self, "_norm", sum(terms))
-        object.__setattr__(self, "_last", (0, terms))
+        norm = sum(terms)
+        # The pricing's constants (``decision.nevc_multi``): L, the least
+        # common multiple of the counts' O+1, and each count's L // (O+1)
+        # and O * L // (O+1).
+        lcm_o = lcm(*(o + 1 for o, _ in dist))
+        self.__dict__.update(
+            _scales=scales,
+            _norm=norm,
+            _last=(0, terms, norm),
+            _lcm=lcm_o,
+            _per_count=tuple(lcm_o // (o + 1) for o, _ in dist),
+            _per_open=tuple(o * (lcm_o // (o + 1)) for o, _ in dist),
+        )
+
+    def _at(self, searched: int) -> tuple[tuple[int, ...], int]:
+        """The joint terms at ``searched`` and their sum.  The last result is
+        kept, so the posterior and the pricing at one step share them."""
+        last = self._last
+        if searched == last[0]:
+            return last[1], last[2]
+        if searched < 0:
+            raise ValueError("searched must be >= 0")
+        left = max(self.total - searched, 0)
+        terms = tuple([scale * perm(left, o) for o, scale in self._scales])
+        mass = sum(terms)
+        self.__dict__["_last"] = (searched, terms, mass)
+        return terms, mass
 
     def joint(self, searched: int) -> tuple[int, ...]:
         """Each count's p(o) * survival(searched), times the common denominator.
 
         One integer per count of ``open_paths``, in its order; a count that
-        the survival rules out reads 0.  The last result is kept, so the
-        posterior and the pricing at one step share the survival products.
+        the survival rules out reads 0.
         """
-        last, terms = self._last
-        if searched != last:
-            if searched < 0:
-                raise ValueError("searched must be >= 0")
-            left = max(self.total - searched, 0)
-            terms = tuple(scale * perm(left, o) for o, scale in self._scales)
-            object.__setattr__(self, "_last", (searched, terms))
-        return terms
+        return self._at(searched)[0]
 
     def survival(self, searched: int) -> tuple[int, int]:
         """p(the first ``searched`` paths are all closed | not-w), an exact pair."""
-        return sum(self.joint(searched)), self._norm
+        return self._at(searched)[1], self._norm
 
     def conditional(self, searched: int) -> OpenDist:
         """Distribution of the open count given survival to ``searched``.
@@ -317,8 +336,7 @@ class AnalyticModel:
         and more open paths than remain could not be priced.
         """
         dist = self.open_paths
-        terms = self.joint(searched)
-        norm = sum(terms)
+        terms, norm = self._at(searched)
         if norm == 0:
             # Survival impossible under every admitted count; the posterior on
             # the claim is 1 and this distribution is never consulted again.

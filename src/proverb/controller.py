@@ -430,7 +430,8 @@ def save_trace(trace: DecisionTrace, path: str | Path) -> None:
         )
     ]
     for s in trace.steps:
-        fraction = rational_to_json(s.fraction)
+        num, den = s.fraction.as_integer_ratio()  # in lowest terms, as rational_to_json writes
+        fraction = {"num": num, "den": den}
         lines.append(_record("step", s.step, fraction, s.posterior, list(s.nevc), s.elapsed))
     lines.append(
         _record(
@@ -474,16 +475,13 @@ def load_trace(path: str | Path) -> DecisionTrace:
     if not _number(wall_time):  # advisory, but finite like every number
         raise MalformedTraceError(f"line {lineno}: bad final wall_time {wall_time!r}")
     try:
-        steps = [
-            TraceStep(
-                step,
-                rational_from_json(fraction, f"step {step} fraction"),
-                float(post),
-                tuple(map(float, nevc)),
-                float(t),
-            )
-            for step, fraction, post, nevc, t in body
-        ]
+        steps = []
+        for step, fraction, post, nevc, t in body:
+            try:
+                fraction = rational_from_json(fraction, "fraction")
+            except ValueError as exc:  # the step is named only when its check fails
+                raise ValueError(f"step {step} {exc}") from None
+            steps.append(TraceStep(step, fraction, float(post), tuple(map(float, nevc)), float(t)))
         reason = StopReason(reason)
         eu, post, t, wall_time = map(float, final + [wall_time])
     except (OverflowError, TypeError, ValueError) as exc:  # e.g. an int beyond float's range
@@ -586,11 +584,11 @@ def replay(
             )
         if s.step != checked:
             return _diverged(s.step, "step", checked, s.step, checked)
-        exact, top = s.fraction * total, min(high, total - 1)
-        if exact.denominator != 1 or not low <= exact <= top:
+        num, den = s.fraction.as_integer_ratio()
+        (closed, part), top = divmod(num * total, den), min(high, total - 1)
+        if part or not low <= closed <= top:
             expected = f"a whole count of paths in [{low}, {top}]"
             return _diverged(s.step, "fraction", expected, s.fraction, checked)
-        closed = exact.numerator
         post, nevcs, t_now, verdict, chunk = _deliberate(config, total, closed)
         # The chunk searched from here closes at least ``chunk`` paths
         # before the next step; an open path turns up before it has.

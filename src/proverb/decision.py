@@ -38,8 +38,11 @@ two belief sources differ only in the survival pair and the halt term:
   path ``sum ((l+1)*J - J'*(l+1+x*O)) * L/(O+1)`` over ``sum J * L``, with
   ``L`` the least common multiple of the counts' ``O+1``, are exact sums
   over the counts, each rounded once: one count prices as a one-point
-  mixture.  A lookahead of millions of paths costs one falling-factorial
-  product per open count (two under a deadline).
+  mixture.  The model builds ``L`` and each count's ``L/(O+1)`` once, and
+  keeps the last searched count's terms beside their sum ``sum J``, which
+  the posterior (through ``survival``) and the pricing at one step share.
+  A lookahead of millions of paths costs one falling-factorial product per
+  open count (two under a deadline).
 * ``nevc_two_outcome`` (empirical curve): the pair is the ratio of survivor
   counts, and the halt is valued at the chunk end -- a step curve says
   nothing about where inside the chunk the find lands, and under
@@ -49,7 +52,10 @@ two belief sources differ only in the survival pair and the halt term:
 Every probability is carried as an unreduced integer pair (numerator,
 denominator), a float input at its exact rational value, and becomes a float
 through one correctly rounded ``int / int`` where it meets a utility, so
-each float is the one the reduced ``Fraction`` gives.
+each float is the one the reduced ``Fraction`` gives.  The best utility of
+acting at (p, t) is one private float expression over the (u_w, u_~w) rows
+that ``UtilityModel`` builds once; ``best_action`` adds its checks and the
+action's name, and the pricing calls it per candidate unchecked.
 """
 
 from __future__ import annotations
@@ -58,6 +64,7 @@ import math
 import re
 from dataclasses import dataclass
 from enum import Enum
+from operator import mul
 from typing import Callable, Iterator, Mapping, Sequence
 
 from .belief import AnalyticModel, ModelError, Probability, probability_pair
@@ -199,6 +206,8 @@ class UtilityModel:
             raise ValueError("utilities must be finite")
         if not math.isfinite(max(values) - min(values)):
             raise ValueError("utilities must span less than float's range")
+        # Each action's (u_w, u_~w), the rows ``_best`` reads.
+        self.__dict__["_pairs"] = tuple(zip(self.when_true, self.when_false))
 
     @classmethod
     def from_pairs(cls, pairs: Mapping[str, tuple[float, float]]) -> "UtilityModel":
@@ -211,6 +220,25 @@ class UtilityModel:
         )
 
 
+def _best(p: Probability, pairs, timecost: TimeCost, t: float) -> tuple[int, float]:
+    """The first action of highest expected utility ``p * (ut - uf) + uf`` at
+    model time ``t``, and that utility, over the table's (u_w, u_~w) rows: a
+    linear cost lowers each utility by ``rate * t``, and past a deadline every
+    utility is the penalty, where the first action ties the rest."""
+    kind = timecost.kind
+    if kind is CostKind.DEADLINE and t > timecost.deadline_at:
+        late = timecost.penalty
+        return 0, p * (late - late) + late
+    shift = timecost.rate * t if kind is CostKind.LINEAR else 0.0  # u - 0.0 is u, bit for bit
+    best_i = 0
+    best_eu = None
+    for i, (ut, uf) in enumerate(pairs):
+        eu = p * ((ut - shift) - (uf - shift)) + (uf - shift)
+        if best_eu is None or eu > best_eu:
+            best_i, best_eu = i, eu
+    return best_i, best_eu
+
+
 def best_action(
     p_w: Probability,
     utilities: UtilityModel,
@@ -220,26 +248,9 @@ def best_action(
     """Utility-maximizing action under a binary belief; ties -> lowest index."""
     if not 0 <= p_w <= 1:
         raise ValueError(f"p_w {p_w} outside [0, 1]")
-    # Time is priced once per call, with the float expressions of
-    # ``TimeCost.utility_at``.
-    kind = timecost.kind
-    if kind is CostKind.DEADLINE and t > timecost.deadline_at:
-        # Every utility is the penalty: all actions tie on the lowest index.
-        late = timecost.penalty
-        return utilities.actions[0], float(p_w * (late - late) + late)
     if t < 0:
         raise ValueError("t must be >= 0")
-    when_true, when_false = utilities.when_true, utilities.when_false
-    if kind is CostKind.LINEAR:
-        shift = timecost.rate * t
-        when_true = [u - shift for u in when_true]
-        when_false = [u - shift for u in when_false]
-    best_i = 0
-    best_eu = None
-    for i, (ut, uf) in enumerate(zip(when_true, when_false)):
-        eu = p_w * (ut - uf) + uf
-        if best_eu is None or eu > best_eu:
-            best_i, best_eu = i, eu
+    best_i, best_eu = _best(p_w, utilities._pairs, timecost, t)
     return utilities.actions[best_i], float(best_eu)
 
 
@@ -286,9 +297,10 @@ def _net_values(
     ``p_num * S + q_num * S_x``, whose numerator also divides the drifted
     posterior.  ``branches`` is None when no search remains to inform.
     """
+    pairs, time_of = utilities._pairs, timecost.time_of
 
     def act(p: float, paths: int) -> float:  # the best utility after ``paths``
-        return best_action(p, utilities, timecost, timecost.time_of(searched + paths))[1]
+        return _best(p, pairs, timecost, time_of(searched + paths))[1]
 
     p = p_num / p_den
     act_now = act(p, 0)
@@ -296,10 +308,12 @@ def _net_values(
         return tuple(act(p, x) - act_now for x in lookaheads)
     q_num = p_den - p_num
     values = []
+    s_last = None
     for x, (s_x, s, halt_term) in zip(lookaheads, branches(q_num)):
-        stay = p_num * s
+        if s != s_last:  # the candidates mostly share one survival S
+            s_last, stay, whole = s, p_num * s, p_den * s
         no_halt = stay + q_num * s_x
-        values.append(halt_term + no_halt / (p_den * s) * act(stay / no_halt, x) - act_now)
+        values.append(halt_term + no_halt / whole * act(stay / no_halt, x) - act_now)
     return tuple(values)
 
 
@@ -330,37 +344,42 @@ def nevc_multi(
         # J are the joint terms at ``searched``, J' those x paths on, and a
         # deadline adds those at its last in-time path.  Each halt quantity
         # is an exact sum over the counts, a ruled-out count adding 0, that
-        # meets a float once; L is the least common multiple of the O+1.
+        # meets a float once; the sums of J and J' are the model's own.
         for x in lookaheads:
             if x > remaining:
                 raise LookaheadError(f"lookahead {x} exceeds remaining paths {remaining}")
-        now = model.joint(searched)
-        total_now = sum(now)
+        now, total_now = model._at(searched)
         if total_now == 0:
             raise ModelError(f"no open count fits the {remaining} remaining paths")
         max_false = max(utilities.when_false)
-        kind, rate, time_of = timecost.kind, timecost.rate, timecost.time_of
-        level = max_false - rate * time_of(searched)  # the linear cost's line
-        lcm_o = math.lcm(*(o + 1 for o, _ in model.open_paths))
-        for x in lookaheads:
-            if kind is CostKind.DEADLINE:
-                in_time = sum(model.joint(searched + timecost.paths_in_time(searched, x)))
-            after = model.joint(searched + x)
-            total_after = sum(after)
-            halt = (total_now - total_after) / total_now
-            if kind is CostKind.ZERO:
-                value = halt * max_false
-            elif kind is CostKind.LINEAR:  # the mean halt path over total_now * L
-                mean = sum(
-                    ((remaining + 1) * t - u * (remaining + 1 + x * o)) * (lcm_o // (o + 1))
-                    for (o, _), t, u in zip(model.open_paths, now, after)
+        weight, kind, at = q_num / p_den, timecost.kind, model._at
+        if kind is CostKind.ZERO:
+            for x in lookaheads:
+                total_after = at(searched + x)[1]
+                halt = (total_now - total_after) / total_now
+                yield total_after, total_now, weight * (halt * max_false)
+        elif kind is CostKind.LINEAR:
+            # The mean halt path over total_now * L, sum ((l+1)*J -
+            # J'*(l+1+x*O)) * L/(O+1), split into its sums over J and J'.
+            rate, time_of, per_count = timecost.rate, timecost.time_of, model._per_count
+            level = max_false - rate * time_of(searched)  # the linear cost's line
+            lead, den = (remaining + 1) * sum(map(mul, now, per_count)), total_now * model._lcm
+            for x in lookaheads:
+                after, total_after = at(searched + x)
+                mean = lead - (remaining + 1) * sum(map(mul, after, per_count)) - x * sum(
+                    map(mul, after, model._per_open)
                 )
-                value = level * halt - rate * time_of(mean, total_now * lcm_o)
-            else:  # deadline: step split at the last in-time path index
-                value = max_false * ((total_now - in_time) / total_now) + timecost.penalty * (
-                    (in_time - total_after) / total_now
+                halt = (total_now - total_after) / total_now
+                yield total_after, total_now, weight * (level * halt - rate * time_of(mean, den))
+        else:  # deadline: step split at the last in-time path index
+            penalty = timecost.penalty
+            for x in lookaheads:
+                in_time = at(searched + timecost.paths_in_time(searched, x))[1]
+                total_after = at(searched + x)[1]
+                yield total_after, total_now, weight * (
+                    max_false * ((total_now - in_time) / total_now)
+                    + penalty * ((in_time - total_after) / total_now)
                 )
-            yield total_after, total_now, q_num / p_den * value
 
     return _net_values(
         p_num, p_den, utilities, timecost, lookaheads, searched, branches if remaining else None

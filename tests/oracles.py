@@ -9,7 +9,10 @@ The ``fraction_*`` functions read the survival models and price lookaheads
 with every exact probability a ``Fraction``; a float enters only where a
 ``Fraction`` meets a utility.  Since
 CPython evaluates ``Fraction op float`` as ``float(Fraction) op float``, they
-are the bit-for-bit oracle of the package's integer-pair pricing.
+are the bit-for-bit oracle of the package's integer-pair pricing.  The best
+expected utility of acting is read off the utility table here
+(``_best_eu``), so they and ``nevc_one`` share no code with the pricing
+they check.
 ``one_lookahead`` and ``one_chunk`` call the package's pricers, which take
 all of a step's candidates at once, for one candidate in the oracles'
 signatures.
@@ -36,7 +39,6 @@ from proverb.decision import (
     LookaheadError,
     TimeCost,
     UtilityModel,
-    best_action,
     nevc_multi,
     nevc_two_outcome,
 )
@@ -121,9 +123,9 @@ def nevc_one(
     ``nevc_multi`` at lookahead 1.  Takes the same belief arguments.
     """
     t1 = _time(timecost, 1)
-    act_now = best_action(p, utilities, timecost, 0.0)[1]
+    act_now = _best_eu(p, utilities, timecost, 0.0)
     if p <= 0 or p >= 1 or remaining == 0:
-        return best_action(p, utilities, timecost, t1)[1] - act_now
+        return _best_eu(p, utilities, timecost, t1) - act_now
     pmf1 = sum(weight * Fraction(o, remaining) for o, weight in open_dist)
     p_halt = (1 - p) * pmf1
     survival = 1 - pmf1
@@ -131,7 +133,7 @@ def nevc_one(
     u_halt = timecost.utility_at(max(utilities.when_false), t1)
     return float(
         p_halt * u_halt
-        + (1 - p_halt) * best_action(drifted, utilities, timecost, t1)[1]
+        + (1 - p_halt) * _best_eu(drifted, utilities, timecost, t1)
         - act_now
     )
 
@@ -337,9 +339,23 @@ def _paths_in_time(timecost, searched, limit):
     return lo
 
 
+def _best_eu(p, utilities, timecost, t):
+    """Best expected utility of acting on ``p`` at model time ``t``, read off
+    the table: past a deadline every utility is the penalty, and a linear
+    cost lowers each by ``rate * t``.  Ties keep the first action's value."""
+    if timecost.kind is CostKind.DEADLINE and t > timecost.deadline_at:
+        late = timecost.penalty
+        return float(p * (late - late) + late)
+    shift = timecost.rate * t if timecost.kind is CostKind.LINEAR else None
+    rows = zip(utilities.when_true, utilities.when_false)
+    if shift is not None:
+        rows = [(ut - shift, uf - shift) for ut, uf in rows]
+    return max(float(p * (ut - uf) + uf) for ut, uf in rows)
+
+
 def _act_value(p, utilities, timecost, paths, searched):
     """Best expected utility of acting on ``p`` after ``paths`` more examinations."""
-    return best_action(p, utilities, timecost, _time(timecost, searched + paths))[1]
+    return _best_eu(p, utilities, timecost, _time(timecost, searched + paths))
 
 
 def _halt_branch_value(dist, remaining, x, utilities, timecost, searched):

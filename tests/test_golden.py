@@ -27,10 +27,11 @@ from proverb.controller import (
     AnalyticSource,
     ControllerConfig,
     ProfileSource,
+    _deliberate,
     run,
     save_trace,
 )
-from proverb.decision import TimeCost, UtilityModel
+from proverb.decision import TimeCost, UtilityModel, parse_utility_spec
 from proverb.generator import GeneratorConfig, generate_corpus
 from proverb.heuristics import Heuristic
 from proverb.profiles import collect, export_curve_csv, save
@@ -51,6 +52,7 @@ COMPARE_CSV = "f25e808fd76d50660affd43113c1ca179c50bc2f9ffb8f59b25cfee0f2223881"
 TRACE_ANALYTIC = "98ed41cbbcd198047d593dcdbb9d4228369e160bb05ff6c691ed3df92690afa1"
 TRACE_MIXTURE = "0a89890f70957401b9a168934628f31dbc54f1e3d6bf2ae202d65e61a22062f8"
 TRACE_PROFILE = "441405c6bfaa870a34039386279384c76c4cf49e1b896bb3d1ef7cd16424284b"
+PRICING = "28ac50a435b6dc256feee1f559fe6a144ed0442e03f7a79ec799d70976a3e77c"
 CLI_SESSION = "47dd0c9f046fd4f39f999bab6410689c14bac7d08cf9a1b8295392013921baaa"
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -153,6 +155,48 @@ def test_profile_trace_bytes(mixed_corpus, mixed_profile, tmp_path):
     assert 0 < mixed_profile.prior < 1
     source = ProfileSource(mixed_profile)
     assert trace_digest(mixed_corpus, source, tmp_path / "trace.jsonl") == TRACE_PROFILE
+
+
+BET_HEDGE = (
+    "actions=publish,withdraw; u(publish,w)=1; u(publish,~w)=0; "
+    "u(withdraw,w)=0; u(withdraw,~w)=1"
+)
+HALF = Fraction(1, 2)
+MIXTURE = {1: HALF, 3: Fraction(1, 4), 9: Fraction(1, 4)}
+# The benchmark's four step configurations on its 3^14 paths, chunk 1/32 of
+# them and tau 1e-6, with this module's profile for the profile source; and
+# the packaging smoke test's mixture run on 256 paths.  Each is (total,
+# chunk, open paths or None for the profile, cost and tau, lookaheads).
+DELIBERATE = 3**14
+STEP_CONFIGS = [
+    (DELIBERATE, DELIBERATE // 32, 1, "cost=zero; tau=1e-6", (1, "full")),
+    (DELIBERATE, DELIBERATE // 32, MIXTURE, "cost=linear:0.05; tau=1e-6", (1, 4, "full")),
+    (DELIBERATE, DELIBERATE // 32, None, "cost=linear:0.02; tau=1e-6", (1, "full")),
+    (DELIBERATE, DELIBERATE // 32, 1, "cost=deadline:2.0:-1.0; tau=1e-6", (1, "full")),
+    (256, 4, MIXTURE, "cost=linear:0.1; tau=0.01", (1, 4, "full")),
+]
+
+
+def test_step_values(mixed_profile):
+    # Every value of the step rule on a grid of closed counts: 0, each chunk
+    # boundary, both sides of the count where the next chunk first misses the
+    # deadline and of its last in-time path, and the last path.  A last-bit
+    # drift in the posterior, the pricing or the clock fails here even where
+    # no trace reaches it.
+    rows = []
+    for total, chunk, open_paths, cost, looks in STEP_CONFIGS:
+        utilities, timecost = parse_utility_spec(f"{BET_HEDGE}; {cost}")
+        if open_paths is None:
+            source = ProfileSource(mixed_profile)
+        else:
+            source = AnalyticSource(HALF, open_paths)
+        lookaheads = tuple(x if x == "full" else x * chunk for x in looks)
+        config = ControllerConfig(chunk, utilities, timecost, source, lookaheads)
+        last = timecost.paths_in_time(0, total)
+        grid = {0, total - 1, *range(chunk, total, chunk)}
+        grid |= {c for c in (last - chunk, last - chunk + 1, last - 1, last) if 0 <= c < total}
+        rows += [f"{closed} {_deliberate(config, total, closed)!r}\n" for closed in sorted(grid)]
+    assert digest("".join(rows).encode("ascii")) == PRICING
 
 
 @pytest.mark.parametrize("script", sorted(DEMOS))

@@ -195,9 +195,8 @@ def test_unit_steps_match_the_reference_walk(matrix):
     assert state.closure_count == len(reference)
 
 
-PRIORS = st.sampled_from(
-    [Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(9, 10), Fraction(1)]
-)
+INTERIOR = [Fraction(1, 3), Fraction(1, 2), Fraction(9, 10)]
+PRIORS = st.sampled_from([Fraction(0), *INTERIOR, Fraction(1)])
 
 
 def costs(total):
@@ -216,13 +215,13 @@ def costs(total):
 
 
 @st.composite
-def sources(draw, total):
+def sources(draw, total, priors=PRIORS, profiles=PROFILES):
     """A source and the keyword ``replay`` needs for it."""
     kind = draw(st.sampled_from(["count", "mixture", "profile"]))
     if kind == "profile":
-        profile = draw(st.sampled_from(PROFILES))
+        profile = draw(st.sampled_from(profiles))
         return ProfileSource(profile), {"profile": profile}
-    prior = draw(PRIORS)
+    prior = draw(priors)
     if kind == "count" or total < 2:
         open_paths = draw(st.integers(1, total))
     else:
@@ -235,9 +234,10 @@ def sources(draw, total):
 
 
 @st.composite
-def configs(draw, total, least_chunk=1):
-    """A run's config for ``total`` paths and the keyword ``replay`` needs."""
-    source, kw = draw(sources(total))
+def configs(draw, total, least_chunk=1, **source_kw):
+    """A run's config for ``total`` paths and the keyword ``replay`` needs;
+    ``source_kw`` narrows the priors and profiles ``sources`` draws."""
+    source, kw = draw(sources(total, **source_kw))
     utilities = draw(UTILITIES)
     timecost = draw(costs(total))
     chunk = draw(st.integers(least_chunk, max(least_chunk, total // 4)))
@@ -246,10 +246,7 @@ def configs(draw, total, least_chunk=1):
     return ControllerConfig(chunk, utilities, timecost, source, lookaheads), kw
 
 
-@PROPERTY
-@given(matrices(3, 1), st.data())
-def test_run_save_load_replay_is_clean(matrix, data):
-    config, kw = data.draw(configs(total_paths(matrix)))
+def assert_round_trip_is_clean(matrix, config, kw):
     trace = run(matrix, config)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "trace.jsonl"
@@ -259,6 +256,22 @@ def test_run_save_load_replay_is_clean(matrix, data):
     report = replay(loaded, utilities=config.utilities, timecost=config.timecost, **kw)
     assert report.ok, report.message
     assert report.steps_checked == len(trace.steps)
+
+
+@PROPERTY
+@given(matrices(3, 1), st.data())
+def test_run_save_load_replay_is_clean(matrix, data):
+    assert_round_trip_is_clean(matrix, *data.draw(configs(total_paths(matrix))))
+
+
+@PROPERTY
+@given(long_walks, st.data())
+def test_long_runs_save_load_replay_clean(matrix, data):
+    # A prior strictly inside (0, 1), or the profile with both verdicts, on
+    # a long walk: search is worth something at the start, so most runs
+    # take several steps and replay re-derives each of them.
+    config = configs(total_paths(matrix), priors=st.sampled_from(INTERIOR), profiles=PROFILES[:1])
+    assert_round_trip_is_clean(matrix, *data.draw(config))
 
 
 @PROPERTY
