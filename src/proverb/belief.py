@@ -114,8 +114,8 @@ def context_from_json(node: object) -> ContextTag:
 
 def rational_to_json(value: Probability) -> dict:
     """An exact rational as ``{"num": .., "den": ..}`` in lowest terms."""
-    value = Fraction(value)
-    return {"num": value.numerator, "den": value.denominator}
+    num, den = value.as_integer_ratio()  # lowest terms for an int, a float and a Fraction
+    return {"num": num, "den": den}
 
 
 def rational_from_json(node: object, what: str) -> Fraction:
@@ -179,7 +179,10 @@ class SurvivalCurve:
         ``c`` and ``total > 0``, ``f <= c/total`` exactly when
         ``ceil(f * total) <= c``, so no Fraction is built.  The counts for
         the last ``total`` asked are kept, as the curve never changes.
+        ``closed`` outside [0, total] is refused, as ``AnalyticModel`` does.
         """
+        if not 0 <= closed <= total:
+            raise ValueError(f"closed {closed} outside [0, total {total}]")
         n = len(self._samples)
         if n == 0:
             return 1, 1
@@ -305,14 +308,14 @@ class AnalyticModel:
 
     def _at(self, searched: int) -> tuple[tuple[int, ...], int]:
         """The joint terms at ``searched`` and their sum.  The last result is
-        kept, so the posterior and the pricing at one step share them."""
+        kept, so the posterior and the pricing at one step share them;
+        ``searched`` outside [0, total] is refused."""
         last = self._last
         if searched == last[0]:
             return last[1], last[2]
-        if searched < 0:
-            raise ValueError("searched must be >= 0")
-        left = max(self.total - searched, 0)
-        terms = tuple([scale * perm(left, o) for o, scale in self._scales])
+        if not 0 <= searched <= self.total:
+            raise ValueError(f"closed {searched} outside [0, total {self.total}]")
+        terms = tuple([scale * perm(self.total - searched, o) for o, scale in self._scales])
         mass = sum(terms)
         self.__dict__["_last"] = (searched, terms, mass)
         return terms, mass

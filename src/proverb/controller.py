@@ -32,8 +32,12 @@ still runs; the controller then stops and acts on that certainty, which is
 the honest reading of the model it was given.
 
 Every run yields a ``DecisionTrace``; ``save_trace``/``load_trace`` move it
-through JSON lines and ``replay`` re-derives every recorded quantity from
-the fractions alone, reporting the first divergence if any.  It also checks
+through JSON lines.  One table, ``_FIELDS``, lists each record's fields in
+order with each field's reader, which checks the JSON value and returns what
+the trace holds; ``load_trace`` refuses any other value with ``line N: bad
+KIND KEY VALUE``, so a new field is one table entry.  ``replay`` re-derives
+every recorded quantity from the fractions alone, reporting the first
+divergence if any.  It also checks
 the numbering (0, 1, 2, ...) and each step's stop verdict: no step may
 follow a verdict, and the recorded stop reason must be the last verdict, or
 a proof when there is none.  Every closed count it reads must be one the
@@ -47,8 +51,8 @@ at 0; a trace with no step stopped before any search, by ``proof_of_w`` on a
 The final record's posterior and model time must be where the run stopped:
 the last step's after a verdict, 1 and ``time_of(total)`` after
 ``proof_of_w``, 0 and a time in reach after ``proof_of_not_w``.  Wall-clock
-time is recorded as advisory: ``load_trace`` requires a finite number and
-replay never reads it.  Model time is ``closed * tau``, exact and rounded
+time is recorded as advisory: its reader takes a finite number, or reads 0.0
+where the final record leaves it out, and replay never reads it.  Model time is ``closed * tau``, exact and rounded
 once (``TimeCost.time_of``), so replay reproduces it bit for bit.  Before
 any search, ``run`` and ``replay`` refuse a path space whose utilities the
 clock cannot score: a full search's model time beyond float's range, or
@@ -368,46 +372,63 @@ def run(matrix: Matrix, config: ControllerConfig) -> DecisionTrace:
 # Trace persistence (JSON lines) and replay verification.
 
 
-def _count(least: int):
-    return lambda v: type(v) is int and v >= least  # a bool is no int
+def _positive(v: object) -> bool:
+    return type(v) is int and v >= 1  # a bool is no int
 
 
-_positive = _count(1)
+def _need(ok: bool, value):
+    """``value`` when ``ok``, else a reader's refusal."""
+    if not ok:
+        raise ValueError
+    return value
 
 
-def _number(v: object) -> bool:
-    return type(v) is int or (type(v) is float and math.isfinite(v))
+def _count(v: object) -> int:
+    return _need(type(v) is int and v >= 0, v)
 
 
-def _text(v: object) -> bool:
-    return type(v) is str
+def _number(v: object) -> float:
+    """A finite float, from a JSON int or float (a bool is neither)."""
+    if type(v) is int:
+        v = float(v)  # OverflowError beyond float's range
+    return _need(type(v) is float and math.isfinite(v), v)
 
 
-# The fields each kind of trace record carries, in order, with their checks:
-# ``save_trace`` writes them and ``load_trace`` reads them back.
+def _text(v: object) -> str:
+    return _need(type(v) is str, v)
+
+
+_ABSENT = object()  # a field the record leaves out; no JSON value reads as it
+
+# The fields each kind of trace record carries, in order, with their readers:
+# ``save_trace`` writes them, and ``load_trace`` passes each JSON value to
+# its reader, which returns what the trace holds or raises.
 _FIELDS = {
     "header": {
-        "format_version": lambda v: type(v) is int and v == TRACE_FORMAT_VERSION,
-        "total": _count(0),
-        "chunk": _positive,
-        "lookaheads": lambda v: type(v) is list
-        and all(x == FULL_LOOKAHEAD or _positive(x) for x in v),
-        "source": lambda v: type(v) is dict,
+        "format_version": lambda v: _need(type(v) is int and v == TRACE_FORMAT_VERSION, v),
+        "total": _count,
+        "chunk": lambda v: _need(_positive(v), v),
+        "lookaheads": lambda v: tuple(
+            _need(x == FULL_LOOKAHEAD or _positive(x), x) for x in _need(type(v) is list, v)
+        ),
+        "source": lambda v: _need(type(v) is dict, v),
         "utility_spec": _text,
     },
     "step": {
-        "step": _count(0),
-        "fraction": lambda v: type(v) is dict,
+        "step": _count,
+        "fraction": lambda v: rational_from_json(v, "fraction"),
         "posterior": _number,
-        "nevc": lambda v: type(v) is list and all(map(_number, v)),
+        "nevc": lambda v: tuple(map(_number, _need(type(v) is list, v))),
         "t": _number,
     },
     "final": {
-        "stop_reason": _text,
+        "stop_reason": StopReason,
         "action": _text,
         "eu": _number,
         "posterior": _number,
         "t": _number,
+        # Advisory: replay never reads it, and a trace without it reads 0.0.
+        "wall_time": lambda v: 0.0 if v is _ABSENT else _number(v),
     },
 }
 
@@ -415,46 +436,49 @@ _FIELDS = {
 _ENCODER = json.JSONEncoder(allow_nan=False)  # json.dumps would build one per call
 
 
-def _record(kind: str, *values, **advisory) -> str:
+def _record(kind: str, *values) -> str:
     row = {"kind": kind}
     row.update(zip(_FIELDS[kind], values, strict=True))
-    row.update(advisory)
     return _ENCODER.encode(row)
 
 
 def save_trace(trace: DecisionTrace, path: str | Path) -> None:
     lines = [
         _record(
-            "header", TRACE_FORMAT_VERSION, trace.total, trace.chunk,
-            list(trace.lookaheads), trace.source_desc, trace.utility_spec,
+            "header", TRACE_FORMAT_VERSION, trace.total, trace.chunk, trace.lookaheads,
+            trace.source_desc, trace.utility_spec,
         )
     ]
-    for s in trace.steps:
-        num, den = s.fraction.as_integer_ratio()  # in lowest terms, as rational_to_json writes
-        fraction = {"num": num, "den": den}
-        lines.append(_record("step", s.step, fraction, s.posterior, list(s.nevc), s.elapsed))
+    lines += [
+        _record("step", s.step, rational_to_json(s.fraction), s.posterior, s.nevc, s.elapsed)
+        for s in trace.steps
+    ]
     lines.append(
         _record(
             "final", trace.stop_reason.value, trace.action, trace.eu,
-            trace.final_posterior, trace.final_elapsed, wall_time=trace.wall_time,
+            trace.final_posterior, trace.final_elapsed, trace.wall_time,
         )
     )
     Path(path).write_bytes(("\n".join(lines) + "\n").encode("ascii"))
 
 
 def _fields(lineno: int, row: dict, kind: str) -> list:
-    """The values of the fields of a ``kind`` record, each checked."""
+    """The values of the fields of a ``kind`` record, each from its reader."""
     if row.get("kind") != kind:
         raise MalformedTraceError(f"line {lineno}: expected a {kind} record")
-    for key, ok in _FIELDS[kind].items():
-        if not ok(row.get(key)):
-            raise MalformedTraceError(f"line {lineno}: bad {kind} {key} {row.get(key)!r}")
-    return [row[key] for key in _FIELDS[kind]]
+    values = []
+    for key, read in _FIELDS[kind].items():
+        try:
+            values.append(read(row.get(key, _ABSENT)))
+        except (OverflowError, ValueError) as exc:
+            raise MalformedTraceError(f"line {lineno}: bad {kind} {key} {row.get(key)!r}") from exc
+    return values
 
 
 def load_trace(path: str | Path) -> DecisionTrace:
     """The trace in ``path``.  Raises ``MalformedTraceError`` unless a header,
-    the steps and a final record each carry their fields, of their types."""
+    the steps and a final record each carry their fields, as their readers
+    accept them."""
     rows = []
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         if not line.strip():
@@ -468,28 +492,9 @@ def load_trace(path: str | Path) -> DecisionTrace:
         rows.append((lineno, row))
     if len(rows) < 2:
         raise MalformedTraceError("a trace needs a header and a final record")
-    _, total, chunk, lookaheads, source, spec = _fields(*rows[0], "header")
-    body = [_fields(*row, "step") for row in rows[1:-1]]
-    reason, action, *final = _fields(*rows[-1], "final")
-    lineno, wall_time = rows[-1][0], rows[-1][1].get("wall_time", 0.0)
-    if not _number(wall_time):  # advisory, but finite like every number
-        raise MalformedTraceError(f"line {lineno}: bad final wall_time {wall_time!r}")
-    try:
-        steps = []
-        for step, fraction, post, nevc, t in body:
-            try:
-                fraction = rational_from_json(fraction, "fraction")
-            except ValueError as exc:  # the step is named only when its check fails
-                raise ValueError(f"step {step} {exc}") from None
-            steps.append(TraceStep(step, fraction, float(post), tuple(map(float, nevc)), float(t)))
-        reason = StopReason(reason)
-        eu, post, t, wall_time = map(float, final + [wall_time])
-    except (OverflowError, TypeError, ValueError) as exc:  # e.g. an int beyond float's range
-        raise MalformedTraceError(f"bad trace record: {exc}") from exc
-    return DecisionTrace(
-        total, chunk, tuple(lookaheads), source, spec, steps, reason, action, eu, post, t,
-        wall_time,
-    )
+    _, *header = _fields(*rows[0], "header")
+    steps = [TraceStep(*_fields(*row, "step")) for row in rows[1:-1]]
+    return DecisionTrace(*header, steps, *_fields(*rows[-1], "final"))
 
 
 @dataclass(frozen=True)

@@ -117,9 +117,7 @@ class Profile:
     def posterior_at(self, total: int, closed: int) -> tuple[int, int]:
         """Posterior of the claim once ``closed`` of ``total`` paths are
         searched without an open one, as an exact pair.  The order is the
-        belief sources' own; ``closed`` outside [0, total] is refused."""
-        if not 0 <= closed <= total:
-            raise ValueError(f"closed {closed} outside [0, total {total}]")
+        belief sources' own; the curve refuses ``closed`` outside [0, total]."""
         return posterior(self.prior, self.curve.survivors(closed, total))
 
 

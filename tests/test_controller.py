@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from proverb import controller
-from proverb.belief import ContextTag, rational_to_json
+from proverb.belief import AnalyticModel, ContextTag, rational_to_json
 from proverb.controller import (
     AnalyticSource,
     ControllerConfig,
@@ -260,10 +260,23 @@ def test_profile_and_its_source_read_total_then_closed():
     profile = Profile(ContextTag(), records)
     assert Fraction(*ProfileSource(profile).posterior_at(100, 20)) == Fraction(1, 3)
     assert Fraction(*profile.posterior_at(100, 20)) == Fraction(1, 3)
-    # The closed count first, as this reader once took it, is refused.
-    for total, closed in [(20, 100), (100, -1)]:
-        with pytest.raises(ValueError, match=r"outside \[0, total"):
-            profile.posterior_at(total, closed)
+    # Prior 1/2 and 3 open paths: 20 closed paths survive with P(80, 3) / P(100, 3).
+    analytic = AnalyticSource(Fraction(1, 2), 3)
+    survival = Fraction(math.perm(80, 3), math.perm(100, 3))
+    assert Fraction(*analytic.posterior_at(100, 20)) == 1 / (1 + survival)
+    # The closed count first, as the profile once took it, or a count outside
+    # the space, is refused by every reader of a search's progress.
+    readers = [
+        profile.posterior_at,
+        ProfileSource(profile).posterior_at,
+        analytic.posterior_at,
+        lambda total, closed: profile.curve.survivors(closed, total),
+        lambda total, closed: AnalyticModel(total, 3).survival(closed),
+    ]
+    for total, closed in [(20, 100), (100, 200), (100, -1)]:
+        for read in readers:
+            with pytest.raises(ValueError, match=rf"closed {closed} outside \[0, total {total}\]"):
+                read(total, closed)
 
 
 def test_posteriors_rise_while_search_survives():
@@ -289,6 +302,11 @@ def test_trace_save_load_round_trip(tmp_path):
     assert lines[0]["kind"] == "header"
     assert lines[-1]["kind"] == "final"
     assert all(l["kind"] == "step" for l in lines[1:-1])
+    # The advisory wall time may be left out; it then reads 0.
+    del lines[-1]["wall_time"]
+    path.write_text("".join(json.dumps(l) + "\n" for l in lines))
+    loaded = load_trace(path)
+    assert loaded == trace and loaded.wall_time == 0.0
 
 
 def test_trace_steps_keep_no_instance_dict():
@@ -618,13 +636,19 @@ TAMPERED_FIELDS = [
     (0, "utility_spec", 5),
     (1, "step", True),
     (1, "step", "0"),
+    (1, "fraction", {"den": 0, "num": 0}),
+    (1, "fraction", {"num": 0.5, "den": 1}),
+    (1, "fraction", [0, 1]),
     (1, "posterior", "0.5"),
     (1, "nevc", "12"),
     (1, "nevc", [True]),
+    (1, "nevc", [10**400]),  # beyond float's range
     (1, "t", True),
+    (-1, "stop_reason", "foo"),
+    (-1, "stop_reason", 3),
     (-1, "action", 3),
     (-1, "eu", "1"),
-    (-1, "posterior", 10**400),  # beyond float's range
+    (-1, "posterior", 10**400),
     # json reads NaN and Infinity, and no tolerance test fails on a NaN.
     (1, "posterior", math.nan),
     (1, "nevc", [math.nan]),
@@ -637,6 +661,7 @@ TAMPERED_FIELDS = [
     (-1, "wall_time", "nan"),
     (-1, "wall_time", True),
     (-1, "wall_time", "12"),
+    (-1, "wall_time", None),
 ]
 
 
@@ -653,7 +678,10 @@ def test_load_trace_checks_the_type_of_each_field(tmp_path, line, key, value):
     rows[line][key] = value
     bad = tmp_path / "bad.jsonl"
     bad.write_text("".join(json.dumps(row) + "\n" for row in rows))
-    with pytest.raises(MalformedTraceError):
+    # Every refusal names the line, the record kind and the field.
+    lineno = line % len(rows) + 1
+    kind = {1: "header", len(rows): "final"}.get(lineno, "step")
+    with pytest.raises(MalformedTraceError, match=rf"^line {lineno}: bad {kind} {key} "):
         load_trace(bad)
 
 

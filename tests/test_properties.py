@@ -278,10 +278,14 @@ def test_long_runs_save_load_replay_clean(matrix, data):
 @given(long_walks, st.data())
 def test_replay_refuses_a_step_closer_than_a_chunk(matrix, data):
     # Each step after the first lies a whole chunk or more past the one
-    # before: move one nearer, priced as run would price it there.  A long
-    # walk gives about half the runs two steps a chunk of 2 or more apart.
+    # before: move one nearer, priced as run would price it there.  On a
+    # long walk, under a prior inside (0, 1) or the profile with both
+    # verdicts, about two runs in three take two steps a chunk of 2 or more
+    # apart.
     total = total_paths(matrix)
-    config, kw = data.draw(configs(total, least_chunk=2))
+    config, kw = data.draw(
+        configs(total, least_chunk=2, priors=st.sampled_from(INTERIOR), profiles=PROFILES[:1])
+    )
     trace = run(matrix, config)
     counts = [int(s.fraction * total) for s in trace.steps]
     chunks = [_deliberate(config, total, c)[-1] for c in counts[:-1]]
