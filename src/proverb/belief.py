@@ -10,10 +10,12 @@ escaping the explored region.  Bayes then gives
 
 Survival comes from either an empirical step curve, :class:`SurvivalCurve`
 (collected over a corpus, see :mod:`proverb.profiles`), or an analytic urn
-model, :class:`AnalyticModel`; each is evaluated there and nowhere else.  If
-``O`` of ``M`` complete paths are open and the searcher removes paths one at
-a time without replacement, the chance that the first ``searched`` are all
-closed is
+model, :class:`AnalyticModel`; each is evaluated there and nowhere else.  The
+urn's open-path distribution has one form, :data:`OpenDist`, and one reader,
+:func:`open_dist`, which checks it; ``controller.AnalyticSource`` stores the
+``OpenDist`` when it is built, and the model reads it.  If ``O`` of ``M``
+complete paths are open and the searcher removes paths one at a time without
+replacement, the chance that the first ``searched`` are all closed is
 
     prod_{i=0..searched-1} (1 - O / (M - i))  ==  P(M-searched, O) / P(M, O)
 
@@ -45,6 +47,7 @@ __all__ = [
     "FLOAT_TOL",
     "Probability",
     "OpenDist",
+    "open_dist",
     "ModelError",
     "ContextTag",
     "context_to_json",
@@ -237,25 +240,36 @@ def posterior(
 OpenDist = tuple[tuple[int, Probability], ...]
 
 
-def _normalized_dist(open_dist: Mapping[int, Probability], total: int) -> OpenDist:
-    if not open_dist:
-        raise ModelError("open-path distribution is empty")
-    items = tuple(sorted(open_dist.items()))
-    weight = 0
-    for o, p in items:
-        if not isinstance(o, int) or o < 1:
+def open_dist(
+    open_paths: int | Mapping[int, Probability] | Iterable[tuple[int, Probability]],
+) -> OpenDist:
+    """``open_paths`` as its :data:`OpenDist`: a count, a mapping count ->
+    weight, or (count, weight) pairs; a count ``o`` reads ``((o, 1),)``.
+
+    Raises ``ModelError`` unless the distribution is not empty, each count is
+    a positive ``int`` (not a bool) given once, each weight is ``>= 0`` (not
+    NaN) and the weights sum to 1: exactly for ints and Fractions, within
+    ``FLOAT_TOL`` once a float is among them.  An ``OpenDist`` reads back as
+    itself.
+    """
+    if isinstance(open_paths, int):
+        open_paths = {open_paths: Fraction(1)}
+    dist: dict[int, Probability] = {}
+    for o, p in open_paths.items() if isinstance(open_paths, Mapping) else open_paths:
+        if type(o) is not int or o < 1:
             raise ModelError(f"open-path count {o!r} must be a positive integer")
-        if o > total:
-            raise ModelError(f"open-path count {o} exceeds total paths {total}")
-        if p < 0:
+        if not p >= 0:
             raise ModelError("open-path probabilities must be >= 0")
-        weight += p
-    exact = all(isinstance(p, (int, Fraction)) for _, p in items)
-    if exact:
-        if weight != 1:
-            raise ModelError(f"open-path distribution sums to {weight}, not 1")
-    elif abs(weight - 1) > FLOAT_TOL:
-        raise ModelError(f"open-path distribution sums to {weight!r}, not 1")
+        if o in dist:
+            raise ModelError(f"open-path count {o} given twice")
+        dist[o] = p
+    if not dist:
+        raise ModelError("open-path distribution is empty")
+    items = tuple(sorted(dist.items()))
+    weight = sum(p for _, p in items)
+    tol = 0 if all(isinstance(p, (int, Fraction)) for _, p in items) else FLOAT_TOL
+    if abs(weight - 1) > tol:
+        raise ModelError(f"open-path distribution sums to {weight}, not 1")
     return items
 
 
@@ -263,20 +277,20 @@ def _normalized_dist(open_dist: Mapping[int, Probability], total: int) -> OpenDi
 class AnalyticModel:
     """Urn model of one search: ``total`` paths, open count fixed or distributed.
 
-    ``open_paths`` is given as a count or a mapping count -> probability,
-    and is stored validated as an :data:`OpenDist`.
+    ``open_paths`` is given in any form :func:`open_dist` reads, and is
+    stored as the :data:`OpenDist` it returns; its largest count must not
+    exceed ``total``.
     """
 
     total: int
-    open_paths: int | Mapping[int, Probability]
+    open_paths: OpenDist
 
     def __post_init__(self) -> None:
         if self.total < 0:
             raise ModelError("total must be >= 0")
-        dist = self.open_paths
-        if isinstance(dist, int):
-            dist = {dist: Fraction(1)}
-        dist = _normalized_dist(dist, self.total)
+        dist = open_dist(self.open_paths)
+        if dist[-1][0] > self.total:
+            raise ModelError(f"open-path count {dist[-1][0]} exceeds total paths {self.total}")
         object.__setattr__(self, "open_paths", dist)
         # Over one common denominator, p(o) * survival(searched) is
         # scale(o) * P(M-searched, o): p(o) = num/den and survival has

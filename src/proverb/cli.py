@@ -60,20 +60,21 @@ def _parse_fraction(text: str) -> Fraction:
 
 
 def _parse_open_paths(text: str):
-    """'3' -> 3;  '1:0.5,2:0.5' -> {1: Fraction(1,2), 2: Fraction(1,2)}."""
+    """'3' -> 3;  '1:0.5,2:0.5' -> [(1, Fraction(1,2)), (2, Fraction(1,2))].
+
+    A repeated count is left for the source to refuse, with the rest of the
+    distribution's checks.
+    """
     if ":" not in text:
         return int(text)
-    dist = {}
+    pairs = []
     for part in text.split(","):
         count, _, weight = part.partition(":")
         if not weight:
             raise ValueError(f"bad open-path entry {part!r} (want COUNT:PROB)")
         weight = _parse_fraction(weight)
-        count = int(count)
-        if count in dist:
-            raise ValueError(f"open-path count {count} given twice")
-        dist[count] = weight
-    return dist
+        pairs.append((int(count), weight))
+    return pairs
 
 
 def _parse_lookaheads(text: str) -> tuple:

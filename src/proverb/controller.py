@@ -14,8 +14,10 @@ applies the same rule at each recorded closed count.  Termination:
 * ``deadline_forced``  -- the next chunk cannot finish before a hard deadline.
 
 Belief sources: ``AnalyticSource`` (prior + open-path urn model, exact
-per-path pricing) or ``ProfileSource`` (empirical prior + survival curve,
-chunk-granularity pricing; see ``nevc_two_outcome``).  Both offer the same
+per-path pricing; it stores its open-path distribution as the ``OpenDist``
+that ``belief.open_dist`` checks, when the source is built) or
+``ProfileSource`` (empirical prior + survival curve, chunk-granularity
+pricing; see ``nevc_two_outcome``).  Both offer the same
 three methods, and the step rule, ``run`` and ``replay`` use only these,
 never asking which source they hold:
 
@@ -68,13 +70,15 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any
 
 from .belief import (
     FLOAT_TOL,
     AnalyticModel,
+    OpenDist,
     Probability,
     context_to_json,
+    open_dist,
     posterior,
     rational_from_json,
     rational_to_json,
@@ -126,17 +130,22 @@ class MalformedTraceError(ValueError):
 class AnalyticSource:
     """Prior plus an open-path urn model (count or distribution over counts).
 
-    Halts are priced per path (``nevc_multi``).  The :class:`AnalyticModel`
-    is built on first use for a path-space size and kept for the next call,
-    so a run or replay builds it once, and never for an empty space.
+    ``open_paths`` is stored as the :data:`~proverb.belief.OpenDist` that
+    ``open_dist`` reads from a count, a mapping or pairs, so a bad
+    distribution is refused here, before any search, and equivalent inputs
+    give equal sources.  Halts are priced per path (``nevc_multi``).  The
+    :class:`AnalyticModel` is built on first use for a path-space size and
+    kept for the next call, so a run or replay builds it once, and never for
+    an empty space; it refuses a count beyond that size.
     """
 
     prior: Probability
-    open_paths: int | Mapping[int, Probability]
+    open_paths: OpenDist
 
     def __post_init__(self) -> None:
         if not 0 <= self.prior <= 1:
             raise ValueError(f"prior {self.prior} outside [0, 1]")
+        object.__setattr__(self, "open_paths", open_dist(self.open_paths))
 
     def _model(self, total: int) -> AnalyticModel:
         model = self.__dict__.get("_built")
@@ -165,14 +174,11 @@ class AnalyticSource:
         )
 
     def describe(self) -> dict:
-        open_paths = self.open_paths
-        if isinstance(open_paths, int):
-            open_desc: Any = open_paths
+        dist = self.open_paths
+        if len(dist) == 1 and dist[0][1] == 1:
+            open_desc: Any = dist[0][0]  # a single count is written bare
         else:
-            open_desc = [
-                {"open": o, **rational_to_json(p)}
-                for o, p in sorted(open_paths.items())
-            ]
+            open_desc = [{"open": o, **rational_to_json(p)} for o, p in dist]
         return {
             "kind": "analytic",
             "prior": rational_to_json(self.prior),
@@ -485,7 +491,9 @@ def load_trace(path: str | Path) -> DecisionTrace:
             continue
         try:
             row = json.loads(line)
-        except ValueError as exc:  # not JSON, or an integer beyond int()'s digit limit
+        except (ValueError, RecursionError) as exc:
+            # not JSON, an integer beyond int()'s digit limit, or arrays
+            # nested beyond the decoder's recursion limit
             raise MalformedTraceError(f"line {lineno}: not JSON: {exc}") from exc
         if not isinstance(row, dict):
             raise MalformedTraceError(f"line {lineno}: not a JSON object")

@@ -202,7 +202,9 @@ def _require(cond: bool, message: str) -> None:
 def load(path: str | Path) -> Profile:
     try:
         doc = json.loads(Path(path).read_text())
-    except ValueError as exc:  # not JSON, or an integer beyond int()'s digit limit
+    except (ValueError, RecursionError) as exc:
+        # not JSON, an integer beyond int()'s digit limit, or arrays
+        # nested beyond the decoder's recursion limit
         raise MalformedProfileError(f"not valid JSON: {exc}") from exc
     _require(isinstance(doc, dict), "profile document must be a JSON object")
     version = doc.get("format_version")

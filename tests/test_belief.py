@@ -21,6 +21,7 @@ from proverb.belief import (
     ModelError,
     SurvivalCurve,
     context_mismatches,
+    open_dist,
     posterior,
 )
 
@@ -199,6 +200,27 @@ def test_analytic_model_stores_one_sorted_distribution():
     model = AnalyticModel(6, {5: Fraction(1, 3), 1: Fraction(2, 3)})
     assert model.open_paths == ((1, Fraction(2, 3)), (5, Fraction(1, 3)))
     assert AnalyticModel(6, 2).conditional(3) == ((2, Fraction(1)),)
+
+
+def test_open_dist_reads_a_count_a_mapping_or_pairs():
+    dist = ((1, Fraction(2, 3)), (5, Fraction(1, 3)))
+    assert open_dist({5: Fraction(1, 3), 1: Fraction(2, 3)}) == dist
+    assert open_dist(reversed(dist)) == dist
+    assert open_dist(dist) == dist  # an OpenDist reads back as itself
+    assert open_dist(2) == ((2, Fraction(1)),)
+    # No space is known here: a count beyond one is the model's to refuse.
+    assert open_dist(7) == ((7, Fraction(1)),)
+    with pytest.raises(ModelError, match="open-path count 7 exceeds total paths 6"):
+        AnalyticModel(6, 7)
+    with pytest.raises(ModelError, match="open-path count '1' must be a positive integer"):
+        open_dist({"1": Fraction(1)})
+    with pytest.raises(ModelError, match="must be >= 0"):
+        AnalyticModel(6, {1: math.nan, 2: 1.0})
+    # Pairs may repeat a count, which a mapping cannot; keeping only the last
+    # weight would pass this one as (3, 1/2), (4, 1/2).
+    half = Fraction(1, 2)
+    with pytest.raises(ModelError, match="^open-path count 3 given twice$"):
+        open_dist(((3, half), (3, half), (4, half)))
 
 
 def test_analytic_model_validation():

@@ -94,6 +94,27 @@ def test_prove_reports_verdict_and_witness(tmp_path, capsys):
     assert saw_open and saw_exhausted
 
 
+# One empty clause admits no path at all; no clause leaves one path, the empty
+# one, and it is open.  Neither space is ever searched.
+EMPTY_CLAUSE, NO_CLAUSE = "p cnf 1 1\n0\n", "p cnf 1 0\n"
+
+
+@pytest.mark.parametrize(
+    "text, lines",
+    [
+        (EMPTY_CLAUSE, ["status: W_TRUE", "fraction: 1/1 (1.000000)", "closures: 0"]),
+        (NO_CLAUSE,
+         ["status: W_FALSE", "fraction: 0/1 (0.000000)", "closures: 0", "witness: "]),
+    ],
+    ids=["empty clause", "no clause"],
+)
+def test_prove_on_a_space_of_no_path_or_one(text, lines, tmp_path, capsys):
+    cnf = tmp_path / "f.cnf"
+    cnf.write_text(text)
+    assert run_cli("prove", str(cnf)) == 0
+    assert capsys.readouterr().out == "".join(line + "\n" for line in lines)
+
+
 def test_prove_budget_exhaustion_exits_3(tmp_path, capsys):
     out = tmp_path / "c"
     run_cli(
@@ -590,6 +611,30 @@ def test_value_beyond_the_digit_limit_is_refused_before_the_search(
     assert "exceeds 4300 digits" in captured.err or "needs more than 4300 digits" in captured.err
 
 
+@pytest.mark.parametrize("text", [EMPTY_CLAUSE, NO_CLAUSE], ids=["empty clause", "no clause"])
+@pytest.mark.parametrize(
+    "analytic, error",
+    [
+        ("0", "open-path count 0 must be a positive integer"),
+        ("-3", "open-path count -3 must be a positive integer"),
+        ("1:0.7", "open-path distribution sums to 7/10, not 1"),
+    ],
+)
+def test_run_refuses_a_bad_distribution_where_it_never_searches(
+    text, analytic, error, tmp_path, capsys
+):
+    # The run stops before any search, so only the source can refuse it.
+    cnf = tmp_path / "f.cnf"
+    cnf.write_text(text)
+    trace = tmp_path / "t.jsonl"
+    argv = ("run", str(cnf), "--utilities", UTIL, "--analytic", analytic,
+            "--prior", "1/2", "--out", str(trace))
+    assert run_cli(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not trace.exists()
+    assert captured.err == f"error: {error}\n"
+
+
 def test_decide_on_a_profile_with_an_integer_beyond_the_digit_limit(tmp_path, capsys):
     path = tmp_path / "huge.json"
     path.write_text('{"format_version": 1, "prior": {"num": 1, "den": 1' + "0" * 9300 + "}}")
@@ -840,3 +885,11 @@ def test_malformed_profile_is_usage_error(tmp_path, capsys):
     bad.write_text(json.dumps({"format_version": 1, "records": []}))
     assert run_cli("curve", "--profile", str(bad), "--out", str(tmp_path / "c.csv")) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_deeply_nested_profile_is_usage_error(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    assert run_cli("curve", "--profile", str(deep), "--out", str(tmp_path / "c.csv")) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: not valid JSON: ")

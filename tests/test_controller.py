@@ -307,6 +307,9 @@ def test_trace_save_load_round_trip(tmp_path):
     path.write_text("".join(json.dumps(l) + "\n" for l in lines))
     loaded = load_trace(path)
     assert loaded == trace and loaded.wall_time == 0.0
+    # Blank lines, anywhere, are skipped.
+    path.write_text("\n \n".join(json.dumps(l) for l in lines) + "\n\n")
+    assert load_trace(path) == trace
 
 
 def test_trace_steps_keep_no_instance_dict():
@@ -706,6 +709,13 @@ def test_load_trace_rejects_an_integer_beyond_the_digit_limit(tmp_path):
     bad = tmp_path / "huge.jsonl"
     bad.write_text("\n".join([lines[0], huge] + lines[2:]) + "\n")
     with pytest.raises(MalformedTraceError, match="line 2: not JSON"):
+        load_trace(bad)
+
+
+def test_load_trace_rejects_arrays_nested_beyond_the_decoder(tmp_path):
+    bad = tmp_path / "deep.jsonl"
+    bad.write_text("[" * 100_000 + "]" * 100_000 + "\n")
+    with pytest.raises(MalformedTraceError, match="^line 1: not JSON"):
         load_trace(bad)
 
 

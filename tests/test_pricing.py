@@ -10,6 +10,7 @@ posterior counts at its exact rational value, so the oracle gets
 ``Fraction(p)``; an exact pair gets ``Fraction(*pair)``.
 """
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -191,6 +192,46 @@ def test_bad_open_counts_are_refused_with_the_model(dist):
     assert outcome(fraction_nevc_multi, Fraction(1, 2), 5, dist, ACT)[0] is ModelError
     with pytest.raises(ModelError):
         AnalyticModel(5, dict(dist))
+    largest = dist[-1][0]
+    if largest > 5:
+        # A count beyond the space is the model's refusal: the source knows no space.
+        source = AnalyticSource(Fraction(1, 2), dist)
+        with pytest.raises(ModelError, match=f"open-path count {largest} exceeds total paths 5"):
+            source.posterior_at(5, 0)
+    else:
+        with pytest.raises(ModelError, match="open-path count 0 must be a positive integer"):
+            AnalyticSource(Fraction(1, 2), dist)
+
+
+@pytest.mark.parametrize("dist, error", [
+    (True, "open-path count True must be a positive integer"),
+    (0, "open-path count 0 must be a positive integer"),
+    (-3, "open-path count -3 must be a positive integer"),
+    ({}, "open-path distribution is empty"),
+    ({1: 0.7}, "open-path distribution sums to 0.7, not 1"),
+    ({1: -0.5, 2: 1.5}, "open-path probabilities must be >= 0"),
+    ({1: float("nan"), 2: 1.0}, "open-path probabilities must be >= 0"),
+])
+def test_bad_distributions_are_refused_when_the_source_is_built(dist, error):
+    with pytest.raises(ModelError, match=f"^{re.escape(error)}$"):
+        AnalyticSource(Fraction(1, 2), dist)
+
+
+def test_one_distribution_gives_one_source():
+    # A count, its one-entry mapping (exact or float) and its pairs.
+    forms = (3, {3: Fraction(1)}, {3: 1.0}, ((3, 1),))
+    three = [AnalyticSource(Fraction(1, 2), d) for d in forms]
+    assert all(source == three[0] for source in three)
+    assert len({hash(source) for source in three}) == 1
+    assert {source.describe()["open_paths"] for source in three} == {3}
+    # A mixture in either key order; its header stays the list of weights.
+    one, four = Fraction(1, 4), Fraction(3, 4)
+    mixture = AnalyticSource(Fraction(1, 2), {4: four, 1: one})
+    assert mixture == AnalyticSource(Fraction(1, 2), ((1, one), (4, four)))
+    assert mixture.open_paths == ((1, one), (4, four))
+    assert mixture.describe()["open_paths"] == [
+        {"open": 1, "num": 1, "den": 4}, {"open": 4, "num": 3, "den": 4}
+    ]
 
 
 @pytest.mark.parametrize("p", [(3, 2), (1, 0), (-1, 2)])
@@ -225,9 +266,7 @@ def analytic_oracle(source, config, total, closed):
     A float prior and float weights count at their exact values, the weights
     normalized by their exact sum as the model does.
     """
-    open_paths = source.open_paths
-    if isinstance(open_paths, int):
-        open_paths = {open_paths: Fraction(1)}
+    open_paths = dict(source.open_paths)
     norm = sum(Fraction(w) for w in open_paths.values())
     dist = tuple(sorted((o, Fraction(w) / norm) for o, w in open_paths.items()))
     post = fraction_analytic_posterior(Fraction(source.prior), total, dist, closed)

@@ -276,6 +276,14 @@ def test_load_rejects_an_integer_beyond_the_digit_limit(tmp_path):
         load(path)
 
 
+def test_load_rejects_arrays_nested_beyond_the_decoder(tmp_path):
+    # The decoder recurses once per level and gives up with a RecursionError.
+    path = tmp_path / "p.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    with pytest.raises(MalformedProfileError, match="not valid JSON"):
+        load(path)
+
+
 def test_load_rejects_inconsistent_prior(tmp_path):
     path = tmp_path / "p.json"
     save(hand_profile(), path)
