@@ -78,7 +78,9 @@ class ContextTag:
 
     Profiles only transfer to instances drawn from the same distribution;
     the tag records the generator configuration and heuristic so a mismatch
-    can at least be flagged.
+    can at least be flagged.  The tag checks its fields when it is built:
+    each count and the seed an integer (not a bool) or None, the heuristic
+    a string.
     """
 
     n_clauses: int | None = None
@@ -87,6 +89,14 @@ class ContextTag:
     seed: int | None = None
     count: int | None = None
     heuristic: str = "none"
+
+    def __post_init__(self) -> None:
+        for key in _CONTEXT_KEYS[:-1]:  # the counts and the seed
+            value = getattr(self, key)
+            if value is not None and type(value) is not int:
+                raise ValueError(f"context {key} must be an integer or null, got {value!r}")
+        if type(self.heuristic) is not str:
+            raise ValueError(f"context heuristic must be a string, got {self.heuristic!r}")
 
 
 _CONTEXT_KEYS = tuple(f.name for f in fields(ContextTag))
@@ -98,21 +108,11 @@ def context_to_json(tag: ContextTag) -> dict:
 
 
 def context_from_json(node: object) -> ContextTag:
-    """Inverse of :func:`context_to_json`; absent keys take their defaults.
-
-    The counts and the seed must be integers (not bools) or null, and the
-    heuristic a string.
-    """
+    """Inverse of :func:`context_to_json`: picks the tag's keys, absent ones
+    taking their defaults, and the tag checks their values."""
     if not isinstance(node, dict):
         raise ValueError("missing context object")
-    values = {key: node[key] for key in _CONTEXT_KEYS if key in node}
-    for key, value in values.items():
-        if key == "heuristic":
-            if type(value) is not str:
-                raise ValueError(f"context heuristic must be a string, got {value!r}")
-        elif value is not None and type(value) is not int:
-            raise ValueError(f"context {key} must be an integer or null, got {value!r}")
-    return ContextTag(**values)
+    return ContextTag(**{key: node[key] for key in _CONTEXT_KEYS if key in node})
 
 
 def rational_to_json(value: Probability) -> dict:

@@ -41,8 +41,10 @@ two belief sources differ only in the survival pair and the halt term:
   mixture.  The model builds ``L`` and each count's ``L/(O+1)`` once, and
   keeps the last searched count's terms beside their sum ``sum J``, which
   the posterior (through ``survival``) and the pricing at one step share.
-  A lookahead of millions of paths costs one falling-factorial product per
-  open count (two under a deadline).
+  The zero cost is the linear cost at rate 0, priced in the same loop
+  without forming the mean, which only the rate multiplies.  A lookahead
+  of millions of paths costs one falling-factorial product per open count
+  (two under a deadline).
 * ``nevc_two_outcome`` (empirical curve): the pair is the ratio of survivor
   counts, and the halt is valued at the chunk end -- a step curve says
   nothing about where inside the chunk the find lands, and under
@@ -353,24 +355,24 @@ def nevc_multi(
             raise ModelError(f"no open count fits the {remaining} remaining paths")
         max_false = max(utilities.when_false)
         weight, kind, at = q_num / p_den, timecost.kind, model._at
-        if kind is CostKind.ZERO:
-            for x in lookaheads:
-                total_after = at(searched + x)[1]
-                halt = (total_now - total_after) / total_now
-                yield total_after, total_now, weight * (halt * max_false)
-        elif kind is CostKind.LINEAR:
-            # The mean halt path over total_now * L, sum ((l+1)*J -
-            # J'*(l+1+x*O)) * L/(O+1), split into its sums over J and J'.
-            rate, time_of, per_count = timecost.rate, timecost.time_of, model._per_count
-            level = max_false - rate * time_of(searched)  # the linear cost's line
-            lead, den = (remaining + 1) * sum(map(mul, now, per_count)), total_now * model._lcm
+        if kind is not CostKind.DEADLINE:
+            # The zero cost is the linear cost at rate 0, and forms no mean
+            # halt path.  That mean over total_now * L, sum ((l+1)*J -
+            # J'*(l+1+x*O)) * L/(O+1), is split into its sums over J and J'.
+            linear, time_of = kind is CostKind.LINEAR, timecost.time_of
+            level, cost = max_false, 0.0  # the linear cost's line, and the cost of the mean
+            if linear:
+                rate, den = timecost.rate, total_now * model._lcm
+                level -= rate * time_of(searched)
+                per_count, per_open = model._per_count, model._per_open
+                lead = (remaining + 1) * sum(map(mul, now, per_count))
             for x in lookaheads:
                 after, total_after = at(searched + x)
-                mean = lead - (remaining + 1) * sum(map(mul, after, per_count)) - x * sum(
-                    map(mul, after, model._per_open)
-                )
+                if linear:
+                    mean = lead - (remaining + 1) * sum(map(mul, after, per_count))
+                    cost = rate * time_of(mean - x * sum(map(mul, after, per_open)), den)
                 halt = (total_now - total_after) / total_now
-                yield total_after, total_now, weight * (level * halt - rate * time_of(mean, den))
+                yield total_after, total_now, weight * (level * halt - cost)
         else:  # deadline: step split at the last in-time path index
             penalty = timecost.penalty
             for x in lookaheads:
@@ -426,6 +428,7 @@ def nevc_two_outcome(
 #   cost=linear:0.01; tau=0.001
 #
 # cost is zero | linear:RATE | deadline:AT:PENALTY  (default zero, tau 1.0).
+# Each key is given once; spaces inside a key do not count.
 
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_+-]*$")
 _U_KEY_RE = re.compile(r"^u\(([^,()]+),(~?w)\)$")
@@ -436,6 +439,7 @@ def parse_utility_spec(text: str) -> tuple[UtilityModel, TimeCost]:
     entries: dict[tuple[str, str], float] = {}
     cost_spec = "zero"
     tau = 1.0
+    seen: set[str] = set()
     for chunk in text.split(";"):
         chunk = chunk.strip()
         if not chunk:
@@ -444,6 +448,9 @@ def parse_utility_spec(text: str) -> tuple[UtilityModel, TimeCost]:
         if not sep:
             raise UtilitySpecError(f"expected key=value, got {chunk!r}")
         key = key.strip().replace(" ", "")
+        if key in seen:
+            raise UtilitySpecError(f"{key} given twice")
+        seen.add(key)
         value = value.strip()
         if key == "actions":
             actions = [a.strip() for a in value.split(",") if a.strip()]
@@ -452,23 +459,20 @@ def parse_utility_spec(text: str) -> tuple[UtilityModel, TimeCost]:
             for a in actions:
                 if not _NAME_RE.match(a):
                     raise UtilitySpecError(f"bad action name {a!r}")
-            continue
-        if key == "cost":
-            cost_spec = value.strip()
-            continue
-        if key == "tau":
+        elif key == "cost":
+            cost_spec = value
+        elif key == "tau":
             try:
                 tau = float(value)
             except ValueError as exc:
                 raise UtilitySpecError(f"bad tau {value!r}") from exc
-            continue
-        m = _U_KEY_RE.match(key)
-        if not m:
+        elif m := _U_KEY_RE.match(key):
+            try:
+                entries[(m.group(1), m.group(2))] = float(value)
+            except ValueError as exc:
+                raise UtilitySpecError(f"bad utility value {value!r}") from exc
+        else:
             raise UtilitySpecError(f"unrecognized key {key!r}")
-        try:
-            entries[(m.group(1), m.group(2))] = float(value)
-        except ValueError as exc:
-            raise UtilitySpecError(f"bad utility value {value!r}") from exc
     if actions is None:
         raise UtilitySpecError("missing actions=")
     when_true = []

@@ -19,6 +19,13 @@ The prior and the curve are implied by the records: both are rebuilt on
 load, and a file whose written prior disagrees is refused, so nothing in
 the file can drift out of sync with the data.  Per-instance wall time is
 advisory, in-memory only, and excluded from equality.
+
+Each field has its rules in one place, the constructor that holds it:
+``InstanceRecord`` (an integer id, a bool verdict, a fraction that fits the
+verdict, a closure count >= 0), ``Profile`` (at least one record, an
+excluded count >= 0) and ``belief.ContextTag``.  A bool is no integer here.
+``load`` only maps the JSON onto them, so every profile they accept reads
+back from the file ``save`` writes.
 """
 
 from __future__ import annotations
@@ -65,6 +72,14 @@ class VersionMismatchError(MalformedProfileError):
     pass
 
 
+def _check_count(value: object, what: str) -> None:
+    """Refuse a count that is not an ``int`` >= 0; a bool is no ``int`` here."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    if value < 0:
+        raise ValueError(f"{what} must be >= 0, got {value}")
+
+
 @dataclass(frozen=True)
 class InstanceRecord:
     """Outcome of one full search: verdict, where it ended, how hard it was."""
@@ -76,16 +91,16 @@ class InstanceRecord:
     wall_time: float | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
-        if self.satisfiable:
-            if not 0 <= self.discovery_fraction < 1:
-                raise ValueError(
-                    "satisfiable instances discover inside [0, 1); got "
-                    f"{self.discovery_fraction}"
-                )
-        elif self.discovery_fraction != 1:
+        if type(self.instance_id) is not int:
+            raise ValueError(f"id must be an integer, got {self.instance_id!r}")
+        if type(self.satisfiable) is not bool:
+            raise ValueError(f"sat flag must be a bool, got {self.satisfiable!r}")
+        frac = self.discovery_fraction
+        if self.satisfiable and not 0 <= frac < 1:
+            raise ValueError(f"satisfiable instances discover inside [0, 1); got {frac}")
+        if not self.satisfiable and frac != 1:
             raise ValueError("unsatisfiable instances record fraction 1 (exhaustion)")
-        if self.closure_count < 0:
-            raise ValueError("closure_count must be >= 0")
+        _check_count(self.closure_count, "closure count")
 
 
 @dataclass
@@ -106,8 +121,7 @@ class Profile:
         self.records = tuple(self.records)
         if not self.records:
             raise ValueError("a profile needs at least one record")
-        if self.excluded < 0:
-            raise ValueError("excluded count must be >= 0")
+        _check_count(self.excluded, "excluded count")
         unsat = sum(not r.satisfiable for r in self.records)
         self.prior = Fraction(unsat, len(self.records))
         self.curve = SurvivalCurve(
@@ -194,49 +208,50 @@ def save(profile: Profile, path: str | Path) -> None:
     Path(path).write_bytes((json.dumps(doc, indent=1) + "\n").encode("ascii"))
 
 
-def _require(cond: bool, message: str) -> None:
-    if not cond:
-        raise MalformedProfileError(message)
+def _record(i: int, row: object) -> InstanceRecord:
+    """Record ``i`` of a profile document; the record checks its fields."""
+    if not isinstance(row, dict):
+        raise MalformedProfileError(f"record {i} must be an object")
+    try:
+        frac = rational_from_json(row.get("frac"), "frac")
+        return InstanceRecord(row.get("id"), row.get("sat"), frac, row.get("closures"))
+    except ValueError as exc:
+        raise MalformedProfileError(f"record {i}: {exc}") from exc
 
 
 def load(path: str | Path) -> Profile:
+    """The profile ``save`` wrote to ``path``.
+
+    Only what JSON alone can get wrong is checked here: the document, its
+    version, the records' list and objects, and the ``{num, den}`` rationals.
+    Every other value goes to the constructor that holds it, and a refusal
+    is raised as a ``MalformedProfileError``.
+    """
     try:
         doc = json.loads(Path(path).read_text())
     except (ValueError, RecursionError) as exc:
         # not JSON, an integer beyond int()'s digit limit, or arrays
         # nested beyond the decoder's recursion limit
         raise MalformedProfileError(f"not valid JSON: {exc}") from exc
-    _require(isinstance(doc, dict), "profile document must be a JSON object")
+    if not isinstance(doc, dict):
+        raise MalformedProfileError("profile document must be a JSON object")
     version = doc.get("format_version")
     if type(version) is not int or version != FORMAT_VERSION:
         raise VersionMismatchError(
             f"profile format_version {version!r} unsupported (expected {FORMAT_VERSION})"
         )
+    raw_records = doc.get("records")
+    if not isinstance(raw_records, list):
+        raise MalformedProfileError("missing records")
+    records = [_record(i, row) for i, row in enumerate(raw_records)]
     try:
         context = context_from_json(doc.get("context"))
         prior = rational_from_json(doc.get("prior"), "prior")
+        profile = Profile(context, records, doc.get("excluded", 0))
     except ValueError as exc:
         raise MalformedProfileError(str(exc)) from exc
-    excluded = doc.get("excluded", 0)
-    _require(type(excluded) is int and excluded >= 0, "bad excluded count")
-    raw_records = doc.get("records")
-    _require(isinstance(raw_records, list) and raw_records, "missing records")
-    records = []
-    for i, row in enumerate(raw_records):
-        _require(isinstance(row, dict), f"record {i} must be an object")
-        _require(type(row.get("id")) is int, f"record {i}: bad id")
-        _require(isinstance(row.get("sat"), bool), f"record {i}: bad sat flag")
-        _require(
-            type(row.get("closures")) is int and row["closures"] >= 0,
-            f"record {i}: bad closure count",
-        )
-        try:
-            frac = rational_from_json(row.get("frac"), "frac")
-            records.append(InstanceRecord(row["id"], row["sat"], frac, row["closures"]))
-        except ValueError as exc:
-            raise MalformedProfileError(f"record {i}: {exc}") from exc
-    profile = Profile(context, records, excluded)
-    _require(prior == profile.prior, f"prior {prior} inconsistent with records ({profile.prior})")
+    if prior != profile.prior:
+        raise MalformedProfileError(f"prior {prior} inconsistent with records ({profile.prior})")
     return profile
 
 

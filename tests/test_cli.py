@@ -737,6 +737,10 @@ def test_decide_refuses_utilities_it_cannot_score(capsys):
             "action names must be distinct",
         ),
         (
+            ("decide", "--utilities", TWO_ACTIONS + "; u(a, w)=5", "--posterior", "1/2"),
+            "error: u(a,w) given twice\n",
+        ),
+        (
             ("gen", "--clauses", "3", "--lits", "1", "--alphabet", "0", "--seed", "1",
              "--count", "1", "--out", "{out}"),
             "alphabet_size must be >= 1",

@@ -302,6 +302,27 @@ def test_nevc_grows_with_lookahead_under_zero_cost():
         assert later >= earlier - 1e-12
 
 
+@pytest.mark.parametrize("tau", [1.0, 0.01, 3.7])
+@pytest.mark.parametrize(
+    "open_paths", [2, {1: Fraction(1, 2), 3: Fraction(1, 4), 9: Fraction(1, 4)}]
+)
+def test_zero_cost_prices_as_the_linear_cost_at_rate_0(tau, open_paths):
+    # One loop prices both, bit for bit; a zero cost built with a rate
+    # ignores it.
+    model = AnalyticModel(27, open_paths)
+    bet = UtilityModel.from_pairs({"bet": (1.0, -0.25), "hedge": (0.3, 0.5)})
+    costs = TimeCost.zero(tau), TimeCost.linear(0.0, tau), TimeCost(CostKind.ZERO, 0.3, tau=tau)
+    for utilities in (ACT, bet):
+        for searched in (0, 5):
+            lookaheads = tuple(range(1, model.total - searched + 1))
+            for p in (Fraction(0), Fraction(1, 3), Fraction(1)):
+                zero, linear, ignored = (
+                    repr(nevc_multi(p, model, searched, utilities, cost, lookaheads))
+                    for cost in costs
+                )
+                assert zero == linear == ignored
+
+
 # --- two-outcome chunk value ------------------------------------------------------
 
 
@@ -400,6 +421,11 @@ def test_utility_spec_defaults_to_zero_cost():
         "actions=a,b; u(a,w)=1; u(a,~w)=0; u(b,w)=0; u(b,~w)=1; cost=deadline:1:-inf",
         "actions=a,b; u(a,w)=1; u(a,~w)=0; u(b,w)=0; u(b,~w)=1; tau=inf",
         "actions=a,b; u(a,w)=1; u(a,~w)=0; u(b,w)=0; u(b,~w)=1; tau=nan",
+        # A key given twice, spaces inside it not counting.
+        "actions=a,b; u(a,w)=1; u(a,~w)=0; u(b,w)=0; u(b,~w)=1; u(a, w)=5",
+        "actions=a,b; u(a,w)=1; u(a,~w)=0; u(b,w)=0; u(b,~w)=1; tau=1; tau=2",
+        "actions=a,b; u(a,w)=1; u(a,~w)=0; u(b,w)=0; u(b,~w)=1; cost=zero; cost=linear:0.5",
+        "actions=a,b; u(a,w)=1; u(a,~w)=0; u(b,w)=0; u(b,~w)=1; actions=b,a",
     ],
 )
 def test_utility_spec_rejects_malformed(text):

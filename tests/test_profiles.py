@@ -47,6 +47,30 @@ def test_record_validation():
         InstanceRecord(0, True, Fraction(1, 2), -1)
 
 
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        (
+            lambda: Profile(ContextTag(), hand_profile().records, excluded=True),
+            "excluded count must be an integer, got True",
+        ),
+        (lambda: InstanceRecord(True, False, Fraction(1), 0), "id must be an integer, got True"),
+        (
+            lambda: InstanceRecord(0, False, Fraction(1), True),
+            "closure count must be an integer, got True",
+        ),
+        (lambda: InstanceRecord(0, 1, Fraction(1, 2), 0), "sat flag must be a bool, got 1"),
+        (lambda: ContextTag(seed=True), "context seed must be an integer or null, got True"),
+    ],
+    ids=["excluded", "id", "closures", "sat", "seed"],
+)
+def test_constructors_refuse_what_load_would(build, error):
+    # Each value here, once saved, is one that loading refuses: the rule
+    # lives in the constructor, so no such profile can be built.
+    with pytest.raises(ValueError, match=f"^{error}$"):
+        build()
+
+
 def test_profile_prior_is_the_records_unsat_share():
     records = (InstanceRecord(0, False, Fraction(1), 1),)
     assert Profile(ContextTag(), records).prior == 1

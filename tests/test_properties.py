@@ -17,6 +17,7 @@ import math
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import astuple
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -428,6 +429,39 @@ def test_profile_save_load_round_trips(profile):
     assert [loaded.curve.survivors(*pt) for pt in points] == [
         profile.curve.survivors(*pt) for pt in points
     ]
+
+
+# What a JSON field can hold but a float or a container.
+loose = st.one_of(st.integers(-2, 2**70), st.booleans(), st.none(), st.text(max_size=3))
+
+
+@PROPERTY
+@given(contexts, st.lists(outcomes, min_size=1, max_size=4), st.data())
+def test_what_the_constructors_accept_loads_back_equal(context, rows, data):
+    # Good inputs for a tag, its records and an excluded count, two of them
+    # swapped for loose values.  A record's fraction follows its verdict.
+    tag_fields = list(astuple(context))
+    record_fields = [[i, sat, closures] for i, sat, _, closures in rows]
+    excluded = [0]
+    slots = [(tag_fields, k) for k in range(len(tag_fields))]
+    slots += [(fields, k) for fields in record_fields for k in range(3)] + [(excluded, 0)]
+    for _ in range(2):
+        fields, k = data.draw(st.sampled_from(slots))
+        fields[k] = data.draw(loose)
+    try:
+        records = [
+            InstanceRecord(i, sat, frac if sat is True else Fraction(1), closures)
+            for (i, sat, closures), (_, _, frac, _) in zip(record_fields, rows)
+        ]
+        profile = Profile(ContextTag(*tag_fields), records, excluded[0])
+    except ValueError:
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "p.json"
+        save(profile, path)
+        loaded = load(path)
+    assert loaded == profile
+    assert loaded.context == profile.context
 
 
 # --- malformed command-line input ----------------------------------------------
