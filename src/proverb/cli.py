@@ -117,9 +117,7 @@ def _collect(args, corpus, heuristic):
     from .profiles import collect
 
     context = ContextTag(args.clauses, args.lits, args.alphabet, args.seed)
-    return collect(
-        corpus, heuristic, context=context, step_cap=args.step_cap, jobs=args.jobs
-    )
+    return collect(corpus, heuristic, context=context, step_cap=args.step_cap)
 
 
 def _read_instance(args):
@@ -329,7 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
         family.add_argument(flag, type=int, required=True)
     family.add_argument("--out", required=True)
     collecting = argparse.ArgumentParser(add_help=False, parents=[family])
-    collecting.add_argument("--jobs", type=int, default=1)
     collecting.add_argument("--step-cap", type=int, default=None)
 
     p = sub.add_parser("gen", parents=[family], help="write a random DIMACS corpus")

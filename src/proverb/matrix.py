@@ -281,6 +281,8 @@ def solve(matrix: Matrix, *, max_closures: int | None = None) -> SearchState:
     Returns the final state; ``state.status`` stays RUNNING when the closure
     cap was hit first, or at once under a cap of 0.
     """
+    if max_closures is not None and type(max_closures) is not int:
+        raise ValueError(f"max_closures must be an integer when given, got {max_closures!r}")
     if max_closures is not None and max_closures < 0:
         raise ValueError(f"max_closures must be >= 0 when given, got {max_closures}")
     state = SearchState(matrix)

@@ -21,9 +21,10 @@ the file can drift out of sync with the data.  Per-instance wall time is
 advisory, in-memory only, and excluded from equality.
 
 Each field has its rules in one place, the constructor that holds it:
-``InstanceRecord`` (an integer id, a bool verdict, a fraction that fits the
-verdict, a closure count >= 0), ``Profile`` (at least one record, an
-excluded count >= 0) and ``belief.ContextTag``.  A bool is no integer here.
+``InstanceRecord`` (an integer id, a bool verdict, a discovery fraction
+that is an int, float or ``Fraction`` and fits the verdict, a closure count
+>= 0), ``Profile`` (at least one record, an excluded count >= 0) and
+``belief.ContextTag``.  A bool is no number here.
 ``load`` only maps the JSON onto them, so every profile they accept reads
 back from the file ``save`` writes.
 """
@@ -96,6 +97,8 @@ class InstanceRecord:
         if type(self.satisfiable) is not bool:
             raise ValueError(f"sat flag must be a bool, got {self.satisfiable!r}")
         frac = self.discovery_fraction
+        if type(frac) not in (int, float, Fraction):
+            raise ValueError(f"discovery fraction must be a number, got {frac!r}")
         if self.satisfiable and not 0 <= frac < 1:
             raise ValueError(f"satisfiable instances discover inside [0, 1); got {frac}")
         if not self.satisfiable and frac != 1:
@@ -135,58 +138,41 @@ class Profile:
         return posterior(self.prior, self.curve.survivors(closed, total))
 
 
-def _run_one(args: tuple[int, Matrix, Heuristic, int | None]) -> InstanceRecord | None:
-    """The instance's record, or None when it hit the closure cap."""
-    instance_id, matrix, heuristic, cap = args
-    prepared = heuristic.apply(matrix)
-    started = time.perf_counter()
-    state = solve(prepared, max_closures=cap)
-    elapsed = time.perf_counter() - started
-    if state.status is SearchStatus.RUNNING:
-        return None
-    sat = state.status is SearchStatus.OPEN_FOUND
-    frac = fraction_explored(state) if sat else Fraction(1)
-    return InstanceRecord(instance_id, sat, frac, state.closure_count, elapsed)
-
-
 def collect(
     corpus: Sequence[Matrix],
     heuristic: Heuristic = Heuristic.NONE,
     *,
     context: ContextTag | None = None,
     step_cap: int | None = None,
-    jobs: int = 1,
 ) -> Profile:
-    """Run every instance to termination and distill the outcomes.
+    """Run every instance to termination, in order, and distill the outcomes.
 
     ``step_cap`` bounds the closures spent per instance; instances that
     exceed it are excluded from the statistics and counted in ``excluded``.
-    ``jobs`` > 1 fans instances out to worker processes; outcomes are folded
-    in instance order either way, so the result is identical.  The profile's
-    tag is ``context`` (default: an empty one) with its count and heuristic
-    set to the corpus size and the search order run here.
+    The profile's tag is ``context`` (default: an empty one) with its count
+    and heuristic set to the corpus size and the search order run here.
     """
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    if step_cap is not None and type(step_cap) is not int:
+        raise ValueError(f"step_cap must be an integer when given, got {step_cap!r}")
     if step_cap is not None and step_cap < 0:
         raise ValueError(f"step_cap must be >= 0 when given, got {step_cap}")
     if not corpus:
         raise ValueError("corpus is empty")
-    work = [(i, m, heuristic, step_cap) for i, m in enumerate(corpus)]
-    if jobs > 1:
-        # Imported here: only a parallel run pays for loading multiprocessing.
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_run_one, work, chunksize=8))
-    else:
-        outcomes = [_run_one(w) for w in work]
-    records = [r for r in outcomes if r is not None]
-    excluded = len(outcomes) - len(records)
+    records = []
+    for instance_id, matrix in enumerate(corpus):
+        prepared = heuristic.apply(matrix)
+        started = time.perf_counter()
+        state = solve(prepared, max_closures=step_cap)
+        elapsed = time.perf_counter() - started
+        if state.status is SearchStatus.RUNNING:
+            continue  # hit the closure cap: excluded
+        sat = state.status is SearchStatus.OPEN_FOUND
+        frac = fraction_explored(state) if sat else Fraction(1)
+        records.append(InstanceRecord(instance_id, sat, frac, state.closure_count, elapsed))
     if not records:
         raise ValueError("every instance exceeded the step cap; no data to profile")
     context = replace(context or ContextTag(), count=len(corpus), heuristic=heuristic.value)
-    return Profile(context, records, excluded)
+    return Profile(context, records, len(corpus) - len(records))
 
 
 def save(profile: Profile, path: str | Path) -> None:

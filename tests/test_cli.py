@@ -159,34 +159,6 @@ def test_profile_and_curve(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_profile_jobs_flag_matches_serial(tmp_path):
-    serial = tmp_path / "serial.json"
-    parallel = tmp_path / "parallel.json"
-    base = [
-        "profile", "--clauses", "8", "--lits", "2", "--alphabet", "3",
-        "--seed", "9", "--count", "24",
-    ]
-    assert run_cli(*base, "--out", str(serial)) == 0
-    assert run_cli(*base, "--jobs", "2", "--out", str(parallel)) == 0
-    assert load(serial) == load(parallel)
-
-
-@pytest.mark.parametrize(
-    "command, jobs", [("profile", "0"), ("profile", "-3"), ("compare-heuristic", "0")]
-)
-def test_jobs_below_one_is_usage_error(tmp_path, capsys, command, jobs):
-    out = tmp_path / "out"
-    code = run_cli(
-        command, "--clauses", "6", "--lits", "2", "--alphabet", "3",
-        "--seed", "1", "--count", "2", "--jobs", jobs, "--out", str(out),
-    )
-    assert code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert f"jobs must be >= 1, got {jobs}" in captured.err
-    assert not out.exists()
-
-
 def test_curve_prior_override(tmp_path, capsys):
     prof_path = tmp_path / "p.json"
     run_cli(
@@ -577,13 +549,14 @@ def test_bad_number_is_usage_error(argv, error, prior_zero_files, tmp_path, caps
 
 
 def assert_usage_error(argv, error, prior_zero_files, tmp_path, capsys):
-    """Exit 2 with nothing on stdout and ``error`` on stderr."""
+    """Exit 2 with nothing on stdout, nothing at ``{out}`` and ``error`` on stderr."""
     profile, cnf = prior_zero_files
     names = {"profile": profile, "cnf": cnf, "out": tmp_path / "c.csv"}
     assert run_cli(*(arg.format(**names) for arg in argv)) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert error in captured.err
+    assert not names["out"].exists()
 
 
 @pytest.mark.parametrize(
@@ -749,6 +722,15 @@ def test_decide_refuses_utilities_it_cannot_score(capsys):
             ("profile", "--clauses", "6", "--lits", "2", "--alphabet", "3", "--seed", "1",
              "--count", "2", "--step-cap", "-1", "--out", "{out}"),
             "step_cap must be >= 0 when given, got -1",
+        ),
+        # A profile is collected in the calling process: there is no --jobs.
+        *(
+            (
+                (command, "--clauses", "6", "--lits", "2", "--alphabet", "3", "--seed", "1",
+                 "--count", "2", "--jobs", "2", "--out", "{out}"),
+                "unrecognized arguments: --jobs 2",
+            )
+            for command in ("profile", "compare-heuristic")
         ),
         # A flag of an input form not chosen, or a form given incomplete.
         *(

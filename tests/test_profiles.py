@@ -1,7 +1,9 @@
 """Survival profiles: collection, hand-worked statistics, and persistence."""
 
 import json
+import re
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -9,6 +11,7 @@ from oracles import fraction_curve_value, fraction_posterior
 from proverb.belief import ContextTag, SurvivalCurve, posterior
 from proverb.generator import GeneratorConfig, generate_corpus
 from proverb.heuristics import Heuristic
+from proverb.matrix import solve
 from proverb.profiles import (
     FORMAT_VERSION,
     InstanceRecord,
@@ -61,13 +64,19 @@ def test_record_validation():
         ),
         (lambda: InstanceRecord(0, 1, Fraction(1, 2), 0), "sat flag must be a bool, got 1"),
         (lambda: ContextTag(seed=True), "context seed must be an integer or null, got True"),
+        *(
+            (partial(InstanceRecord, 0, sat, frac, 1), f"discovery fraction must be a number, got {frac!r}")
+            for sat, frac in [(True, "0.5"), (True, None), (True, [0]), (False, True), (True, False)]
+        ),
     ],
-    ids=["excluded", "id", "closures", "sat", "seed"],
+    ids=["excluded", "id", "closures", "sat", "seed", "frac-str", "frac-none", "frac-list",
+         "frac-true", "frac-false"],
 )
 def test_constructors_refuse_what_load_would(build, error):
-    # Each value here, once saved, is one that loading refuses: the rule
-    # lives in the constructor, so no such profile can be built.
-    with pytest.raises(ValueError, match=f"^{error}$"):
+    # Each value here is one the file cannot hold as given: saving fails, or
+    # loading refuses it or reads back another type.  The rule lives in the
+    # constructor, so no such profile can be built.
+    with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
         build()
 
 
@@ -167,15 +176,41 @@ def test_collect_is_deterministic_and_order_stable():
     assert [r.instance_id for r in a.records] == list(range(20))
 
 
-def test_collect_parallel_equals_serial():
-    corpus = generate_corpus(GeneratorConfig(8, 2, 3, seed=21), 24)
-    assert collect(corpus, jobs=2) == collect(corpus, jobs=1)
+@pytest.mark.parametrize("step_cap", [None, 5])
+def test_collect_calls_the_module_solve_once_per_instance_in_order(monkeypatch, step_cap):
+    # The benchmark times each instance by replacing ``profiles.solve``: the
+    # loop must look it up when it calls it, and call it once per instance,
+    # excluded ones too (a cap of 5 excludes 4 of these 6).
+    from proverb import profiles
+
+    corpus = generate_corpus(GeneratorConfig(8, 2, 3, seed=21), 6)
+    calls, real = [], profiles.solve
+
+    def recording(matrix, **kwargs):
+        calls.append((matrix, kwargs))
+        return real(matrix, **kwargs)
+
+    monkeypatch.setattr(profiles, "solve", recording)
+    collect(corpus, Heuristic.PRESORT, step_cap=step_cap)
+    assert calls == [(Heuristic.PRESORT.apply(m), {"max_closures": step_cap}) for m in corpus]
 
 
-def test_collect_rejects_jobs_below_one():
-    corpus = generate_corpus(GeneratorConfig(8, 2, 3, seed=21), 4)
-    with pytest.raises(ValueError, match="jobs must be >= 1, got 0"):
-        collect(corpus, jobs=0)
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda corpus: collect(corpus, step_cap=True), "step_cap must be an integer when given, got True"),
+        (lambda corpus: collect(corpus, step_cap=2.5), "step_cap must be an integer when given, got 2.5"),
+        (
+            lambda corpus: solve(corpus[0], max_closures=True),
+            "max_closures must be an integer when given, got True",
+        ),
+    ],
+    ids=["collect-bool", "collect-float", "solve-bool"],
+)
+def test_a_cap_that_is_not_an_int_is_refused(call, error):
+    corpus = generate_corpus(GeneratorConfig(8, 2, 3, seed=21), 6)
+    with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+        call(corpus)
 
 
 def test_collect_respects_heuristic_and_context():

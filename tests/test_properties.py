@@ -534,7 +534,6 @@ FAMILY_CAUSES = {
     "--lits": "lits_per_clause must be >= 1",
     "--alphabet": "alphabet_size must be >= 1",
     "--count": "count must be >= 1",
-    "--jobs": "jobs must be >= 1",
 }
 
 
@@ -551,7 +550,6 @@ INT_SLOTS = [
         (family_template(command, flag), cause)
         for command in ("gen", "profile", "compare-heuristic")
         for flag, cause in FAMILY_CAUSES.items()
-        if flag != "--jobs" or command != "gen"
     ),
 ]
 
