@@ -334,14 +334,6 @@ class AnalyticModel:
         self.__dict__["_last"] = (searched, terms, mass)
         return terms, mass
 
-    def joint(self, searched: int) -> tuple[int, ...]:
-        """Each count's p(o) * survival(searched), times the common denominator.
-
-        One integer per count of ``open_paths``, in its order; a count that
-        the survival rules out reads 0.
-        """
-        return self._at(searched)[0]
-
     def survival(self, searched: int) -> tuple[int, int]:
         """p(the first ``searched`` paths are all closed | not-w), an exact pair."""
         return self._at(searched)[1], self._norm

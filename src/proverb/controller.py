@@ -37,28 +37,31 @@ Every run yields a ``DecisionTrace``; ``save_trace``/``load_trace`` move it
 through JSON lines.  One table, ``_FIELDS``, lists each record's fields in
 order with each field's reader, which checks the JSON value and returns what
 the trace holds; ``load_trace`` refuses any other value with ``line N: bad
-KIND KEY VALUE``, so a new field is one table entry.  ``replay`` re-derives
-every recorded quantity from the fractions alone, reporting the first
-divergence if any.  It also checks
-the numbering (0, 1, 2, ...) and each step's stop verdict: no step may
-follow a verdict, and the recorded stop reason must be the last verdict, or
-a proof when there is none.  Every closed count it reads must be one the
-last chunk could reach, the one rule ``run`` follows: after a step at ``c``
-the chunk is ``b = min(chunk, total - c)`` (``_deliberate`` returns it), the
-next step lies at a whole count in ``[c + b, total - 1]``, a disproof at a
-count in ``[c, c + b - 1]``, so at a model time in ``[time_of(c),
-time_of(c + b - 1)]``, and a proof of w at ``total``.  The first step lies
-at 0; a trace with no step stopped before any search, by ``proof_of_w`` on a
-0-path space or ``proof_of_not_w`` on the 1-path empty matrix, at time 0.
-The final record's posterior and model time must be where the run stopped:
-the last step's after a verdict, 1 and ``time_of(total)`` after
-``proof_of_w``, 0 and a time in reach after ``proof_of_not_w``.  Wall-clock
-time is recorded as advisory: its reader takes a finite number, or reads 0.0
-where the final record leaves it out, and replay never reads it.  Model time is ``closed * tau``, exact and rounded
-once (``TimeCost.time_of``), so replay reproduces it bit for bit.  Before
-any search, ``run`` and ``replay`` refuse a path space whose utilities the
-clock cannot score: a full search's model time beyond float's range, or
-utilities over the run that span beyond it.
+KIND KEY VALUE``, so a new field is one table entry.  ``ControllerConfig``
+checks its chunk and lookaheads with the header's own readers, so every
+trace a run writes loads back; the header's source must be an object whose
+kind is ``analytic`` or ``profile``, the two that ``describe()`` writes.
+``replay`` re-derives every recorded quantity from the fractions alone,
+reporting the first divergence if any.  It also checks the numbering (0, 1,
+2, ...) and each step's stop verdict: no step may follow a verdict, and the
+recorded stop reason must be the last verdict, or a proof when there is
+none.  Every closed count it reads must be one the last chunk could reach,
+the one rule ``run`` follows: after a step at ``c`` the chunk is ``b =
+min(chunk, total - c)`` (``_deliberate`` returns it), the next step lies at
+a whole count in ``[c + b, total - 1]``, a disproof at a count in ``[c, c +
+b - 1]``, so at a model time in ``[time_of(c), time_of(c + b - 1)]``, and a
+proof of w at ``total``.  The first step lies at 0; a trace with no step
+stopped before any search, by ``proof_of_w`` on a 0-path space or
+``proof_of_not_w`` on the 1-path empty matrix, at time 0.  The final
+record's posterior and model time must be where the run stopped: the last
+step's after a verdict, 1 and ``time_of(total)`` after ``proof_of_w``, 0 and
+a time in reach after ``proof_of_not_w``.  Wall-clock time is recorded as
+advisory: its reader takes a finite number, or reads 0.0 where the final
+record leaves it out, and replay never reads it.  Model time is ``closed *
+tau``, exact and rounded once (``TimeCost.time_of``), so replay reproduces
+it bit for bit.  Before any search, ``run`` and ``replay`` refuse a path
+space whose utilities the clock cannot score: a full search's model time
+beyond float's range, or utilities over the run that span beyond it.
 """
 
 from __future__ import annotations
@@ -130,6 +133,7 @@ class MalformedTraceError(ValueError):
 class AnalyticSource:
     """Prior plus an open-path urn model (count or distribution over counts).
 
+    ``prior`` is an ``int``, ``float`` or ``Fraction`` in [0, 1].
     ``open_paths`` is stored as the :data:`~proverb.belief.OpenDist` that
     ``open_dist`` reads from a count, a mapping or pairs, so a bad
     distribution is refused here, before any search, and equivalent inputs
@@ -143,6 +147,8 @@ class AnalyticSource:
     open_paths: OpenDist
 
     def __post_init__(self) -> None:
+        if type(self.prior) not in (int, float, Fraction):  # a bool is none of these
+            raise ValueError(f"prior must be a number, got {self.prior!r}")
         if not 0 <= self.prior <= 1:
             raise ValueError(f"prior {self.prior} outside [0, 1]")
         object.__setattr__(self, "open_paths", open_dist(self.open_paths))
@@ -233,11 +239,12 @@ class ProfileSource:
 class ControllerConfig:
     """chunk size, utilities, time cost, belief source, candidate lookaheads.
 
-    ``lookaheads`` are path counts or the string "full" (the whole remaining
-    space, resolved per step); given empty, the config is myopic and stores
-    ``(chunk,)``, so ``lookaheads`` always names the candidates a run
-    prices and its trace records.  Candidates larger than the remaining
-    space are truncated to it.
+    ``lookaheads`` are a list or tuple of path counts and the string "full"
+    (the whole remaining space, resolved per step), stored as a tuple; given
+    empty, the config is myopic and stores ``(chunk,)``, so ``lookaheads``
+    always names the candidates a run prices and its trace records.
+    Candidates larger than the remaining space are truncated to it.  The
+    chunk and the lookaheads are checked by the trace header's readers.
     """
 
     chunk: int
@@ -247,17 +254,9 @@ class ControllerConfig:
     lookaheads: tuple[int | str, ...] = ()
 
     def __post_init__(self) -> None:
-        # The trace header's own checks, so every run's trace can be read back.
-        if not _positive(self.chunk):
-            raise ValueError("chunk must be >= 1")
-        for x in self.lookaheads:
-            if isinstance(x, str):
-                if x != FULL_LOOKAHEAD:
-                    raise ValueError(f"unknown lookahead {x!r}")
-            elif not _positive(x):
-                raise ValueError("candidate lookaheads must be >= 1")
-        if not self.lookaheads:
-            object.__setattr__(self, "lookaheads", (self.chunk,))
+        # The trace header's readers, so every run's trace can be read back.
+        _chunk(self.chunk)
+        object.__setattr__(self, "lookaheads", _lookaheads(self.lookaheads) or (self.chunk,))
 
     def lookahead_paths(self, remaining: int) -> list[int]:
         """The candidates in paths, each truncated to ``remaining``."""
@@ -382,11 +381,25 @@ def _positive(v: object) -> bool:
     return type(v) is int and v >= 1  # a bool is no int
 
 
-def _need(ok: bool, value):
+def _need(ok: bool, value, message: str = ""):
     """``value`` when ``ok``, else a reader's refusal."""
     if not ok:
-        raise ValueError
+        raise ValueError(message)
     return value
+
+
+def _chunk(v: object) -> int:
+    return _need(_positive(v), v, "chunk must be >= 1")
+
+
+def _lookaheads(v: object) -> tuple[int | str, ...]:
+    """Path counts of at least 1 and "full", from a list or tuple."""
+    for x in _need(type(v) in (list, tuple), v, f"lookaheads must be a list or tuple, got {v!r}"):
+        if isinstance(x, str):
+            _need(x == FULL_LOOKAHEAD, x, f"unknown lookahead {x!r}")
+        else:
+            _need(_positive(x), x, "candidate lookaheads must be >= 1")
+    return tuple(v)
 
 
 def _count(v: object) -> int:
@@ -413,11 +426,10 @@ _FIELDS = {
     "header": {
         "format_version": lambda v: _need(type(v) is int and v == TRACE_FORMAT_VERSION, v),
         "total": _count,
-        "chunk": lambda v: _need(_positive(v), v),
-        "lookaheads": lambda v: tuple(
-            _need(x == FULL_LOOKAHEAD or _positive(x), x) for x in _need(type(v) is list, v)
-        ),
-        "source": lambda v: _need(type(v) is dict, v),
+        "chunk": _chunk,
+        "lookaheads": _lookaheads,
+        # The kinds that the sources' ``describe`` write.
+        "source": lambda v: _need(type(v) is dict and v.get("kind") in ("analytic", "profile"), v),
         "utility_spec": _text,
     },
     "step": {
@@ -549,7 +561,8 @@ def replay(
     The belief source the run used must be supplied (the profile for profile
     traces, the analytic source for analytic ones); supplying different
     parameters than the header records is reported as a parameter mismatch,
-    not as trace corruption.
+    not as trace corruption, as is a trace built in memory whose source is
+    of neither kind.
     """
     spec = format_utility_spec(utilities, timecost)
     if spec != trace.utility_spec:
@@ -563,12 +576,10 @@ def replay(
         if profile is None:
             return _mismatch("trace was run with a profile source; pass profile=")
         source: AnalyticSource | ProfileSource = ProfileSource(profile)
-    elif kind == "analytic":
-        if analytic is None:
-            return _mismatch("trace was run with an analytic source; pass analytic=")
-        source = analytic
+    elif analytic is None:
+        return _mismatch("trace was run with an analytic source; pass analytic=")
     else:
-        raise MalformedTraceError(f"unknown source kind {kind!r}")
+        source = analytic
     if source.describe() != desc:
         return _mismatch(f"the {kind} source's parameters differ from the run's")
 

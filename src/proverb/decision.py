@@ -430,6 +430,14 @@ def nevc_two_outcome(
 # cost is zero | linear:RATE | deadline:AT:PENALTY  (default zero, tau 1.0).
 # Each key is given once; spaces inside a key do not count.
 
+# The ``TimeCost`` fields that each cost kind's spec text carries after its
+# name, in order: parsing and formatting both read this table.
+_COST_FIELDS = {
+    CostKind.ZERO: (),
+    CostKind.LINEAR: ("rate",),
+    CostKind.DEADLINE: ("deadline_at", "penalty"),
+}
+
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_+-]*$")
 _U_KEY_RE = re.compile(r"^u\(([^,()]+),(~?w)\)$")
 
@@ -490,14 +498,12 @@ def parse_utility_spec(text: str) -> tuple[UtilityModel, TimeCost]:
     except ValueError as exc:
         raise UtilitySpecError(str(exc)) from exc
 
-    parts = cost_spec.split(":")
+    name, *args = cost_spec.split(":")
     try:
-        if parts[0] == "zero" and len(parts) == 1:
-            cost = TimeCost.zero(tau)
-        elif parts[0] == "linear" and len(parts) == 2:
-            cost = TimeCost.linear(float(parts[1]), tau)
-        elif parts[0] == "deadline" and len(parts) == 3:
-            cost = TimeCost.deadline(float(parts[1]), float(parts[2]), tau)
+        for kind, names in _COST_FIELDS.items():
+            if kind.value == name and len(names) == len(args):
+                cost = TimeCost(kind, tau=tau, **dict(zip(names, map(float, args))))
+                break
         else:
             raise UtilitySpecError(
                 f"cost must be zero | linear:RATE | deadline:AT:PENALTY, got {cost_spec!r}"
@@ -513,11 +519,7 @@ def format_utility_spec(utilities: UtilityModel, timecost: TimeCost) -> str:
     for i, a in enumerate(utilities.actions):
         bits.append(f"u({a},w)={utilities.when_true[i]!r}")
         bits.append(f"u({a},~w)={utilities.when_false[i]!r}")
-    if timecost.kind is CostKind.ZERO:
-        bits.append("cost=zero")
-    elif timecost.kind is CostKind.LINEAR:
-        bits.append(f"cost=linear:{timecost.rate!r}")
-    else:
-        bits.append(f"cost=deadline:{timecost.deadline_at!r}:{timecost.penalty!r}")
+    values = [repr(getattr(timecost, name)) for name in _COST_FIELDS[timecost.kind]]
+    bits.append(":".join(["cost=" + timecost.kind.value, *values]))
     bits.append(f"tau={timecost.tau!r}")
     return "; ".join(bits)

@@ -20,7 +20,7 @@ for one ``generate`` call: no cache outlives it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .dimacs import format_dimacs
@@ -59,7 +59,10 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class GeneratorConfig:
-    """Shape of one random instance: clause count, clause width, alphabet, seed."""
+    """Shape of one random instance: clause count, clause width, alphabet, seed.
+
+    Each field is an ``int`` (a bool is refused), else ``ConfigError``.
+    """
 
     n_clauses: int
     lits_per_clause: int
@@ -67,6 +70,10 @@ class GeneratorConfig:
     seed: int
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if type(value) is not int:  # a bool is no int
+                raise ConfigError(f"{f.name} must be an integer, got {value!r}")
         if self.n_clauses < 1:
             raise ConfigError("n_clauses must be >= 1")
         if self.lits_per_clause < 1:

@@ -201,14 +201,20 @@ def step_search(
        overshoot the budget (its full pruned count is always applied);
     3. the call pauses when this was its ``event_cap``-th closure.
 
-    Stepping a terminal state raises :class:`InvalidStateError`.  A tally
-    that passes ``total`` (checked at every pause) or falls short of it when
-    the walk is back at the root breaks conservation: ``AssertionError``.
+    ``budget`` and ``event_cap`` are integers of at least 1 (a bool is
+    refused), else ``ValueError``.  Stepping a terminal state raises
+    :class:`InvalidStateError`.  A tally that passes ``total`` (checked at
+    every pause) or falls short of it when the walk is back at the root
+    breaks conservation: ``AssertionError``.
     """
     if state.status is not SearchStatus.RUNNING:
         raise InvalidStateError(f"search already terminal: {state.status.value}")
+    if type(budget) is not int:  # a bool is no int
+        raise ValueError(f"budget must be an integer, got {budget!r}")
     if budget < 1:
         raise ValueError("budget must be >= 1")
+    if event_cap is not None and type(event_cap) is not int:
+        raise ValueError(f"event_cap must be an integer when given, got {event_cap!r}")
     if event_cap is not None and event_cap < 1:
         raise ValueError("event_cap must be >= 1 when given")
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -40,26 +41,57 @@ def analytic_config(**kw):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        analytic_config(chunk=0)
-    with pytest.raises(ValueError):
-        analytic_config(lookaheads=(0,))
-    with pytest.raises(ValueError):
-        analytic_config(lookaheads=("sideways",))
     with pytest.raises(ValueError, match=r"prior 3/2 outside \[0, 1\]"):
         AnalyticSource(Fraction(3, 2), 1)
-    # Each of these ran, and load_trace refused the trace it wrote (or, for
-    # chunk=2.5, the search died mid-run).
-    for kw, error in [
-        (dict(chunk=True), "chunk must be >= 1"),
-        (dict(chunk=2.5), "chunk must be >= 1"),
-        (dict(lookaheads=(True, "full")), "candidate lookaheads must be >= 1"),
-        (dict(lookaheads=(2.5,)), "candidate lookaheads must be >= 1"),
-    ]:
-        with pytest.raises(ValueError, match=error):
-            analytic_config(**kw)
     assert analytic_config(lookaheads=(3, "full")).lookaheads == (3, "full")
     assert analytic_config(chunk=7).lookaheads == (7,)
+
+
+# Each value as the chunk and as a lookahead, and a bare "full" as the
+# lookaheads: what a config refuses, with its own message, a trace header
+# refuses, and what a config takes, a header takes.
+SHARED_RULES = [
+    *(("chunk", v, "chunk must be >= 1") for v in (True, 2.5, 0, -1, "fast")),
+    *(("lookaheads", (v,), "candidate lookaheads must be >= 1") for v in (True, 2.5, 0, -1)),
+    ("lookaheads", (True, "full"), "candidate lookaheads must be >= 1"),
+    ("lookaheads", ("fast",), "unknown lookahead 'fast'"),
+    ("lookaheads", "full", "lookaheads must be a list or tuple, got 'full'"),
+    ("chunk", 1, None),
+    ("lookaheads", (8, "full"), None),
+]
+
+
+@pytest.mark.parametrize(
+    "key, value, error", SHARED_RULES, ids=[f"{k}={v!r}" for k, v, _ in SHARED_RULES]
+)
+def test_a_config_and_a_trace_header_take_the_same_values(tmp_path, key, value, error):
+    path = tmp_path / "trace.jsonl"
+    save_trace(run(generate(GeneratorConfig(6, 2, 3, seed=1)), analytic_config(chunk=4)), path)
+    rows = [json.loads(line) for line in path.read_text().splitlines()]
+    rows[0][key] = list(value) if type(value) is tuple else value
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    if error is None:
+        assert getattr(analytic_config(**{key: value}), key) == value
+        assert getattr(load_trace(path), key) == value
+    else:
+        with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+            analytic_config(**{key: value})
+        with pytest.raises(MalformedTraceError, match=f"^line 1: bad header {key} "):
+            load_trace(path)
+
+
+def test_a_config_stores_its_lookaheads_as_a_tuple():
+    config = analytic_config(lookaheads=[8, "full"])
+    assert config.lookaheads == (8, "full")
+    assert hash(config) == hash(analytic_config(lookaheads=(8, "full")))
+
+
+@pytest.mark.parametrize("prior", [True, "0.5", None, [0]])
+def test_a_prior_that_is_not_a_number_is_refused(prior):
+    with pytest.raises(ValueError, match=re.escape(f"prior must be a number, got {prior!r}")):
+        AnalyticSource(prior, 1)
+    for taken in (0, 0.5, Fraction(1, 2)):
+        assert AnalyticSource(taken, 1).prior == taken
 
 
 def test_unsat_matrix_proves_the_claim():
@@ -572,8 +604,15 @@ def test_replay_asks_for_the_source_its_header_names(tmp_path):
     report = replay_tampered(tmp_path, profile_header)
     assert report.kind == "parameter_mismatch"
     assert "pass profile=" in report.message
-    with pytest.raises(MalformedTraceError, match="unknown source kind 'oracle'"):
+    # The header names one of the kinds the sources describe, or the trace
+    # does not load; a trace built in memory meets the source it is given.
+    error = "line 1: bad header source {'kind': 'oracle'}"
+    with pytest.raises(MalformedTraceError, match=f"^{re.escape(error)}$"):
         replay_tampered(tmp_path, oracle_header)
+    trace = run(generate(GeneratorConfig(8, 2, 4, seed=10)), stopped_config())
+    trace.source_desc = {"kind": "oracle"}
+    report = replay(trace, utilities=ACT, timecost=STOP_COST, analytic=THREE_OPEN)
+    assert report.kind == "parameter_mismatch"
 
 
 def test_replay_accepts_a_deadline_stop(tmp_path):
@@ -636,6 +675,8 @@ TAMPERED_FIELDS = [
     (0, "lookaheads", ["whole"]),
     (0, "lookaheads", "full"),
     (0, "source", 3),
+    (0, "source", {"kind": "oracle"}),
+    (0, "source", {}),
     (0, "utility_spec", 5),
     (1, "step", True),
     (1, "step", "0"),

@@ -1,5 +1,6 @@
 """Instance generator: portability, determinism, and distributional checks."""
 
+import re
 import tracemalloc
 
 import pytest
@@ -56,6 +57,24 @@ def test_config_validation():
         GeneratorConfig(1, 0, 1, 0)
     with pytest.raises(ConfigError):
         GeneratorConfig(1, 2, 1, 0)  # more literals than symbols
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("n_clauses", True),
+        ("n_clauses", 3.0),
+        ("lits_per_clause", "2"),
+        ("alphabet_size", None),
+        ("seed", 1.5),
+        ("seed", False),
+    ],
+)
+def test_a_field_that_is_not_an_int_is_refused(field, value):
+    shape = dict(n_clauses=3, lits_per_clause=2, alphabet_size=3, seed=1)
+    error = f"{field} must be an integer, got {value!r}"
+    with pytest.raises(ConfigError, match=f"^{re.escape(error)}$"):
+        GeneratorConfig(**{**shape, field: value})
 
 
 def test_generated_shape_and_distinct_symbols():

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -161,6 +162,22 @@ def test_step_budget_validation():
         step_search(state, 0)
     with pytest.raises(ValueError, match="event_cap must be >= 1 when given"):
         step_search(state, 1, event_cap=0)
+
+
+@pytest.mark.parametrize(
+    "budget, event_cap, error",
+    [
+        (True, None, "budget must be an integer, got True"),
+        (2.5, None, "budget must be an integer, got 2.5"),
+        (1, True, "event_cap must be an integer when given, got True"),
+        (1, 2.5, "event_cap must be an integer when given, got 2.5"),
+    ],
+)
+def test_a_budget_or_cap_that_is_not_an_int_is_refused(budget, event_cap, error):
+    state = SearchState(generate(GeneratorConfig(8, 2, 3, seed=21)))
+    with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+        step_search(state, budget, event_cap=event_cap)
+    assert (state.closed, state.closure_count) == (0, 0)
 
 
 def test_stepping_terminal_state_raises():
